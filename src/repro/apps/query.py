@@ -123,7 +123,7 @@ class QueryClient:
         deadline = self.timeout if timeout is None else timeout
         if deadline <= 0:
             raise ValueError(f"timeout must be positive, got {deadline}")
-        self._pending[subject] = {
+        state = self._pending[subject] = {
             "callback": callback,
             "result": QueryResult(subject=subject),
             "awaiting": set(),
@@ -136,12 +136,15 @@ class QueryClient:
         # Retry the report phase inside the deadline: the request and the
         # reply are single unacked datagrams, so on a lossy fabric one lost
         # packet would otherwise blank the query for its full timeout.
+        # Timers carry this query's own state as their token: one left
+        # over from a finished query must not touch a later query for
+        # the same subject.
         interval = deadline / (self.report_retries + 1)
         for attempt in range(1, self.report_retries + 1):
             self.runtime.schedule(
-                interval * attempt, self._retry_report, subject
+                interval * attempt, self._retry_report, subject, state
             )
-        self.runtime.schedule(deadline, self._deadline, subject)
+        self.runtime.schedule(deadline, self._deadline, subject, state)
 
     def fetch_monitors(
         self,
@@ -188,9 +191,8 @@ class QueryClient:
             ),
         )
 
-    def _retry_report(self, subject: NodeId) -> None:
-        state = self._pending.get(subject)
-        if state is None or not state["reporting"]:
+    def _retry_report(self, subject: NodeId, state: dict) -> None:
+        if self._pending.get(subject) is not state or not state["reporting"]:
             return  # finished, or already past the report phase
         self._send_report_request(subject)
 
@@ -231,8 +233,9 @@ class QueryClient:
             result.complete = True
             self._finish(message.subject)
 
-    def _deadline(self, subject: NodeId) -> None:
-        self._finish(subject, timed_out=True)
+    def _deadline(self, subject: NodeId, state: dict) -> None:
+        if self._pending.get(subject) is state:
+            self._finish(subject, timed_out=True)
 
     def _finish(self, subject: NodeId, *, timed_out: bool = False) -> None:
         state = self._pending.pop(subject, None)

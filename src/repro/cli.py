@@ -46,11 +46,12 @@ computed=C``.
 
 ``--backend NAME`` selects the execution strategy for sweep cells:
 ``serial`` (in-process), ``pool`` (a local multiprocessing pool of
-``--jobs`` workers), ``fleet`` (independent worker processes with
-per-cell lease, heartbeat and retry — SIGKILLing any worker mid-sweep
-costs only its in-flight cell), or ``remote`` (cells leased over HTTP by
-``avmon fleet worker`` processes on any host, coordinated through the
-shared store daemon — requires ``--cache-dir http://...``).
+``--jobs`` workers), ``remote`` (cells leased over HTTP by ``avmon fleet
+worker`` processes on any host, coordinated through the shared store
+daemon — requires ``--cache-dir http://...``), or ``fleet`` (the local
+launcher of that same lease protocol: it spawns the workers itself
+against an in-process daemon, and SIGKILLing any of them mid-sweep costs
+only its in-flight cell).
 ``--backend-param KEY=VALUE`` forwards extra constructor parameters,
 e.g. ``--backend-param max_attempts=5``.
 """

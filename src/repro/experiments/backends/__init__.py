@@ -7,10 +7,11 @@ name      strategy                                            extra params
 ========  ==================================================  ============
 SERIAL    in this process, input order                        —
 POOL      ``multiprocessing.Pool`` fan-out                    ``jobs``
-FLEET     killable worker fleet with lease/retry semantics    ``workers``,
-          (survives SIGKILL of any worker mid-sweep)          ``max_attempts``, ...
 REMOTE    network-attached workers leasing cells from the     ``lease_ttl``,
           store daemon (``avmon fleet worker --attach``)      ``claim_ttl``, ...
+FLEET     local launcher of the same lease protocol: spawns   ``workers``,
+          the workers itself against an in-process daemon     ``lease_timeout``, ...
+          (survives SIGKILL of any worker mid-sweep)
 ========  ==================================================  ============
 
 :func:`resolve_backend` is the single entry point callers use to turn a

@@ -1,141 +1,65 @@
-"""Queue-based worker fleet: sweep cells survive SIGKILLed workers.
+"""Local worker fleet: sweep cells survive SIGKILLed workers.
 
-The fleet treats worker death as a *normal, retryable event* (Duarte et
-al.'s unreliable-failure-detector model), not a sweep-aborting
-exception.  The design:
+``FLEET`` is the local launcher of the lease protocol ``REMOTE`` speaks
+(:mod:`.remote` holds the one state machine).  For the length of one
+``execute`` it runs a private store daemon in a helper thread — over the
+sweep's own store, or a scratch directory when there is none — spawns
+``workers`` children running the ``avmon fleet worker`` claim loop
+against it, and drives the same publish / drain / retry loop a remote
+parent does.  Cells are deterministic and the store content-addressed,
+so a retried cell whose killed owner had already written through is a
+read, not a recompute.
 
-* **Dispatch = lease.**  Each worker process owns a private task queue
-  and holds at most one cell at a time, so the parent always knows
-  exactly which cell a dead worker was running.  A heartbeat thread in
-  the worker pings the shared result queue while the main thread
-  simulates, so a wedged (but alive) worker is distinguishable from a
-  busy one.
-* **Death is detected, not trusted.**  The parent polls process
-  liveness every loop; a worker that disappears (SIGKILL, OOM, crash)
-  has its in-flight cell re-queued with exponential backoff and a fresh
-  worker spawned in its place.  A worker whose heartbeat stops past the
-  lease timeout is killed and handled the same way.
-* **Re-execution is free-ish.**  Cells are deterministic and the store
-  is content-addressed, so a retried cell first consults the (ideally
-  shared) store — if the killed worker managed to write-through before
-  dying, the retry is a read, not a recompute.  Workers write-through
-  as soon as a summary exists, which also means a worker killed *after*
-  computing but *before* reporting loses nothing.
-* **At-least-once, recorded once.**  A cell can in principle complete
-  twice (lease expired, then the slow worker finished anyway); results
-  are idempotent by construction and the orchestrator ignores duplicate
-  indices.
-
-Cells that raise *deterministically* (a bug in the scenario, not the
-worker) are failed immediately without retry — re-running identical
-code on identical input would raise identically; retries exist for
-infrastructure death, and the failure carries the worker's traceback
-plus attempt count.
-
-Workers attach to the sweep's store by **spec** (a directory path or an
-``avmon store serve`` URL), so the same backend drives a single-host
-fleet over a local directory and a multi-host fleet over one shared
-HTTP cache.
+What is genuinely local rides the loop's per-iteration hook.  A child
+that disappears (SIGKILL, OOM, crash) is noticed by polling process
+liveness — no waiting out its lease — and its cell retried with backoff;
+a child alive but silent past ``lease_timeout`` has its lease expired by
+the board like any remote worker's, and is then SIGKILLed.  Either way a
+fresh child takes its place.
 """
 
 from __future__ import annotations
 
-import collections
-import heapq
+import contextlib
 import multiprocessing
 import os
 import signal
-import threading
-import time
-import traceback
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+import tempfile
+from typing import Dict, List, Optional, Sequence, Set
 
-from .base import (
-    ExecutionBackend,
-    Payload,
-    RecordFn,
-    default_jobs,
-    sorted_payloads,
-)
-from .leases import FleetEventMixin, FleetStats, RetryPolicy
+from ..store_backends import FilesystemBackend, SharedStoreBackend, backend_from_spec
+from ..store_server import StoreDaemonThread
+from ..taskboard import TaskBoard
+from .base import Payload, RecordFn, default_jobs, sorted_payloads
+from .remote import RemoteWorkerBackend, _SweepRun, _worker_process_entry
 
-__all__ = ["WorkerFleetBackend", "FleetStats"]
+__all__ = ["WorkerFleetBackend"]
 
 
-def _fleet_worker_main(
-    worker_id: int,
-    task_queue,
-    result_queue,
-    store_spec: Optional[str],
-    heartbeat_interval: float,
-) -> None:
-    """One fleet worker: lease a cell, heartbeat while computing, report.
+class _ChaosBoard(TaskBoard):
+    """A board that has the worker it grants the Nth lease to killed.
 
-    Runs in a child process.  Imports of the heavyweight simulation
-    machinery happen lazily so the module stays importable without side
-    effects in the parent.
+    Killing inside the grant — the daemon is in-process — means the
+    victim dies holding its lease however short the cell, so a chaos
+    run's death and retry counts are exact, not a race with the poll.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from ..runner import run_simulation
-    from ..store import SummaryStore, config_key
-    from ..summary import summarize
 
-    store = SummaryStore.open(store_spec) if store_spec else None
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        index, config, attempt = task
-        stop_beats = threading.Event()
+    def __init__(self, after_grants: int, kill) -> None:
+        super().__init__()
+        self._countdown = after_grants
+        self._kill = kill
 
-        def pump() -> None:
-            while not stop_beats.wait(heartbeat_interval):
-                try:
-                    result_queue.put(("beat", worker_id, index))
-                except Exception:  # noqa: BLE001 — parent gone; just stop
-                    return
-
-        beats = threading.Thread(target=pump, daemon=True)
-        beats.start()
-        summary, error, persisted = None, None, False
-        try:
-            key = config_key(config) if store is not None else None
-            if store is not None:
-                # Idempotent re-execution: a retried cell whose previous
-                # owner wrote through before dying is a read, not a run.
-                summary = store.load(key)
-                persisted = summary is not None
-            if summary is None:
-                summary = summarize(run_simulation(config))
-                if store is not None and store.save(key, summary) is not None:
-                    persisted = True
-        except Exception:
-            summary, error, persisted = None, traceback.format_exc(), False
-        finally:
-            stop_beats.set()
-        result_queue.put(("done", worker_id, index, attempt, summary, error, persisted))
+    def claim(self, worker: str):
+        task = super().claim(worker)
+        if task is not None:
+            self._countdown -= 1
+            if self._countdown == 0:
+                self._kill(worker)
+        return task
 
 
-@dataclass
-class _Lease:
-    """One dispatched cell: who runs it, which attempt, and liveness."""
-
-    index: int
-    attempt: int
-    dispatched_at: float
-    last_beat: float
-
-
-@dataclass
-class _Worker:
-    process: multiprocessing.Process
-    task_queue: object
-    lease: Optional[_Lease] = None
-
-
-class WorkerFleetBackend(FleetEventMixin, ExecutionBackend):
-    """N independent worker processes fed cell-by-cell with lease/retry.
+class WorkerFleetBackend(RemoteWorkerBackend):
+    """N local worker processes leasing cells from an in-process daemon.
 
     SIGKILLing any worker mid-sweep costs only the in-flight cell (and
     with a write-through store, often not even that).
@@ -143,9 +67,11 @@ class WorkerFleetBackend(FleetEventMixin, ExecutionBackend):
 
     name = "FLEET"
 
-    #: Heartbeats arrive as fast as the pump thread runs — wall-kind, so
-    #: they never leak into the deterministic snapshot bytes.
-    WALL_EVENTS = frozenset({"fleet.heartbeat"})
+    #: Which child claims first is a race; everything else in a local
+    #: fleet's lifecycle — spawns, leases, deaths, retries — follows from
+    #: the grid and the chaos setting, so it stays deterministic-kind.
+    WALL_EVENTS = frozenset({"fleet.remote_attach"})
+    SPAWN_EVENT = "fleet.worker_spawned"
 
     def __init__(
         self,
@@ -153,7 +79,6 @@ class WorkerFleetBackend(FleetEventMixin, ExecutionBackend):
         *,
         max_attempts: int = 3,
         retry_backoff: float = 0.25,
-        heartbeat_interval: float = 0.5,
         lease_timeout: float = 120.0,
         poll_interval: float = 0.05,
         chaos_kill_after_starts: Optional[int] = None,
@@ -161,24 +86,21 @@ class WorkerFleetBackend(FleetEventMixin, ExecutionBackend):
         self.workers = workers if workers is not None else default_jobs()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if lease_timeout <= heartbeat_interval:
-            raise ValueError("lease_timeout must exceed heartbeat_interval")
-        self.policy = RetryPolicy(max_attempts, retry_backoff)
-        self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
-        self.heartbeat_interval = heartbeat_interval
-        self.lease_timeout = lease_timeout
-        self.poll_interval = poll_interval
-        #: Test/chaos hook: after this many dispatches, SIGKILL one busy
-        #: worker (once).  Results must be unaffected — that is the point.
+        if lease_timeout <= 0:
+            raise ValueError(f"lease_timeout must be > 0, got {lease_timeout}")
+        #: Test/chaos hook: SIGKILL the worker granted this many-th lease
+        #: (once).  Results must be unaffected — that is the point.
         self.chaos_kill_after_starts = chaos_kill_after_starts
-        self.stats = FleetStats()
-        #: Per-execute lifecycle event counts; the source of truth for
-        #: :meth:`stats_line`, so the human line and the journal agree by
-        #: construction.
-        self._event_counts: Dict[str, int] = {}
-
-    # -- orchestration -----------------------------------------------------
+        # ``lease_timeout`` is how long a child may hold a cell in
+        # silence: children beat every third of it, and one whose beats
+        # stop for all of it is killed.
+        super().__init__(
+            "fleet",
+            max_attempts=max_attempts,
+            retry_backoff=retry_backoff,
+            lease_ttl=lease_timeout,
+            poll_interval=poll_interval,
+        )
 
     def execute(
         self, payloads: Sequence[Payload], record: RecordFn, *, store=None
@@ -186,239 +108,114 @@ class WorkerFleetBackend(FleetEventMixin, ExecutionBackend):
         payloads = sorted_payloads(payloads)
         if not payloads:
             return
-        self.stats = FleetStats()
         self._event_counts = {}
-        store_spec = store.spec() if store is not None else None
-        ctx = multiprocessing.get_context()
-        result_queue = ctx.Queue()
-        configs = {index: config for index, config in payloads}
-        outstanding = set(configs)
-        pending = collections.deque((index, 1) for index, _ in payloads)
-        retry_heap: List[Tuple[float, int, int]] = []  # (ready, index, attempt)
-        fleet: Dict[int, _Worker] = {}
-        next_worker_id = 0
-        dispatches = 0
-        chaos_armed = self.chaos_kill_after_starts is not None
+        children: Dict[str, multiprocessing.Process] = {}
+        wedged: Set[str] = set()  # children killed for outliving their lease
+        chaos_victims: List[str] = []
 
         def spawn() -> None:
-            nonlocal next_worker_id
-            worker_id = next_worker_id
-            next_worker_id += 1
-            task_queue = ctx.Queue()
-            process = ctx.Process(
-                target=_fleet_worker_main,
-                args=(
-                    worker_id,
-                    task_queue,
-                    result_queue,
-                    store_spec,
-                    self.heartbeat_interval,
-                ),
+            name = str(self.stats.workers_spawned)
+            child = multiprocessing.get_context().Process(
+                target=_worker_process_entry,
+                args=(daemon.url, name, self.poll_interval, None, None),
                 daemon=True,
             )
-            process.start()
-            fleet[worker_id] = _Worker(process, task_queue)
-            self.stats.workers_spawned += 1
-            self._emit("fleet.worker_spawned", worker=worker_id)
+            child.start()
+            children[name] = child
+            self._emit("fleet.worker_spawned", worker=name, pid=child.pid)
 
-        def dispatch() -> None:
-            nonlocal dispatches
-            for worker_id, worker in fleet.items():
-                if worker.lease is not None or not pending:
-                    continue
-                index, attempt = pending.popleft()
-                if index not in outstanding:
-                    continue
-                now = time.monotonic()
-                worker.lease = _Lease(index, attempt, now, now)
-                worker.task_queue.put((index, configs[index], attempt))
-                dispatches += 1
+        def chaos_kill(name: str) -> None:  # on the daemon thread, mid-grant
+            chaos_victims.append(name)
+            _kill(children[name])
+
+        def tick(events: List[dict]) -> None:
+            for event in events:
+                name = event.get("worker")
+                if event.get("kind") == "expired" and name in children:
+                    wedged.add(name)  # alive but silent: put it down
+                    _kill(children[name])
+            dead = [name for name, child in children.items() if not child.is_alive()]
+            if not dead:
+                return
+            # The board knows what the dead still held, even a lease
+            # granted since this iteration's drain.
+            _, board = client.call("GET", "/tasks")
+            leased = {
+                task["worker"]: task
+                for task in board.get("tasks", ())
+                if task["state"] == "leased"
+            }
+            for name in dead:
+                child = children.pop(name)
+                child.join(timeout=1.0)
+                task = leased.get(name)
+                index = run.cell_of(task["id"]) if task else None
+                attempt = task["attempt"] if task else None
+                reason = "lost its lease (no heartbeat)" if name in wedged else "died"
+                if name in chaos_victims:
+                    self._emit("fleet.chaos_kill", worker=name, cell=index)
                 self._emit(
-                    "fleet.lease_granted",
-                    worker=worker_id,
+                    "fleet.worker_death",
+                    worker=name,
+                    reason=reason,
                     cell=index,
                     attempt=attempt,
+                    exitcode=child.exitcode,
                 )
+                if task:
+                    run.retry_or_fail(
+                        index,
+                        attempt,
+                        f"fleet worker {name} died while running the cell "
+                        f"(exitcode {child.exitcode})",
+                    )
+                if run.outstanding:
+                    spawn()
 
-        def handle_death(worker_id: int, reason: str) -> None:
-            worker = fleet.pop(worker_id)
-            worker.process.join(timeout=1.0)
-            self.stats.deaths += 1
-            lease = worker.lease
-            self._emit(
-                "fleet.worker_death",
-                worker=worker_id,
-                reason=reason,
-                cell=lease.index if lease is not None else None,
-                attempt=lease.attempt if lease is not None else None,
-                exitcode=worker.process.exitcode,
-            )
-            if lease is not None and lease.index in outstanding:
-                if self.policy.exhausted(lease.attempt):
-                    record(
-                        lease.index,
-                        None,
-                        f"fleet worker {worker_id} {reason} while running the "
-                        f"cell; gave up after {lease.attempt} attempts "
-                        f"(exitcode {worker.process.exitcode})",
-                        attempts=lease.attempt,
-                    )
-                    outstanding.discard(lease.index)
-                    self._emit(
-                        "fleet.cell_failed",
-                        cell=lease.index,
-                        attempts=lease.attempt,
-                    )
-                else:
-                    delay = self.policy.delay(lease.attempt)
-                    heapq.heappush(
-                        retry_heap,
-                        (time.monotonic() + delay, lease.index, lease.attempt + 1),
-                    )
-                    self.stats.retries += 1
-                    self._emit(
-                        "fleet.retry",
-                        cell=lease.index,
-                        attempt=lease.attempt + 1,
-                        delay_s=round(delay, 6),
-                    )
-            if outstanding:
-                spawn()
+        def shutdown() -> None:
+            for child in children.values():
+                _kill(child)
+            for child in children.values():
+                child.join(timeout=5.0)
 
-        def reap() -> None:
-            now = time.monotonic()
-            for worker_id, worker in list(fleet.items()):
-                if not worker.process.is_alive():
-                    handle_death(worker_id, "died")
-                    continue
-                lease = worker.lease
-                if lease is not None and (
-                    now - max(lease.last_beat, lease.dispatched_at)
-                    > self.lease_timeout
-                ):
-                    # Alive but silent past the lease: treat as failed
-                    # (unreliable failure detector — suspicion is enough;
-                    # a late completion is ignored as a duplicate).
-                    self.stats.leases_expired += 1
-                    self._emit(
-                        "fleet.lease_expired",
-                        worker=worker_id,
-                        cell=lease.index,
-                        attempt=lease.attempt,
+        with contextlib.ExitStack() as stack:
+            if store is None:
+                backend = FilesystemBackend(
+                    stack.enter_context(
+                        tempfile.TemporaryDirectory(prefix="avmon-fleet-")
                     )
-                    _kill(worker.process)
-                    handle_death(worker_id, "lost its lease (no heartbeat)")
-
-        def maybe_chaos() -> None:
-            nonlocal chaos_armed
-            if not chaos_armed or dispatches < self.chaos_kill_after_starts:
-                return
-            for worker_id, worker in fleet.items():
-                if worker.lease is not None:
-                    self._emit(
-                        "fleet.chaos_kill",
-                        worker=worker_id,
-                        cell=worker.lease.index,
-                    )
-                    _kill(worker.process)
-                    chaos_armed = False
-                    return
-
-        try:
+                )
+            else:
+                # Its own handle on the sweep's store: the daemon thread
+                # must not share the parent's connection.
+                backend = backend_from_spec(store.spec())
+                stack.callback(backend.close)
+            daemon = StoreDaemonThread(backend)
+            if self.chaos_kill_after_starts is not None:
+                daemon.service.board = _ChaosBoard(
+                    self.chaos_kill_after_starts, chaos_kill
+                )
+            stack.enter_context(daemon)
+            client = SharedStoreBackend(daemon.url)
+            stack.callback(client.close)
+            stack.callback(shutdown)  # unwinds first: children before daemon
+            run = _SweepRun(self, client, payloads, record)
             for _ in range(min(self.workers, len(payloads))):
                 spawn()
-            while outstanding:
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, index, attempt = heapq.heappop(retry_heap)
-                    pending.append((index, attempt))
-                dispatch()
-                maybe_chaos()
-                try:
-                    message = result_queue.get(timeout=self.poll_interval)
-                except Exception:  # queue.Empty — poll liveness and loop
-                    reap()
-                    continue
-                kind, worker_id = message[0], message[1]
-                worker = fleet.get(worker_id)
-                if kind == "beat":
-                    if worker is not None and worker.lease is not None:
-                        worker.lease.last_beat = time.monotonic()
-                        self._emit(
-                            "fleet.heartbeat",
-                            worker=worker_id,
-                            cell=worker.lease.index,
-                        )
-                    continue
-                # kind == "done"
-                _, _, index, attempt, summary, error, persisted = message
-                if worker is not None and worker.lease is not None and (
-                    worker.lease.index == index
-                ):
-                    worker.lease = None
-                if index not in outstanding:
-                    continue  # duplicate from an expired-lease straggler
-                outstanding.discard(index)
-                self._emit(
-                    "fleet.cell_done",
-                    worker=worker_id,
-                    cell=index,
-                    attempt=attempt,
-                    persisted=persisted,
-                    error=error is not None,
-                )
-                record(index, summary, error, persisted=persisted, attempts=attempt)
-        finally:
-            self._shutdown(fleet)
-
-    @staticmethod
-    def _shutdown(fleet: Dict[int, _Worker]) -> None:
-        for worker in fleet.values():
-            if worker.process.is_alive():
-                try:
-                    worker.task_queue.put_nowait(None)
-                except Exception:  # noqa: BLE001 — full/broken queue: terminate
-                    pass
-        deadline = time.monotonic() + 2.0
-        for worker in fleet.values():
-            worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-        for worker in fleet.values():
-            worker.task_queue.close()
-            worker.task_queue.cancel_join_thread()
-        fleet.clear()
-
-    # -- reporting ---------------------------------------------------------
+            run.run(tick)
 
     def stats_line(self) -> str:
-        """Human render derived from the journal event counts.
-
-        The same events the journal records produce this line, so the
-        stderr tally and the machine-readable journal cannot disagree.
-        (`FleetStats` tracks the identical quantities for programmatic
-        consumers; the two are asserted equal in tests.)
-        """
-        counts = self._event_counts
+        stats = self.stats
         return (
             f"fleet: workers={self.workers} "
-            f"spawned={counts.get('fleet.worker_spawned', 0)} "
-            f"deaths={counts.get('fleet.worker_death', 0)} "
-            f"retries={counts.get('fleet.retry', 0)} "
-            f"leases_expired={counts.get('fleet.lease_expired', 0)}"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WorkerFleetBackend(workers={self.workers}, "
-            f"max_attempts={self.max_attempts})"
+            f"spawned={stats.workers_spawned} deaths={stats.deaths} "
+            f"retries={stats.retries} leases_expired={stats.leases_expired}"
         )
 
 
 def _kill(process: multiprocessing.Process) -> None:
-    """SIGKILL without ceremony (what chaos and lease expiry both need)."""
-    if process.pid is not None and process.is_alive():
+    """SIGKILL without ceremony (what chaos, lease expiry and shutdown need)."""
+    if process.is_alive():
         try:
             os.kill(process.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):

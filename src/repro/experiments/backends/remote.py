@@ -1,24 +1,25 @@
-"""Network-attached worker fleet: lease cells from the store daemon.
+"""The one lease machine: sweep cells leased from the store daemon.
 
-The local fleet (:mod:`.fleet`) and this backend are the same
-orchestration semantics — lease, heartbeat, expire, retry with the one
-:class:`~.leases.RetryPolicy` schedule, at-least-once delivery deduped
-by the orchestrator — over different transports.  Here the transport is
-the store daemon itself (``avmon store serve``): its task board replaces
-the multiprocessing result queue, its HTTP surface replaces pipes, and
-workers can therefore live on *any host* that can reach the daemon:
+Every fleet backend runs this orchestration — lease, heartbeat, expire,
+retry with exponential backoff, deterministic failures failed fast,
+at-least-once delivery deduped by the orchestrator — against the store
+daemon's task board (``avmon store serve``).  ``REMOTE`` points it at a
+daemon workers on *any host* have attached to:
 
     host A   avmon store serve --dir /data/cache --port 7780
     host B   avmon fleet worker --attach http://hostA:7780
     host C   avmon fleet worker --attach http://hostA:7780
     host D   avmon sweep ... --backend remote --cache-dir http://hostA:7780
 
+``FLEET`` (:mod:`.fleet`) starts a private daemon in-process and spawns
+the same workers as local children.
+
 The parent never talks to workers directly.  It publishes one task per
 cell (the config pickled into the payload), drains the board's event log
-by cursor, and applies exactly the local fleet's decisions to what it
-sees: ``expired`` is a worker death (retry with backoff until the policy
-is exhausted), ``failed`` is a deterministic bug (fail fast, no retry),
-``done`` is recorded once per cell no matter how many stragglers report.
+by cursor, and decides from what it sees: ``expired`` is a worker death
+(retry with backoff until the policy is exhausted), ``failed`` is a
+deterministic bug (fail fast, no retry), ``done`` is recorded once per
+cell no matter how many stragglers report.
 
 Cross-parent coordination rides the same daemon.  Before publishing, the
 parent claims each cell's *store address* (its object name) with a TTL.
@@ -40,19 +41,20 @@ require the bearer token), which is the trust boundary.
 from __future__ import annotations
 
 import base64
+import contextlib
 import heapq
 import os
 import pickle
 import socket
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from urllib.parse import quote
 
 from .base import ExecutionBackend, Payload, RecordFn, sorted_payloads
-from .leases import FleetEventMixin, FleetStats, RetryPolicy
 
-__all__ = ["RemoteWorkerBackend", "run_fleet_worker"]
+__all__ = ["RemoteWorkerBackend", "RetryPolicy", "FleetStats", "run_fleet_worker"]
 
 
 def _default_identity(role: str) -> str:
@@ -72,7 +74,43 @@ def _decode_config(payload: str):
     return pickle.loads(base64.b64decode(payload.encode("ascii")))
 
 
-class RemoteWorkerBackend(FleetEventMixin, ExecutionBackend):
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Retry semantics: how many attempts, how long between them."""
+
+    max_attempts: int = 3
+    backoff: float = 0.25
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be >= 1, got {self.max_attempts}"
+            )
+
+    def exhausted(self, attempt: int) -> bool:
+        """Whether a failure on *attempt* ends the cell (no retry left)."""
+        return attempt >= self.max_attempts
+
+    def delay(self, attempt: int) -> float:
+        """Backoff before re-dispatching after a failure on *attempt*.
+
+        The first retry (after attempt 1) waits exactly ``backoff``;
+        each further retry doubles it: ``backoff * 2**(attempt - 1)``.
+        """
+        return self.backoff * (2 ** (attempt - 1))
+
+
+@dataclass(frozen=True)
+class FleetStats:
+    """Operational tallies of one sweep (reported, never gated on)."""
+
+    workers_spawned: int = 0
+    deaths: int = 0
+    retries: int = 0
+    leases_expired: int = 0
+
+
+class RemoteWorkerBackend(ExecutionBackend):
     """Sweep through network-attached workers leasing cells from the daemon.
 
     Requires a shared store (``--cache-dir http://host:port``): the same
@@ -83,11 +121,11 @@ class RemoteWorkerBackend(FleetEventMixin, ExecutionBackend):
 
     name = "REMOTE"
 
-    #: Every remote lifecycle count depends on wall-clock races — which
-    #: worker polls first, whether a sibling parent wins a claim — so all
-    #: of them are wall-kind: journals carry them, deterministic
-    #: snapshots never do.
-    WALL_EVENTS = frozenset(
+    #: Event names whose counts depend on wall-clock timing; they land in
+    #: the registry as wall-kind so deterministic snapshots stay
+    #: byte-equal.  Every remote lifecycle count depends on such races —
+    #: which worker polls first, whether a sibling parent wins a claim.
+    WALL_EVENTS: FrozenSet[str] = frozenset(
         {
             "fleet.remote_attach",
             "fleet.lease_granted",
@@ -102,6 +140,10 @@ class RemoteWorkerBackend(FleetEventMixin, ExecutionBackend):
             "fleet.claim_lost",
         }
     )
+
+    #: The event that counts as "a worker joined" in :attr:`stats`:
+    #: remote workers are first seen when they claim a cell.
+    SPAWN_EVENT = "fleet.remote_attach"
 
     def __init__(
         self,
@@ -132,10 +174,35 @@ class RemoteWorkerBackend(FleetEventMixin, ExecutionBackend):
             if adopt_interval is not None
             else max(1.0, 5.0 * poll_interval)
         )
-        self.stats = FleetStats()
+        #: Per-execute lifecycle event counts: the one source of truth
+        #: for :attr:`stats` and :meth:`stats_line`, so the stderr tally,
+        #: the programmatic tallies and the journal cannot disagree.
         self._event_counts: Dict[str, int] = {}
 
     # -- plumbing ----------------------------------------------------------
+
+    def _emit(self, event: str, **fields) -> None:
+        """One lifecycle event: count it, mirror it to the obs wiring."""
+        self._event_counts[event] = self._event_counts.get(event, 0) + 1
+        registry = self.obs_registry
+        if registry is not None:
+            from ...obs.registry import DETERMINISTIC, WALL
+
+            kind = WALL if event in self.WALL_EVENTS else DETERMINISTIC
+            registry.counter(event, kind).inc()
+        journal = self.obs_journal
+        if journal is not None:
+            journal.emit(event, **fields)
+
+    @property
+    def stats(self) -> FleetStats:
+        count = self._event_counts.get
+        return FleetStats(
+            workers_spawned=count(self.SPAWN_EVENT, 0),
+            deaths=count("fleet.worker_death", 0),
+            retries=count("fleet.retry", 0),
+            leases_expired=count("fleet.lease_expired", 0),
+        )
 
     @staticmethod
     def _coordinator(store):
@@ -150,302 +217,15 @@ class RemoteWorkerBackend(FleetEventMixin, ExecutionBackend):
             )
         return backend
 
-    # -- orchestration -----------------------------------------------------
-
     def execute(
         self, payloads: Sequence[Payload], record: RecordFn, *, store=None
     ) -> None:
-        from ..store import SummaryStore, config_key
-        from ..summary import SimulationSummary
-
         payloads = sorted_payloads(payloads)
         if not payloads:
             return
         coordinator = self._coordinator(store)
-        self.stats = FleetStats()
         self._event_counts = {}
-        owner = self.owner
-        configs = {index: config for index, config in payloads}
-        keys = {
-            index: SummaryStore.name_for(config_key(config))
-            for index, config in payloads
-        }
-        outstanding: Set[int] = set(configs)
-        mine: Set[int] = set()
-        watched: Set[int] = set()
-        attempts: Dict[int, int] = {}
-        retry_heap: List[Tuple[float, int, int]] = []  # (ready, index, attempt)
-        workers_seen: Set[str] = set()
-        cursor = 0
-        events_path = (
-            f"/tasks/events?prefix={quote(owner + ':', safe='')}&since="
-        )
-
-        def publish(index: int, attempt: int) -> None:
-            attempts[index] = attempt
-            coordinator.call(
-                "POST",
-                "/tasks",
-                {
-                    "id": f"{owner}:{index}",
-                    "payload": _encode_config(configs[index]),
-                    "key": keys[index],
-                    "lease_ttl": self.lease_ttl,
-                    "attempt": attempt,
-                },
-            )
-
-        def try_claim(index: int) -> Tuple[bool, str]:
-            _, response = coordinator.call(
-                "POST",
-                "/claims/claim",
-                {"key": keys[index], "owner": owner, "ttl": self.claim_ttl},
-            )
-            return bool(response.get("granted")), str(response.get("owner", ""))
-
-        def fetch_summary(index: int):
-            """Read the cell's summary straight off the store (no counters)."""
-            text = coordinator.get(keys[index])
-            if text is None:
-                return None
-            try:
-                return SimulationSummary.from_json(text)
-            except Exception:  # noqa: BLE001 — corrupt entry = miss
-                return None
-
-        def finish(index: int) -> None:
-            outstanding.discard(index)
-            mine.discard(index)
-            watched.discard(index)
-
-        def give_up(index: int, attempt: int, reason: str) -> None:
-            record(
-                index,
-                None,
-                f"remote fleet {reason}; gave up after {attempt} attempts",
-                attempts=attempt,
-            )
-            self._emit("fleet.cell_failed", cell=index, attempts=attempt)
-            finish(index)
-
-        def retry_or_fail(index: int, attempt: int, reason: str) -> None:
-            if self.policy.exhausted(attempt):
-                give_up(index, attempt, reason)
-                return
-            delay = self.policy.delay(attempt)
-            heapq.heappush(
-                retry_heap, (time.monotonic() + delay, index, attempt + 1)
-            )
-            self.stats.retries += 1
-            self._emit(
-                "fleet.retry",
-                cell=index,
-                attempt=attempt + 1,
-                delay_s=round(delay, 6),
-            )
-
-        def handle_event(event: dict) -> None:
-            task_id = str(event.get("task", ""))
-            try:
-                index = int(task_id.rsplit(":", 1)[1])
-            except (IndexError, ValueError):
-                return
-            if index not in outstanding:
-                return  # straggler for a settled cell: at-least-once dedup
-            kind = event.get("kind")
-            attempt = int(event.get("attempt", attempts.get(index, 1)))
-            worker = str(event.get("worker", ""))
-            if kind == "claimed":
-                if worker and worker not in workers_seen:
-                    workers_seen.add(worker)
-                    self.stats.workers_spawned += 1
-                    self._emit("fleet.remote_attach", worker=worker)
-                self._emit(
-                    "fleet.lease_granted",
-                    worker=worker,
-                    cell=index,
-                    attempt=attempt,
-                )
-                return
-            if index not in mine:
-                return  # we lost this cell's claim; the watcher owns it now
-            if attempt < attempts.get(index, 1):
-                return  # stale event from a superseded attempt
-            if kind == "done":
-                persisted = bool(event.get("persisted"))
-                summary = None
-                inline = event.get("summary")
-                if isinstance(inline, str):
-                    try:
-                        summary = SimulationSummary.from_json(inline)
-                    except Exception:  # noqa: BLE001 — fall through to store
-                        summary = None
-                if summary is None:
-                    summary = fetch_summary(index)
-                    # Whatever the event said, a summary served straight
-                    # off the store is by definition persisted.
-                    persisted = summary is not None
-                if summary is None:
-                    # The worker said done but neither the event nor the
-                    # store has the summary (e.g. its write-through failed
-                    # and the inline copy was mangled): treat like a death.
-                    retry_or_fail(
-                        index, attempt, f"worker {worker} reported an "
-                        f"unfetchable result for cell {index}"
-                    )
-                    return
-                self._emit(
-                    "fleet.cell_done",
-                    worker=worker,
-                    cell=index,
-                    attempt=attempt,
-                    persisted=persisted,
-                    key=keys[index],
-                )
-                record(
-                    index, summary, None, persisted=persisted, attempts=attempt
-                )
-                finish(index)
-                return
-            if kind == "failed":
-                # Deterministic failure: identical code on identical input
-                # raises identically — no retry, keep the traceback.
-                error = str(event.get("error", "")) or "remote worker failure"
-                record(index, None, error, attempts=attempt)
-                self._emit("fleet.cell_failed", cell=index, attempts=attempt)
-                finish(index)
-                return
-            if kind == "expired":
-                self.stats.leases_expired += 1
-                self._emit(
-                    "fleet.lease_expired",
-                    worker=worker,
-                    cell=index,
-                    attempt=attempt,
-                )
-                retry_or_fail(
-                    index,
-                    attempt,
-                    f"worker {worker} lost its lease on cell {index} "
-                    f"(no heartbeat)",
-                )
-                return
-            if kind == "cancelled":
-                # Another parent took the claim over (it judged us dead —
-                # e.g. we stalled past the claim TTL).  It owns the cell
-                # now; demote ourselves to watching its result.
-                mine.discard(index)
-                watched.add(index)
-                self._emit("fleet.claim_lost", cell=index, key=keys[index])
-
-        def drain_events() -> None:
-            nonlocal cursor
-            _, response = coordinator.call("GET", events_path + str(cursor))
-            cursor = int(response.get("cursor", cursor))
-            for event in response.get("events", ()):
-                handle_event(event)
-
-        def renew_claims() -> None:
-            held = sorted(keys[index] for index in mine)
-            if not held:
-                return
-            _, response = coordinator.call(
-                "POST",
-                "/claims/renew",
-                {"keys": held, "owner": owner, "ttl": self.claim_ttl},
-            )
-            renewed = set(response.get("renewed", ()))
-            for index in sorted(mine):
-                if keys[index] not in renewed:
-                    mine.discard(index)
-                    watched.add(index)
-                    self._emit(
-                        "fleet.claim_lost", cell=index, key=keys[index]
-                    )
-
-        def poll_watched() -> None:
-            for index in sorted(watched & outstanding):
-                summary = fetch_summary(index)
-                if summary is not None:
-                    # The owning parent's worker computed it; adopt the
-                    # stored bytes.  Deliberately NOT a ``cell_done``:
-                    # only the computing parent emits that, so duplicate
-                    # keys across journals mean duplicate computation.
-                    self._emit(
-                        "fleet.cell_adopted", cell=index, key=keys[index]
-                    )
-                    record(index, summary, None, persisted=True)
-                    finish(index)
-                    continue
-                granted, holder = try_claim(index)
-                if granted:
-                    # The owner's claim lapsed (it died or hung): the
-                    # daemon granted us the takeover and cancelled its
-                    # orphaned tasks; republish as our own fresh attempt.
-                    self._emit(
-                        "fleet.claim_expired", cell=index, key=keys[index]
-                    )
-                    self._emit(
-                        "fleet.claim_granted",
-                        cell=index,
-                        key=keys[index],
-                        takeover=True,
-                    )
-                    watched.discard(index)
-                    mine.add(index)
-                    publish(index, 1)
-
-        # Claim every cell up front: winners publish, losers watch.
-        for index, _ in payloads:
-            granted, holder = try_claim(index)
-            if granted:
-                self._emit(
-                    "fleet.claim_granted",
-                    cell=index,
-                    key=keys[index],
-                    takeover=False,
-                )
-                mine.add(index)
-                publish(index, 1)
-            else:
-                self._emit(
-                    "fleet.claim_denied",
-                    cell=index,
-                    key=keys[index],
-                    owner=holder,
-                )
-                watched.add(index)
-
-        last_renew = time.monotonic()
-        last_adopt = 0.0
-        renew_every = max(self.claim_ttl / 3.0, 0.05)
-        try:
-            while outstanding:
-                drain_events()
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, index, attempt = heapq.heappop(retry_heap)
-                    if index in mine and index in outstanding:
-                        publish(index, attempt)
-                if now - last_renew >= renew_every:
-                    renew_claims()
-                    last_renew = now
-                if (watched & outstanding) and now - last_adopt >= self.adopt_interval:
-                    poll_watched()
-                    last_adopt = now
-                if outstanding:
-                    time.sleep(self.poll_interval)
-        finally:
-            held = sorted(keys[index] for index in mine)
-            # Best-effort claim release so a sibling parent can finish
-            # cells we abandoned (e.g. the sweep was interrupted).
-            for key in held:
-                try:
-                    coordinator.call(
-                        "POST", "/claims/release", {"key": key, "owner": owner}
-                    )
-                except OSError:
-                    break
+        _SweepRun(self, coordinator, payloads, record).run()
 
     # -- reporting ---------------------------------------------------------
 
@@ -461,54 +241,348 @@ class RemoteWorkerBackend(FleetEventMixin, ExecutionBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"RemoteWorkerBackend(owner={self.owner!r}, "
+            f"{type(self).__name__}(owner={self.owner!r}, "
             f"max_attempts={self.max_attempts})"
         )
+
+
+def _parse_summary(text):
+    """A summary from its stored JSON; absent or unparseable is a miss."""
+    from ..summary import SimulationSummary
+
+    if not isinstance(text, str):
+        return None
+    try:
+        return SimulationSummary.from_json(text)
+    except Exception:  # noqa: BLE001 — a corrupt entry is recomputed
+        return None
+
+
+class _SweepRun:
+    """One ``execute``: the lease/expire/retry state of a sweep's cells.
+
+    *fleet* supplies the knobs (owner, TTLs, retry policy) and the
+    ``_emit`` sink; *coordinator* is a :class:`~repro.experiments.
+    store_backends.SharedStoreBackend` on the daemon holding the board.
+    """
+
+    def __init__(self, fleet, coordinator, payloads, record: RecordFn) -> None:
+        from ..store import SummaryStore, config_key
+
+        self.fleet = fleet
+        self.emit = fleet._emit
+        self.coordinator = coordinator
+        self.record = record
+        self.owner = fleet.owner
+        self.configs = dict(payloads)
+        self.keys = {
+            index: SummaryStore.name_for(config_key(config))
+            for index, config in payloads
+        }
+        self.outstanding: Set[int] = set(self.configs)
+        self.mine: Set[int] = set()
+        self.watched: Set[int] = set()
+        self.attempts: Dict[int, int] = {}
+        self.retry_heap: List[Tuple[float, int, int]] = []  # (ready, index, attempt)
+        self.workers_seen: Set[str] = set()
+        self.cursor = 0
+        self.events_path = (
+            f"/tasks/events?prefix={quote(self.owner + ':', safe='')}&since="
+        )
+
+    # -- daemon calls ------------------------------------------------------
+
+    def publish(self, index: int, attempt: int) -> None:
+        self.attempts[index] = attempt
+        self.coordinator.call(
+            "POST",
+            "/tasks",
+            {
+                "id": f"{self.owner}:{index}",
+                "payload": _encode_config(self.configs[index]),
+                "key": self.keys[index],
+                "lease_ttl": self.fleet.lease_ttl,
+                "attempt": attempt,
+            },
+        )
+
+    def claim(self, index: int, *, takeover: bool) -> Optional[str]:
+        """Try to own *index*: publish it if granted (None returned), else
+        watch it (the holder's name returned)."""
+        key = self.keys[index]
+        _, response = self.coordinator.call(
+            "POST",
+            "/claims/claim",
+            {"key": key, "owner": self.owner, "ttl": self.fleet.claim_ttl},
+        )
+        if not response.get("granted"):
+            self.watched.add(index)
+            return str(response.get("owner", ""))
+        if takeover:
+            # The owner's claim lapsed (it died or hung): the daemon
+            # granted us the takeover and cancelled its orphaned tasks.
+            self.emit("fleet.claim_expired", cell=index, key=key)
+        self.emit("fleet.claim_granted", cell=index, key=key, takeover=takeover)
+        self.watched.discard(index)
+        self.mine.add(index)
+        self.publish(index, 1)
+        return None
+
+    def fetch_summary(self, index: int):
+        """Read the cell's summary straight off the store (no counters)."""
+        return _parse_summary(self.coordinator.get(self.keys[index]))
+
+    # -- decisions ---------------------------------------------------------
+
+    def finish(self, index: int) -> None:
+        self.outstanding.discard(index)
+        self.mine.discard(index)
+        self.watched.discard(index)
+
+    def retry_pending(self, index: int) -> bool:
+        """Whether a failure of *index* is already waiting out its backoff."""
+        return any(entry[1] == index for entry in self.retry_heap)
+
+    def retry_or_fail(self, index: int, attempt: int, reason: str) -> None:
+        policy = self.fleet.policy
+        if policy.exhausted(attempt):
+            error = f"{reason}; gave up after {attempt} attempts"
+            self.record(index, None, error, attempts=attempt)
+            self.emit("fleet.cell_failed", cell=index, attempts=attempt)
+            self.finish(index)
+            return
+        delay = policy.delay(attempt)
+        heapq.heappush(
+            self.retry_heap, (time.monotonic() + delay, index, attempt + 1)
+        )
+        self.emit(
+            "fleet.retry", cell=index, attempt=attempt + 1, delay_s=round(delay, 6)
+        )
+
+    @staticmethod
+    def cell_of(task_id) -> Optional[int]:
+        """The cell index behind a board task id (None = not one of ours)."""
+        try:
+            return int(str(task_id).rsplit(":", 1)[1])
+        except (IndexError, ValueError):
+            return None
+
+    def handle_event(self, event: dict) -> None:
+        index = self.cell_of(event.get("task"))
+        if index not in self.outstanding:
+            return  # straggler for a settled cell: at-least-once dedup
+        kind = event.get("kind")
+        attempt = int(event.get("attempt", self.attempts.get(index, 1)))
+        worker = str(event.get("worker", ""))
+        if kind == "claimed":
+            if worker and worker not in self.workers_seen:
+                self.workers_seen.add(worker)
+                self.emit("fleet.remote_attach", worker=worker)
+            self.emit(
+                "fleet.lease_granted", worker=worker, cell=index, attempt=attempt
+            )
+            return
+        if index not in self.mine:
+            return  # we lost this cell's claim; the watcher owns it now
+        if attempt < self.attempts.get(index, 1):
+            return  # stale event from a superseded attempt
+        if kind == "done":
+            summary = _parse_summary(event.get("summary"))
+            persisted = bool(event.get("persisted"))
+            if summary is None:
+                # Whatever the event said, a summary served straight
+                # off the store is by definition persisted.
+                summary = self.fetch_summary(index)
+                persisted = summary is not None
+            if summary is None:
+                # The worker said done but neither the event nor the
+                # store has the summary (e.g. its write-through failed
+                # and the inline copy was mangled): treat like a death.
+                self.retry_or_fail(
+                    index,
+                    attempt,
+                    f"fleet worker {worker} reported an unfetchable "
+                    f"result for cell {index}",
+                )
+                return
+            self.emit(
+                "fleet.cell_done",
+                worker=worker,
+                cell=index,
+                attempt=attempt,
+                persisted=persisted,
+                key=self.keys[index],
+            )
+            self.record(index, summary, None, persisted=persisted, attempts=attempt)
+            self.finish(index)
+        elif kind == "failed":
+            # Deterministic failure: identical code on identical input
+            # raises identically — no retry, keep the traceback.
+            error = str(event.get("error", "")) or "fleet worker failure"
+            self.record(index, None, error, attempts=attempt)
+            self.emit("fleet.cell_failed", cell=index, attempts=attempt)
+            self.finish(index)
+        elif kind == "expired" and not self.retry_pending(index):
+            # The worker went silent past its lease: suspicion is enough
+            # (unreliable failure detector), a late completion is deduped
+            # as a straggler.  With a retry already pending, this is the
+            # lease of a local worker whose death was noticed first.
+            self.emit(
+                "fleet.lease_expired", worker=worker, cell=index, attempt=attempt
+            )
+            self.retry_or_fail(
+                index,
+                attempt,
+                f"fleet worker {worker} lost its lease on cell {index} "
+                f"(no heartbeat)",
+            )
+        elif kind == "cancelled":
+            # Another parent took the claim over (it judged us dead —
+            # e.g. we stalled past the claim TTL).  It owns the cell
+            # now; demote ourselves to watching its result.
+            self.mine.discard(index)
+            self.watched.add(index)
+            self.emit("fleet.claim_lost", cell=index, key=self.keys[index])
+
+    def drain_events(self) -> List[dict]:
+        """Apply every board event since the cursor; returns them."""
+        _, response = self.coordinator.call(
+            "GET", self.events_path + str(self.cursor)
+        )
+        self.cursor = int(response.get("cursor", self.cursor))
+        events = list(response.get("events", ()))
+        for event in events:
+            self.handle_event(event)
+        return events
+
+    def renew_claims(self) -> None:
+        held = sorted(self.keys[index] for index in self.mine)
+        if not held:
+            return
+        _, response = self.coordinator.call(
+            "POST",
+            "/claims/renew",
+            {"keys": held, "owner": self.owner, "ttl": self.fleet.claim_ttl},
+        )
+        renewed = set(response.get("renewed", ()))
+        for index in sorted(self.mine):
+            if self.keys[index] not in renewed:
+                self.mine.discard(index)
+                self.watched.add(index)
+                self.emit("fleet.claim_lost", cell=index, key=self.keys[index])
+
+    def poll_watched(self) -> None:
+        for index in sorted(self.watched & self.outstanding):
+            summary = self.fetch_summary(index)
+            if summary is None:
+                self.claim(index, takeover=True)
+                continue
+            # The owning parent's worker computed it; adopt the stored
+            # bytes.  Deliberately NOT a ``cell_done``: only the
+            # computing parent emits that, so duplicate keys across
+            # journals mean duplicate computation.
+            self.emit("fleet.cell_adopted", cell=index, key=self.keys[index])
+            self.record(index, summary, None, persisted=True)
+            self.finish(index)
+
+    # -- the loop ----------------------------------------------------------
+
+    def run(self, tick: Optional[Callable[[List[dict]], None]] = None) -> None:
+        """Claim, publish, and poll until every cell is settled.
+
+        *tick* is called once per iteration with the board events that
+        iteration applied — the seam for what only a launcher of *local*
+        workers can do (reap and respawn its children).
+        """
+        fleet = self.fleet
+        # Claim every cell up front: winners publish, losers watch.
+        for index in sorted(self.configs):
+            holder = self.claim(index, takeover=False)
+            if holder is not None:
+                self.emit(
+                    "fleet.claim_denied",
+                    cell=index,
+                    key=self.keys[index],
+                    owner=holder,
+                )
+        last_renew = time.monotonic()
+        last_adopt = 0.0
+        renew_every = max(fleet.claim_ttl / 3.0, 0.05)
+        try:
+            while self.outstanding:
+                events = self.drain_events()
+                if tick is not None:
+                    tick(events)
+                now = time.monotonic()
+                while self.retry_heap and self.retry_heap[0][0] <= now:
+                    _, index, attempt = heapq.heappop(self.retry_heap)
+                    if index in self.mine and index in self.outstanding:
+                        self.publish(index, attempt)
+                if now - last_renew >= renew_every:
+                    self.renew_claims()
+                    last_renew = now
+                if (
+                    self.watched & self.outstanding
+                    and now - last_adopt >= fleet.adopt_interval
+                ):
+                    self.poll_watched()
+                    last_adopt = now
+                if self.outstanding:
+                    time.sleep(fleet.poll_interval)
+        finally:
+            # Best-effort claim release so a sibling parent can finish
+            # cells we abandoned (e.g. the sweep was interrupted).
+            for key in sorted(self.keys[index] for index in self.mine):
+                try:
+                    self.coordinator.call(
+                        "POST", "/claims/release", {"key": key, "owner": self.owner}
+                    )
+                except OSError:
+                    break
 
 
 # -- the worker side -------------------------------------------------------
 
 
-def _run_task(backend, task: dict, name: str, out) -> None:
+def _run_task(backend, task: dict, name: str) -> None:
     """Lease held: heartbeat while computing, write through, report."""
     import threading
 
     from ..runner import run_simulation
-    from ..summary import SimulationSummary, summarize
+    from ..store_backends import SharedStoreBackend
+    from ..summary import summarize
 
     task_id = str(task["id"])
     key = str(task.get("key", "") or "")
     lease_ttl = float(task.get("lease_ttl", 30.0))
     beat_every = max(lease_ttl / 3.0, 0.05)
     stop_beats = threading.Event()
+    # The pump runs beside the compute thread, so it beats over its own
+    # connection: one keep-alive socket carries one request at a time.
+    beater = SharedStoreBackend(backend.url, auth_token=backend.auth_token)
 
     def pump() -> None:
-        while not stop_beats.wait(beat_every):
-            try:
-                status, _ = backend.call(
-                    "POST", f"/tasks/{task_id}/beat", {"worker": name}
-                )
-            except OSError:
-                continue  # daemon briefly unreachable; keep computing
-            if status != 200:
-                # Lease lost.  Keep computing anyway: the board accepts a
-                # straggler's ``done`` (at-least-once) and the store write
-                # is idempotent, so finished work is never thrown away.
-                return
+        with contextlib.closing(beater):
+            while not stop_beats.wait(beat_every):
+                try:
+                    status, _ = beater.call(
+                        "POST", f"/tasks/{task_id}/beat", {"worker": name}
+                    )
+                except OSError:
+                    continue  # daemon briefly unreachable; keep computing
+                if status != 200:
+                    # Lease lost.  Keep computing anyway: the board
+                    # accepts a straggler's ``done`` (at-least-once) and
+                    # the store write is idempotent, so finished work is
+                    # never thrown away.
+                    return
 
     beats = threading.Thread(target=pump, daemon=True)
     beats.start()
     try:
         config = _decode_config(str(task["payload"]))
-        summary, persisted = None, False
-        if key:
-            text = backend.get(key)
-            if text is not None:
-                try:
-                    summary = SimulationSummary.from_json(text)
-                    persisted = True
-                except Exception:  # noqa: BLE001 — corrupt entry = recompute
-                    summary = None
+        summary = _parse_summary(backend.get(key)) if key else None
+        persisted = summary is not None
         if summary is None:
             summary = summarize(run_simulation(config))
             if key:
@@ -546,7 +620,6 @@ def _worker_loop(
     from ..store_backends import SharedStoreBackend
 
     backend = SharedStoreBackend(url, auth_token=auth_token)
-    print(f"fleet worker {name}: attached to {url}", file=out, flush=True)
     completed = 0
     idle_since = time.monotonic()
     while True:
@@ -574,7 +647,7 @@ def _worker_loop(
                 return completed
             time.sleep(poll_interval)
             continue
-        _run_task(backend, task, name, out)
+        _run_task(backend, task, name)
         completed += 1
         idle_since = time.monotonic()
 
@@ -621,6 +694,9 @@ def run_fleet_worker(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     base = name if name else _default_identity("worker")
+    names = [base] if workers == 1 else [f"{base}-{i}" for i in range(workers)]
+    for worker_name in names:
+        print(f"fleet worker {worker_name}: attached to {url}", file=out, flush=True)
     if workers == 1:
         try:
             _worker_loop(url, base, poll_interval, max_idle, token, out)
@@ -631,10 +707,10 @@ def run_fleet_worker(
 
     ctx = multiprocessing.get_context()
     processes = []
-    for i in range(workers):
+    for worker_name in names:
         process = ctx.Process(
             target=_worker_process_entry,
-            args=(url, f"{base}-{i}", poll_interval, max_idle, token),
+            args=(url, worker_name, poll_interval, max_idle, token),
             daemon=False,
         )
         process.start()

@@ -304,7 +304,7 @@ def run_backend_bench(scale: str = "bench") -> dict:
     backend, even with a worker SIGKILLed mid-sweep" contract into the
     trajectory file.
     """
-    import asyncio
+    import contextlib
     import tempfile
     import threading
 
@@ -319,7 +319,7 @@ def run_backend_bench(scale: str = "bench") -> dict:
     from .scenarios import n_values, scenario
     from .store import SummaryStore
     from .store_backends import FilesystemBackend
-    from .store_server import serve_store
+    from .store_server import StoreDaemonThread
 
     configs = [
         scenario("SYNTH", n, scale, seed=seed)
@@ -355,185 +355,121 @@ def run_backend_bench(scale: str = "bench") -> dict:
     timed_run("serial", jobs=1)
     timed_run("pool", backend=LocalPoolBackend(workers))
 
-    with tempfile.TemporaryDirectory(prefix="avmon-bench-store-") as shared:
-        loop = asyncio.new_event_loop()
-        started = threading.Event()
-        state: dict = {}
-
-        async def boot() -> None:
-            server = await serve_store(FilesystemBackend(shared), "127.0.0.1", 0)
-            state["port"] = server.sockets[0].getsockname()[1]
-            started.set()
-            try:
-                await server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        def run_daemon() -> None:
-            state["task"] = loop.create_task(boot())
-            try:
-                loop.run_until_complete(state["task"])
-                # Idle keep-alive connections from the worker threads may
-                # still be parked in handlers; drain them before closing.
-                pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-                for leftover in pending:
-                    leftover.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-            finally:
-                loop.close()
-
-        daemon = threading.Thread(target=run_daemon, daemon=True)
-        daemon.start()
-        if not started.wait(5.0):
-            raise OSError("store daemon failed to start for the fleet bench")
-        url = f"http://127.0.0.1:{state['port']}"
+    with contextlib.ExitStack() as stack:
+        shared = stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="avmon-bench-store-")
+        )
+        url = stack.enter_context(
+            StoreDaemonThread(FilesystemBackend(shared))
+        ).url
         cold_store = SummaryStore.open(url)
         warm_store = SummaryStore.open(url)
-        remote_state: dict = {}
-        try:
-            fleet = WorkerFleetBackend(workers, heartbeat_interval=0.1)
-            timed_run(
-                "fleet_cold_shared",
-                backend=fleet,
-                store=cold_store,
-                extra_of=lambda: {
-                    "workers": workers,
-                    "deaths": fleet.stats.deaths,
-                },
-            )
-            warm = WorkerFleetBackend(workers, heartbeat_interval=0.1)
-            timed_run(
-                "fleet_warm_shared",
-                backend=warm,
-                store=warm_store,
-                extra_of=lambda: {
-                    "workers": workers,
-                    "store_hits": warm_store.hits,
-                    "cells_computed": warm_store.writes
-                    + warm.stats.workers_spawned,
-                },
-            )
-            chaos_store_dir = Path(shared) / "chaos"
-            chaos = WorkerFleetBackend(
-                workers,
-                heartbeat_interval=0.1,
+        stack.callback(cold_store.backend.close)
+        stack.callback(warm_store.backend.close)
+
+        fleet = WorkerFleetBackend(workers)
+        timed_run(
+            "fleet_cold_shared",
+            backend=fleet,
+            store=cold_store,
+            extra_of=lambda: {
+                "workers": workers,
+                "deaths": fleet.stats.deaths,
+            },
+        )
+        warm = WorkerFleetBackend(workers)
+        timed_run(
+            "fleet_warm_shared",
+            backend=warm,
+            store=warm_store,
+            extra_of=lambda: {
+                "workers": workers,
+                "store_hits": warm_store.hits,
+                "cells_computed": warm_store.writes
+                + warm.stats.workers_spawned,
+            },
+        )
+        chaos = WorkerFleetBackend(
+            workers, retry_backoff=0.1, chaos_kill_after_starts=1
+        )
+        timed_run(
+            "fleet_chaos_sigkill",
+            backend=chaos,
+            store=SummaryStore(Path(shared) / "chaos"),
+            extra_of=lambda: {
+                "workers": workers,
+                "deaths": chaos.stats.deaths,
+                "retries": chaos.stats.retries,
+            },
+        )
+
+        # Two parents, network-attached workers, one daemon: the
+        # multi-host path.  A second daemon with a fresh root keeps
+        # the variant cold — the fleet variants above already warmed
+        # ``shared``.
+        remote_root = Path(shared) / "remote"
+        remote_root.mkdir()
+        remote_url = stack.enter_context(
+            StoreDaemonThread(FilesystemBackend(remote_root))
+        ).url
+        for i in range(2):
+            threading.Thread(
+                target=run_fleet_worker,
+                args=(remote_url,),
+                kwargs=dict(
+                    poll_interval=0.05, max_idle=15.0, name=f"bench-w{i}"
+                ),
+                daemon=True,
+            ).start()
+        parents: dict = {}
+
+        def remote_sweep(tag: str) -> None:
+            backend = RemoteWorkerBackend(
+                owner=tag,
+                lease_ttl=10.0,
+                poll_interval=0.05,
                 retry_backoff=0.1,
-                chaos_kill_after_starts=1,
             )
-            timed_run(
-                "fleet_chaos_sigkill",
-                backend=chaos,
-                store=SummaryStore(chaos_store_dir),
-                extra_of=lambda: {
-                    "workers": workers,
-                    "deaths": chaos.stats.deaths,
-                    "retries": chaos.stats.retries,
-                },
-            )
-
-            # Two parents, network-attached workers, one daemon: the
-            # multi-host path.  A second daemon with a fresh root keeps
-            # the variant cold — the fleet variants above already warmed
-            # ``shared``.
-            remote_root = Path(shared) / "remote"
-            remote_root.mkdir()
-            remote_started = threading.Event()
-
-            async def boot_remote() -> None:
-                server = await serve_store(
-                    FilesystemBackend(remote_root), "127.0.0.1", 0
+            parent_store = SummaryStore.open(remote_url)
+            try:
+                summaries = run_configs(
+                    configs, store=parent_store, backend=backend
                 )
-                remote_state["port"] = server.sockets[0].getsockname()[1]
-                remote_started.set()
-                try:
-                    await server.serve_forever()
-                except asyncio.CancelledError:
-                    pass
-                finally:
-                    server.close()
-                    await server.wait_closed()
+            finally:
+                parent_store.backend.close()
+            parents[tag] = (summaries, backend)
 
-            remote_state["future"] = asyncio.run_coroutine_threadsafe(
-                boot_remote(), loop
-            )
-            if not remote_started.wait(5.0):
-                raise OSError("second store daemon failed to start")
-            remote_url = f"http://127.0.0.1:{remote_state['port']}"
-            for i in range(2):
-                threading.Thread(
-                    target=run_fleet_worker,
-                    args=(remote_url,),
-                    kwargs=dict(
-                        poll_interval=0.05, max_idle=15.0, name=f"bench-w{i}"
-                    ),
-                    daemon=True,
-                ).start()
-            parents: dict = {}
-
-            def remote_sweep(tag: str) -> None:
-                backend = RemoteWorkerBackend(
-                    owner=tag,
-                    lease_ttl=10.0,
-                    poll_interval=0.05,
-                    retry_backoff=0.1,
-                )
-                parent_store = SummaryStore.open(remote_url)
-                try:
-                    summaries = run_configs(
-                        configs, store=parent_store, backend=backend
-                    )
-                finally:
-                    parent_store.backend.close()
-                parents[tag] = (summaries, backend)
-
-            start = time.perf_counter()
-            sweeps = [
-                threading.Thread(target=remote_sweep, args=(tag,))
-                for tag in ("bench-parent-a", "bench-parent-b")
-            ]
-            for sweep in sweeps:
-                sweep.start()
-            for sweep in sweeps:
-                sweep.join()
-            remote_wall = time.perf_counter() - start
-            if set(parents) != {"bench-parent-a", "bench-parent-b"}:
-                raise OSError("a remote bench parent died mid-sweep")
-            json_a = [s.to_json() for s in parents["bench-parent-a"][0]]
-            json_b = [s.to_json() for s in parents["bench-parent-b"][0]]
-            counts = [p[1]._event_counts for p in parents.values()]
-            record(
-                "fleet_remote_two_parent",
-                remote_wall,
-                parents["bench-parent-a"][0],
-                {
-                    "parents": 2,
-                    "workers": 2,
-                    "cells_computed": sum(
-                        c.get("fleet.cell_done", 0) for c in counts
-                    ),
-                    "adopted": sum(
-                        c.get("fleet.cell_adopted", 0) for c in counts
-                    ),
-                    "parents_agree": json_a == json_b,
-                },
-            )
-        finally:
-            # Drop the persistent client connections before stopping the
-            # loop, or their server-side handler tasks outlive it noisily.
-            cold_store.backend.close()
-            warm_store.backend.close()
-            time.sleep(0.05)
-            remote_future = remote_state.get("future")
-            if remote_future is not None:
-                remote_future.cancel()
-            loop.call_soon_threadsafe(state["task"].cancel)
-            daemon.join(timeout=5.0)
+        start = time.perf_counter()
+        sweeps = [
+            threading.Thread(target=remote_sweep, args=(tag,))
+            for tag in ("bench-parent-a", "bench-parent-b")
+        ]
+        for sweep in sweeps:
+            sweep.start()
+        for sweep in sweeps:
+            sweep.join()
+        remote_wall = time.perf_counter() - start
+        if set(parents) != {"bench-parent-a", "bench-parent-b"}:
+            raise OSError("a remote bench parent died mid-sweep")
+        json_a = [s.to_json() for s in parents["bench-parent-a"][0]]
+        json_b = [s.to_json() for s in parents["bench-parent-b"][0]]
+        counts = [p[1]._event_counts for p in parents.values()]
+        record(
+            "fleet_remote_two_parent",
+            remote_wall,
+            parents["bench-parent-a"][0],
+            {
+                "parents": 2,
+                "workers": 2,
+                "cells_computed": sum(
+                    c.get("fleet.cell_done", 0) for c in counts
+                ),
+                "adopted": sum(
+                    c.get("fleet.cell_adopted", 0) for c in counts
+                ),
+                "parents_agree": json_a == json_b,
+            },
+        )
 
     return {
         "cells": len(configs),

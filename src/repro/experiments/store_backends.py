@@ -108,6 +108,9 @@ class StoreBackend(abc.ABC):
     def exists(self, name: str) -> bool:
         return self.get(name) is not None
 
+    def close(self) -> None:
+        """Release whatever the backend holds open (by default, nothing)."""
+
     def location(self, name: str) -> Union[pathlib.Path, str]:
         """Where *name* lives, for humans (a path or a URL)."""
         return f"{self.spec()}/{name}"

@@ -62,7 +62,9 @@ results.
 from __future__ import annotations
 
 import asyncio
+import socket
 import sys
+import threading
 import time
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
@@ -71,7 +73,7 @@ from ..obs.registry import MetricsRegistry
 from .store_backends import FilesystemBackend, StoreBackend, valid_object_name
 from .taskboard import CellClaims, TaskBoard
 
-__all__ = ["StoreService", "serve_store", "run_store_server"]
+__all__ = ["StoreService", "StoreDaemonThread", "serve_store", "run_store_server"]
 
 #: The legacy counter names ``/stat`` has always reported, in order.
 _STAT_COUNTERS = (
@@ -423,6 +425,94 @@ async def serve_store(
     )
 
 
+class StoreDaemonThread:
+    """The daemon on its own asyncio loop in a helper thread.
+
+    ``with StoreDaemonThread(backend) as daemon: ... daemon.url ...`` —
+    for synchronous programs that need a live daemon beside them: the
+    local fleet's private coordinator, the fleet bench, the socket tests.
+    ``port=0`` binds an ephemeral port (read it back from ``port`` /
+    ``url`` after :meth:`start`); ``service`` is the in-process
+    :class:`StoreService`, board and claims included.
+    """
+
+    def __init__(
+        self,
+        backend: StoreBackend,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        *,
+        auth_token: Optional[str] = None,
+    ) -> None:
+        self.service = StoreService(backend, auth_token=auth_token)
+        self.host = host
+        self.port = port
+        self._halt: Optional[tuple] = None  # (loop, asyncio.Event) once up
+        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def start(self) -> "StoreDaemonThread":
+        # Bound here, not on the loop: a bind error raises in the caller,
+        # the port is known on return, and connections made before the
+        # loop is up simply wait in the listen queue.
+        listener = socket.create_server((self.host, self.port))
+        self.port = listener.getsockname()[1]
+        up = threading.Event()
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._serve(listener, up)),
+            name="avmon-store-daemon",
+            daemon=True,
+        )
+        self._thread.start()
+        if not up.wait(10.0):
+            raise OSError("store daemon loop failed to start")
+        return self
+
+    async def _serve(self, listener: socket.socket, up: threading.Event) -> None:
+        from ..serve.http import handle_connection
+
+        connections: dict = {}  # handler task -> its client's writer
+
+        async def on_connection(reader, writer) -> None:
+            task = asyncio.current_task()
+            connections[task] = writer
+            try:
+                await handle_connection(self.service, reader, writer)
+            finally:
+                del connections[task]
+
+        server = await asyncio.start_server(on_connection, sock=listener)
+        halt = asyncio.Event()
+        self._halt = (asyncio.get_running_loop(), halt)
+        up.set()
+        await halt.wait()
+        server.close()
+        # Hang up on clients still parked on keep-alive connections: each
+        # handler reads EOF and returns, so none outlives the loop
+        # (cancelling them instead logs noise on Python 3.11).
+        for writer in connections.values():
+            writer.close()
+        if connections:
+            await asyncio.wait(list(connections))
+
+    def stop(self) -> None:
+        """Close the listener, drain the connection handlers, join."""
+        loop, halt = self._halt
+        loop.call_soon_threadsafe(halt.set)
+        self._thread.join(timeout=10.0)
+        if self._thread.is_alive():
+            raise OSError("store daemon thread did not stop")
+
+    def __enter__(self) -> "StoreDaemonThread":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+
 def run_store_server(
     root: str,
     host: str = "127.0.0.1",
@@ -433,24 +523,13 @@ def run_store_server(
 ) -> int:
     """Run the daemon until interrupted (the ``avmon store serve`` body)."""
     backend = FilesystemBackend(root)
-
-    async def serve_forever() -> None:
-        server = await serve_store(
-            backend, host, port, auth_token=auth_token
-        )
-        bound = server.sockets[0].getsockname()[1]
+    with StoreDaemonThread(backend, host, port, auth_token=auth_token) as daemon:
         guarded = " (mutations require the bearer token)" if auth_token else ""
         print(
-            f"store: serving {backend.root} on http://{host}:{bound} "
-            f"(point workers at it with --cache-dir http://{host}:{bound}; "
+            f"store: serving {backend.root} on {daemon.url} "
+            f"(point workers at it with --cache-dir {daemon.url}; "
             f"Ctrl-C to stop){guarded}",
             file=out,
         )
-        try:
-            await server.serve_forever()
-        finally:
-            server.close()
-            await server.wait_closed()
-
-    asyncio.run(serve_forever())
+        threading.Event().wait()  # until KeyboardInterrupt
     return 0

@@ -1,10 +1,10 @@
 """Soft-state sweep coordination for the store daemon.
 
 Two small in-memory structures turn ``avmon store serve`` into a
-multi-host sweep coordinator, following the same at-least-once,
-lease-based design the worker fleet already uses locally (and the
-unreliable-failure-detector stance the paper borrows from Duarte et
-al.): suspicion after a missed deadline is enough, late completions are
+multi-host sweep coordinator (and, started in-process, into the local
+worker fleet's), with an at-least-once, lease-based design that takes
+the unreliable-failure-detector stance the paper borrows from Duarte et
+al.: suspicion after a missed deadline is enough, late completions are
 ignored as duplicates, and losing the daemon loses only soft state —
 every durable result lives in the content-addressed store.
 
@@ -14,8 +14,7 @@ every durable result lives in the content-addressed store.
     failed.  A claimed task whose beats stop past its lease TTL is
     expired back onto the queue (the parent decides whether to retry).
     Every transition is appended to a bounded event log that parents
-    drain by cursor — the remote transport's equivalent of the local
-    fleet's result queue.
+    drain by cursor.
 
 :class:`CellClaims`
     TTL ownership registry keyed by a cell's store address (its object
@@ -121,8 +120,7 @@ class TaskBoard:
         for task in self._tasks.values():
             if task.state == LEASED and now > task.lease_deadline:
                 # Not auto-requeued: the publishing parent sees the
-                # ``expired`` event and owns the retry/backoff decision,
-                # exactly like the local fleet orchestrator.
+                # ``expired`` event and owns the retry/backoff decision.
                 task.state = EXPIRED
                 self._emit("expired", task)
                 expired += 1

@@ -135,6 +135,44 @@ class TestDeadlinesAndPartialResults:
         assert outcome[0].monitors_answered == 0
         result.cluster.bring_up(victim)
 
+    def test_back_to_back_queries_keep_their_own_timers(self, system):
+        """Timers of a query that finished early are dead: neither its
+        deadline nor its report retries may act on a later query for the
+        same subject."""
+        from repro.core.messages import ReportRequest
+
+        result, client = system
+        sim = result.cluster.sim
+        subject = self._alive_subject(system)
+        first = []
+        client.query(subject, first.append, timeout=9.0)  # retries at +3, +6
+        sim.run_until(sim.now + 2.0)
+        assert len(first) == 1 and not first[0].timed_out
+        # The second query loses its ReportRequest and recovers on its own
+        # retry at +2+4; the first's timers fire meanwhile at +3, +6, +9.
+        real_send = client.runtime.send
+        requests = []
+
+        def lossy_send(target, message):
+            if isinstance(message, ReportRequest):
+                requests.append(message)
+                if len(requests) == 1:
+                    return
+            real_send(target, message)
+
+        client.runtime.send = lossy_send
+        try:
+            second = []
+            client.query(subject, second.append, timeout=12.0)
+            sim.run_until(sim.now + 3.0)  # past the first's +3 retry
+            assert len(requests) == 1 and not second
+            sim.run_until(sim.now + 11.0)
+        finally:
+            client.runtime.send = real_send
+        assert len(requests) == 2
+        assert len(second) == 1
+        assert second[0].complete and not second[0].timed_out
+
     def test_partial_result_when_monitors_die_mid_query(self, system):
         result, client = system
         sim = result.cluster.sim

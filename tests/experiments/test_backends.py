@@ -11,6 +11,11 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import socket
+
 import pytest
 
 from repro.experiments.backends import (
@@ -24,6 +29,8 @@ from repro.experiments.backends import (
 from repro.experiments.orchestrator import SweepError, run_configs
 from repro.experiments.runner import SimulationConfig
 from repro.experiments.store import SummaryStore, config_key, stable_key_hash, store_filename
+from repro.experiments.store_backends import FilesystemBackend
+from repro.experiments.store_server import StoreDaemonThread
 from repro.registry import REGISTRY, UnknownComponentError, component_names
 
 
@@ -35,9 +42,8 @@ def _configs(count: int = 4, n: int = 24) -> list:
 
 
 def _fast_fleet(workers: int = 2, **overrides) -> WorkerFleetBackend:
-    """A fleet tuned for test latencies (sub-second heartbeats/backoff)."""
+    """A fleet tuned for test latencies (sub-second polling/backoff)."""
     params = dict(
-        heartbeat_interval=0.05,
         lease_timeout=30.0,
         retry_backoff=0.05,
         poll_interval=0.02,
@@ -59,6 +65,22 @@ class TestBackendEquivalence:
     def test_fleet_matches_serial(self, serial_json):
         summaries = run_configs(_configs(), backend=_fast_fleet())
         assert [s.to_json() for s in summaries] == serial_json
+
+    def test_fleet_over_url_store_matches_serial(self, tmp_path, serial_json):
+        """The sweep's store is itself a daemon: the fleet's private
+        coordinator reads and writes through to it."""
+        with StoreDaemonThread(FilesystemBackend(tmp_path)) as shared:
+            store = SummaryStore.open(shared.url)
+            try:
+                summaries = run_configs(
+                    _configs(), store=store, backend=_fast_fleet()
+                )
+            finally:
+                store.backend.close()
+        assert [s.to_json() for s in summaries] == serial_json
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            store_filename(c) for c in _configs()
+        )
 
     def test_backend_by_name(self, serial_json):
         for name in ("serial", "POOL"):
@@ -110,9 +132,7 @@ class TestFleetFaultTolerance:
     def test_worker_death_exhausts_retries(self):
         """With max_attempts=1 a killed worker's cell fails (no retry) and
         the failure says so."""
-        fleet = _fast_fleet(
-            1, max_attempts=1, chaos_kill_after_starts=1, heartbeat_interval=0.02
-        )
+        fleet = _fast_fleet(1, max_attempts=1, chaos_kill_after_starts=1)
         with pytest.raises(SweepError) as excinfo:
             run_configs(_configs(1, n=64), backend=fleet)
         failure = excinfo.value.failures[0]
@@ -144,6 +164,89 @@ class TestFleetFaultTolerance:
             assert fleet.stats.retries == 0
         finally:
             REGISTRY.unregister("churn", "TEST-FLEET-BOOM")
+
+
+class _StopFirstLeaseholder:
+    """Journal stand-in that SIGSTOPs the child granted the first lease,
+    the moment the parent learns of the grant: alive, but silent."""
+
+    def __init__(self) -> None:
+        self.events = []
+        self.pids = {}
+        self.stopped = None
+
+    def emit(self, event: str, **fields) -> None:
+        self.events.append((event, fields))
+        if event == "fleet.worker_spawned":
+            self.pids[fields["worker"]] = fields["pid"]
+        elif event == "fleet.lease_granted" and self.stopped is None:
+            self.stopped = self.pids[fields["worker"]]
+            os.kill(self.stopped, signal.SIGSTOP)
+
+
+class TestFleetLeaseExpiry:
+    def test_silent_worker_is_expired_killed_and_replaced(self, tmp_path):
+        # Cells long enough (~0.4 s) that the victim is still computing
+        # when the parent's next poll reports its grant.
+        configs = _configs(3, n=96)
+        serial = [s.to_json() for s in run_configs(configs)]
+        journal = _StopFirstLeaseholder()
+        fleet = _fast_fleet(2, lease_timeout=1.0)
+        fleet.attach_obs(None, journal)
+        summaries = run_configs(
+            configs, store=SummaryStore(tmp_path), backend=fleet
+        )
+        assert [s.to_json() for s in summaries] == serial
+        assert fleet.stats_line() == (
+            "fleet: workers=2 spawned=3 deaths=1 retries=1 leases_expired=1"
+        )
+        by_name = dict(journal.events)  # one of each of these
+        victim = by_name["fleet.lease_expired"]["worker"]
+        assert journal.pids[victim] == journal.stopped
+        death = by_name["fleet.worker_death"]
+        assert death["worker"] == victim
+        assert "lost its lease" in death["reason"]
+        assert death["exitcode"] == -signal.SIGKILL
+        assert by_name["fleet.retry"]["cell"] == by_name["fleet.lease_expired"]["cell"]
+        with pytest.raises(ProcessLookupError):  # killed *and* reaped
+            os.kill(journal.stopped, 0)
+
+
+@pytest.fixture()
+def private_daemons(monkeypatch):
+    """Every daemon a fleet starts for itself during the test."""
+    started = []
+    start = StoreDaemonThread.start
+    monkeypatch.setattr(
+        StoreDaemonThread, "start", lambda self: started.append(self) or start(self)
+    )
+    return started
+
+
+def _assert_nothing_left_behind(private_daemons) -> None:
+    assert multiprocessing.active_children() == []
+    (daemon,) = private_daemons
+    assert not daemon._thread.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", daemon.port), timeout=1.0)
+
+
+class TestFleetLeavesNothingBehind:
+    def test_after_a_clean_sweep(self, private_daemons):
+        run_configs(_configs(), backend=_fast_fleet(2))
+        _assert_nothing_left_behind(private_daemons)
+
+    def test_after_unwinding_through_a_raising_progress_callback(
+        self, private_daemons
+    ):
+        def progress(done, total, label, wall):
+            raise RuntimeError("progress sink broke")
+
+        fleet = _fast_fleet(2)
+        with pytest.raises(RuntimeError, match="progress sink broke"):
+            run_configs(_configs(), backend=fleet, progress=progress)
+        assert fleet.stats.workers_spawned == 2  # it really was mid-sweep
+        _assert_nothing_left_behind(private_daemons)
 
 
 class TestCellFailureMetadata:
@@ -241,4 +344,4 @@ class TestBackendRegistry:
         with pytest.raises(ValueError):
             WorkerFleetBackend(1, max_attempts=0)
         with pytest.raises(ValueError):
-            WorkerFleetBackend(1, heartbeat_interval=5.0, lease_timeout=1.0)
+            WorkerFleetBackend(1, lease_timeout=0.0)

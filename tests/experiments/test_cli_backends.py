@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import asyncio
 import io
 import json
-import threading
 
 import pytest
 
@@ -35,7 +33,6 @@ class TestSweepBackendFlag:
         argv = SWEEP + [
             "--backend", "fleet", "--jobs", "2",
             "--backend-param", "chaos_kill_after_starts=1",
-            "--backend-param", "heartbeat_interval=0.05",
             "--backend-param", "retry_backoff=0.05",
             "--cache-dir", str(tmp_path),
         ]
@@ -104,37 +101,10 @@ class TestStoreCommandErrors:
 @pytest.fixture()
 def store_daemon(tmp_path):
     from repro.experiments.store_backends import FilesystemBackend
-    from repro.experiments.store_server import serve_store
+    from repro.experiments.store_server import StoreDaemonThread
 
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    state = {}
-
-    async def boot():
-        server = await serve_store(FilesystemBackend(tmp_path), "127.0.0.1", 0)
-        state["port"] = server.sockets[0].getsockname()[1]
-        started.set()
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            server.close()
-            await server.wait_closed()
-
-    def run():
-        state["task"] = loop.create_task(boot())
-        try:
-            loop.run_until_complete(state["task"])
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert started.wait(5.0), "store daemon did not start"
-    yield f"http://127.0.0.1:{state['port']}"
-    loop.call_soon_threadsafe(state["task"].cancel)
-    thread.join(timeout=5.0)
+    with StoreDaemonThread(FilesystemBackend(tmp_path)) as daemon:
+        yield daemon.url
 
 
 @pytest.mark.udp

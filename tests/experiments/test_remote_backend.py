@@ -17,7 +17,6 @@ components into their process.  The guarantees under test:
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
@@ -28,7 +27,7 @@ from repro.experiments.orchestrator import SweepError, run_configs
 from repro.experiments.runner import SimulationConfig
 from repro.experiments.store import SummaryStore, config_key
 from repro.experiments.store_backends import FilesystemBackend, SharedStoreBackend
-from repro.experiments.store_server import serve_store
+from repro.experiments.store_server import StoreDaemonThread
 from repro.registry import REGISTRY
 
 
@@ -42,43 +41,8 @@ def _configs(count: int = 3, n: int = 20) -> list:
 @pytest.fixture()
 def daemon(tmp_path):
     """A live store daemon; yields (url, root directory)."""
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    state = {}
-
-    async def boot():
-        server = await serve_store(FilesystemBackend(tmp_path), "127.0.0.1", 0)
-        state["port"] = server.sockets[0].getsockname()[1]
-        started.set()
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            server.close()
-            await server.wait_closed()
-
-    def run():
-        task = loop.create_task(boot())
-        state["task"] = task
-        try:
-            loop.run_until_complete(task)
-            pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-            for leftover in pending:
-                leftover.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert started.wait(5.0), "store daemon did not start"
-    yield f"http://127.0.0.1:{state['port']}", tmp_path
-    loop.call_soon_threadsafe(state["task"].cancel)
-    thread.join(timeout=5.0)
+    with StoreDaemonThread(FilesystemBackend(tmp_path)) as live:
+        yield live.url, tmp_path
 
 
 def _start_worker(url: str, name: str, max_idle: float = 20.0):
@@ -327,62 +291,22 @@ class _RestartableDaemon:
 
     def __init__(self, root) -> None:
         self.root = root
-        self.port = None
-        self._thread = None
-        self._loop = None
-        self._state = None
+        self.port = 0
+        self._live = None
 
     @property
     def url(self) -> str:
         return f"http://127.0.0.1:{self.port}"
 
     def start(self) -> str:
-        loop = asyncio.new_event_loop()
-        started = threading.Event()
-        state = {}
-
-        async def boot():
-            server = await serve_store(
-                FilesystemBackend(self.root), "127.0.0.1", self.port or 0
-            )
-            state["port"] = server.sockets[0].getsockname()[1]
-            started.set()
-            try:
-                await server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        def run():
-            task = loop.create_task(boot())
-            state["task"] = task
-            try:
-                loop.run_until_complete(task)
-                pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-                for leftover in pending:
-                    leftover.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        assert started.wait(5.0), "store daemon did not start"
-        self.port = state["port"]
-        self._thread = thread
-        self._loop = loop
-        self._state = state
+        self._live = StoreDaemonThread(
+            FilesystemBackend(self.root), port=self.port
+        ).start()
+        self.port = self._live.port
         return self.url
 
     def stop(self) -> None:
-        self._loop.call_soon_threadsafe(self._state["task"].cancel)
-        self._thread.join(timeout=5.0)
-        assert not self._thread.is_alive(), "store daemon did not stop"
+        self._live.stop()
 
 
 @pytest.mark.udp

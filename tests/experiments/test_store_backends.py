@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import asyncio
 import pickle
-import threading
 
 import pytest
 
@@ -26,7 +25,7 @@ from repro.experiments.store_backends import (
     is_url_spec,
     valid_object_name,
 )
-from repro.experiments.store_server import StoreService, serve_store
+from repro.experiments.store_server import StoreDaemonThread, StoreService
 from repro.serve.http import MemoryHttpClient
 
 WEIRD_TEXT = '{"label": "\\u00e9tude \\n tab\\t", "n": 1}\n'
@@ -416,37 +415,8 @@ class TestStoreDegradation:
 @pytest.fixture()
 def live_store_server(tmp_path):
     """A real asyncio store daemon on an ephemeral localhost port."""
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    state = {}
-
-    async def boot():
-        server = await serve_store(FilesystemBackend(tmp_path), "127.0.0.1", 0)
-        state["server"] = server
-        state["port"] = server.sockets[0].getsockname()[1]
-        started.set()
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            server.close()
-            await server.wait_closed()
-
-    def run():
-        task = loop.create_task(boot())
-        state["task"] = task
-        try:
-            loop.run_until_complete(task)
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert started.wait(5.0), "store server did not start"
-    yield f"http://127.0.0.1:{state['port']}", tmp_path
-    loop.call_soon_threadsafe(state["task"].cancel)
-    thread.join(timeout=5.0)
+    with StoreDaemonThread(FilesystemBackend(tmp_path)) as daemon:
+        yield daemon.url, tmp_path
 
 
 @pytest.mark.udp

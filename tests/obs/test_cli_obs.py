@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import asyncio
 import io
 import json
-import threading
 
 import pytest
 
@@ -148,37 +146,10 @@ class TestObsTailSummary:
 def store_daemon(tmp_path):
     """A real store daemon on an ephemeral localhost port."""
     from repro.experiments.store_backends import FilesystemBackend
-    from repro.experiments.store_server import serve_store
+    from repro.experiments.store_server import StoreDaemonThread
 
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    state = {}
-
-    async def boot():
-        server = await serve_store(FilesystemBackend(tmp_path), "127.0.0.1", 0)
-        state["port"] = server.sockets[0].getsockname()[1]
-        started.set()
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            server.close()
-            await server.wait_closed()
-
-    def run():
-        state["task"] = loop.create_task(boot())
-        try:
-            loop.run_until_complete(state["task"])
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert started.wait(5.0), "store server did not start"
-    yield f"http://127.0.0.1:{state['port']}"
-    loop.call_soon_threadsafe(state["task"].cancel)
-    thread.join(timeout=5.0)
+    with StoreDaemonThread(FilesystemBackend(tmp_path)) as daemon:
+        yield daemon.url
 
 
 @pytest.mark.udp

@@ -52,7 +52,6 @@ def _fleet_run(tmp_path, name):
     journal = Journal(tmp_path / f"{name}.jsonl")
     fleet = WorkerFleetBackend(
         2,
-        heartbeat_interval=0.05,
         retry_backoff=0.05,
         poll_interval=0.02,
         chaos_kill_after_starts=1,

@@ -22,7 +22,7 @@ from repro.serve.service import AvailabilityService, ServeConfig
 
 
 def run_serve(body, *, nodes=12, duration=20.0, seed=7, settle=10.0,
-              serve_config=None, prepare=None):
+              serve_config=None, prepare=None, **live):
     """Boot an overlay, attach a service, run *body(overlay, service, http)*.
 
     *prepare(overlay)* runs after the settle sleep, before the backend
@@ -47,7 +47,7 @@ def run_serve(body, *, nodes=12, duration=20.0, seed=7, settle=10.0,
             await backend.close()
 
     overlay = MemoryOverlay(
-        LiveConfig(nodes=nodes, duration=duration, seed=seed),
+        LiveConfig(nodes=nodes, duration=duration, seed=seed, **live),
         workload=workload,
     )
     overlay.run()
@@ -171,6 +171,28 @@ class TestTimeoutPaths:
         assert payload["availability"] == 0.0
         assert payload["monitors_answered"] == 0
         assert metrics["query"]["timed_out"] == 1
+
+    def test_back_to_back_queries_keep_their_own_deadlines(self):
+        """A query that finishes early leaves its deadline timer behind;
+        it must not cut short the next query for the same subject."""
+
+        async def body(overlay, service, http):
+            backend = service.backend
+            first = await backend.query(3, l=1, timeout=1.0)
+            await asyncio.sleep(0.4)
+            # In flight from t+0.8 to t+1.2: spans the first's deadline.
+            second = await backend.query(3, l=1, timeout=1.0)
+            return first, second
+
+        # 100 ms one-way, no jitter, no loss: a query is four hops, 0.4 s.
+        first, second = run_serve(
+            body,
+            fault="WAN",
+            fault_params={"loss": 0.0, "latency": 0.1, "jitter": 0.0},
+        )
+        assert first.complete and not first.timed_out
+        assert second.complete and not second.timed_out
+        assert second.monitors_answered == second.monitors_queried > 0
 
     def test_replicate_reports_incomplete_targets(self):
         async def body(overlay, service, http):
