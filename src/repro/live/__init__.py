@@ -22,18 +22,19 @@ Layers, bottom up:
   transport, timers, periodic ticks, persistent state, status reporting);
 * :mod:`repro.live.node_main` — ``python -m repro.live.node_main``, the
   entry point the supervisor spawns one OS process per node from;
-* :mod:`repro.live.supervisor` — boots an overlay, injects churn through
-  any registered ``churn`` component, scrapes per-node metrics into the
-  standard :class:`~repro.experiments.summary.SimulationSummary`, and
-  persists it to a :class:`~repro.experiments.store.SummaryStore`.
+* :mod:`repro.live.supervisor` — the one orchestration loop, on either
+  fabric: boots an overlay, injects churn through any registered ``churn``
+  component, scrapes per-node metrics into the standard
+  :class:`~repro.experiments.summary.SimulationSummary`, and persists it
+  to a :class:`~repro.experiments.store.SummaryStore`.
 
 * :mod:`repro.live.faults` — declarative, seeded
   :class:`~repro.live.faults.FaultPlan` fault injection (loss, latency,
   jitter, duplication, reordering, timed partitions) shared by every
   fabric;
 * :mod:`repro.live.memory_transport` — a deterministic in-process
-  transport and virtual-clock overlay harness, so the whole stack runs in
-  pytest without sockets or subprocesses.
+  transport and the virtual-clock memory fabric the supervisor also runs
+  on, so the whole stack runs in pytest without sockets or subprocesses.
 
 The CLI front end is ``avmon live up|status|chaos|down``.
 """

@@ -1,9 +1,7 @@
-"""Deterministic in-process transport + virtual-clock overlay harness.
+"""Deterministic in-process transport + the virtual-clock memory fabric.
 
-The live stack (codec, transport, introducer, :class:`LiveNode`, the
-supervisor's scrape path) was only testable over real UDP sockets on real
-clocks — slow, port-hungry and irreproducible.  This module supplies the
-missing fabric:
+Over real UDP sockets on real clocks the live stack is slow, port-hungry
+and irreproducible to test.  This module supplies the other fabric:
 
 * :class:`MemoryTransport` satisfies the same endpoint surface as
   :class:`~repro.live.transport.UdpTransport` (``create``/``send_to``/
@@ -20,12 +18,12 @@ missing fabric:
   the loop would sleep, virtual time jumps instead — so ``loop.time()``,
   every timer and every ``asyncio.sleep`` are deterministic and a
   30-virtual-second overlay runs in well under a wall second;
-* :class:`MemoryOverlay` composes it all: a real
-  :class:`~repro.live.introducer.IntroducerGroup` (one replica by
-  default, a replicated bootstrap quorum on request), N real
-  :class:`~repro.live.runtime.LiveNode` instances, the supervisor's
-  :class:`~repro.live.supervisor.StatusProber` scrape path and the shared
-  report/summary builders — the **whole** live stack, in one process, no
+* :class:`MemoryFabric` plugs those into
+  :class:`~repro.live.supervisor.LiveSupervisor`, and :class:`MemoryOverlay`
+  is the front door: the supervisor's own loop — boot, registered churn
+  models, crash/respawn, introducer chaos, the operator control plane,
+  runtime fault pushes, scrape, report — over real
+  :class:`~repro.live.runtime.LiveNode` instances, in one process, no
   sockets, no subprocesses, byte-identical
   :class:`~repro.experiments.summary.SimulationSummary` output for a fixed
   seed.
@@ -34,32 +32,22 @@ missing fabric:
 from __future__ import annotations
 
 import asyncio
-import pathlib
-import random
-import shutil
-import tempfile
-import time
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.condition import ConsistencyCondition
 from ..core.hashing import NodeId
 from ..experiments.store import SummaryStore
 from .codec import encode
-from .faults import SUPERVISOR, FaultInjector, FaultPlan, Label, introducer_label
+from .faults import FaultInjector, FaultPlan, Label
 from .introducer import IntroducerGroup
 from .runtime import LiveNode
-from .supervisor import (
-    LiveConfig,
-    LiveReport,
-    StatusProber,
-    build_live_report,
-    live_config_key,
-)
+from .supervisor import LiveConfig, LiveReport, LiveSupervisor
 from .transport import Address, DatagramEndpoint
 
 __all__ = [
     "MEM_HOST",
     "VIRTUAL_EPOCH",
+    "MemoryFabric",
     "MemoryNetwork",
     "MemoryTransport",
     "MemoryOverlay",
@@ -288,19 +276,68 @@ class MemoryTransport(DatagramEndpoint):
         return f"MemoryTransport({state}, label={self.label!r})"
 
 
+class MemoryFabric:
+    """The deterministic counterpart of
+    :class:`~repro.live.supervisor.ProcessFabric`: in-loop
+    :class:`LiveNode` instances over one :class:`MemoryNetwork`, every
+    clock the loop's (virtual) clock."""
+
+    #: Addresses are ``("mem", port)``; a node announcing any other host
+    #: in ``Hello`` would put an unbound address in the directory.
+    host = MEM_HOST
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, journal) -> None:
+        self.clock = self.monotonic = loop.time
+        epoch = loop.time()
+        #: Timed partitions read overlay-relative seconds.
+        self.network = MemoryNetwork(clock=lambda: loop.time() - epoch)
+        #: Every node's latest life, inspectable after the run.
+        self.nodes: Dict[NodeId, LiveNode] = {}
+        self._journal = journal
+
+    def transport_factory(self, label: Optional[Label]):
+        return self.network.transport_factory(label)
+
+    def apply_fault_plan(self, plan_json: str) -> bool:
+        """The hub is the single fault-decision point: node specs carry
+        no plan and a push is this one ``set_plan``, not a broadcast."""
+        self.network.set_plan(
+            FaultPlan.from_json(plan_json) if plan_json else FaultPlan()
+        )
+        return True
+
+    async def spawn(self, spec) -> LiveNode:
+        """Boot one node and await its registration."""
+        node = self.nodes[spec.node] = LiveNode(
+            spec,
+            transport_factory=self.network.transport_factory(spec.node),
+            clock=self.clock,
+            journal=self._journal,
+        )
+        try:
+            await node.start()
+        except BaseException:
+            await node.stop(graceful=False)  # unbind the half-booted node
+            raise
+        return node
+
+    async def kill(self, node: LiveNode, *, graceful: bool) -> None:
+        await node.stop(graceful=graceful)
+
+    def exited(self, node: LiveNode) -> bool:
+        return node._stopped
+
+    async def reap(self, nodes) -> None:
+        """Nothing to wait for: ``kill`` returned with the node stopped."""
+
+
 class MemoryOverlay:
     """A complete live overlay run, in one process, on a virtual clock.
 
-    Mirrors :class:`~repro.live.supervisor.LiveSupervisor` — boot N nodes
-    against a real introducer, optionally crash/respawn one, scrape over
-    the control plane, audit with the shared consistency oracle — except
-    nodes are in-process :class:`LiveNode` instances over a
-    :class:`MemoryNetwork`, so a run is fast, socket-free and, for a fixed
-    config + plan seed, byte-identical in its summary JSON.
-
-    Churn components (which kill OS processes) are not driven here; the
-    one-shot ``crash_after``/``crash_downtime`` chaos and arbitrary
-    :class:`~repro.live.faults.FaultPlan` regimes are.
+    :class:`~repro.live.supervisor.LiveSupervisor` on a
+    :class:`MemoryFabric` and a fresh virtual-clock event loop: the loop
+    ``avmon live up`` runs, but fast, socket-free and, for a fixed config
+    + plan seed, byte-identical in its summary JSON.
     """
 
     def __init__(
@@ -312,237 +349,64 @@ class MemoryOverlay:
         workload: Optional[Callable[["MemoryOverlay"], Any]] = None,
         journal=None,
     ) -> None:
-        self.config = config
-        self.plan = plan if plan is not None else config.resolved_fault_plan()
-        self.store = store
-        #: Obs event journal; no-op unless the caller provides one.  Events
-        #: are timestamped from the fabric's virtual clock (the journal's
-        #: clock is rebound to the loop at :meth:`run`), so a seeded run's
-        #: journal timestamps are themselves deterministic.
+        if config.serve_port is not None and config.serve_port >= 0:
+            raise ValueError(
+                "serve_port binds a TCP socket, which a virtual-clock loop "
+                "cannot wait on; serve from a workload via memory_backend()"
+            )
+        self.config, self.plan, self.store = config, plan, store
+        #: Obs event journal; no-op unless the caller provides one (never
+        #: $AVMON_JOURNAL).  :meth:`run` rebinds its clock to the virtual
+        #: loop, so a seeded run's timestamps are deterministic too.
         if journal is None:
             from ..obs.journal import NULL_JOURNAL
 
             journal = NULL_JOURNAL
         self.journal = journal
         #: Optional async ``workload(overlay)`` started once every node is
-        #: booted and awaited before the final scrape — how the serving
-        #: surface (and its load bench) runs against this fabric: the hook
-        #: can build a :func:`repro.serve.memory_backend`, drive requests
-        #: on the virtual clock, and leave its findings in
-        #: :attr:`workload_result`.
+        #: booted and awaited before the final scrape — the only way onto
+        #: the virtual loop: the serve bench builds a
+        #: :func:`repro.serve.memory_backend` here and drives requests.
         self._workload = workload
         self.workload_result: Any = None
         self.condition = ConsistencyCondition(
             config.resolved_k(), config.nodes, config.hash_algorithm
         )
+        #: Bound at :meth:`run`; inspectable after it returns.
+        self.supervisor: Optional[LiveSupervisor] = None
         self.network: Optional[MemoryNetwork] = None
         self.introducer: Optional[IntroducerGroup] = None
         self.nodes: Dict[NodeId, LiveNode] = {}
-        self._rng = random.Random(config.seed * 7919 + 13)
         self._crash_victims: List[NodeId] = []
-        self._join_times: Dict[NodeId, float] = {}
-        self._up_since: Dict[NodeId, float] = {}
-        self._last_life: Dict[NodeId, float] = {}
-        self._memory_series: Dict[NodeId, List[float]] = {}
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._state_dir: Optional[pathlib.Path] = None
-        self._own_state_dir = False
-
-    # -- public API --------------------------------------------------------
 
     def run(self) -> LiveReport:
         """Execute the deployment on a fresh virtual-clock loop."""
         loop = asyncio.new_event_loop()
         install_virtual_clock(loop, start=VIRTUAL_EPOCH)
-        self._loop = loop
         try:
-            report = loop.run_until_complete(self._run())
+            self.journal.bind_clock(loop.time)
+            fabric = MemoryFabric(loop, self.journal)
+            workload = self._workload
+            supervisor = self.supervisor = LiveSupervisor(
+                self.config,
+                fabric=fabric,
+                plan=self.plan,
+                store=self.store,
+                journal=self.journal,
+                workload=(lambda _supervisor: workload(self))
+                if workload is not None
+                else None,
+            )
+            supervisor.condition = self.condition
+            self.network, self.nodes = fabric.network, fabric.nodes
+            self.introducer = supervisor.introducer
+            self._crash_victims = supervisor._crash_victims
+            try:
+                return loop.run_until_complete(supervisor.run())
+            finally:
+                self.workload_result = supervisor.workload_result
         finally:
-            self._loop = None
             loop.close()
-        if self.store is not None:
-            path = self.store.save(
-                live_config_key(self.config, plan=self.plan), report.summary
-            )
-            report.store_path = str(path) if path is not None else None
-        return report
-
-    # -- internals ---------------------------------------------------------
-
-    def _overlay_now(self) -> float:
-        return self._loop.time() - VIRTUAL_EPOCH
-
-    def _life_seconds(self, node: NodeId) -> float:
-        up_since = self._up_since.get(node)
-        if up_since is not None:
-            return self._loop.time() - up_since
-        return self._last_life.get(node, 0.0)
-
-    async def _boot_node(self, node_id: NodeId, introducer_addr: Address) -> None:
-        spec = self.config.node_spec(
-            node_id,
-            introducer_addr,
-            epoch=VIRTUAL_EPOCH,
-            state_file=str(self._state_dir / f"node-{node_id}.json"),
-            introducers=self.introducer.addresses,
-        )
-        # Addresses on this fabric are ("mem", port): the host a node
-        # announces in Hello must match, or every directory entry (and so
-        # all peer traffic) would point at an unbound address.
-        spec.host = MEM_HOST
-        node = LiveNode(
-            spec,
-            transport_factory=self.network.transport_factory(node_id),
-            clock=self._loop.time,
-            journal=self.journal,
-        )
-        await node.start()
-        self.nodes[node_id] = node
-        self._join_times.setdefault(node_id, self._overlay_now())
-        self._up_since[node_id] = self._loop.time()
-        self.journal.emit("live.node_spawned", node=node_id)
-
-    async def _kill_introducer(self) -> None:
-        """HA chaos: hard-stop the primary bootstrap replica mid-run."""
-        await asyncio.sleep(self.config.kill_introducer_after)
-        self.introducer.kill_primary()
-
-    async def _crash_and_respawn(self, introducer_addr: Address) -> None:
-        config = self.config
-        await asyncio.sleep(config.crash_after)
-        candidates = sorted(
-            node for node, since in self._up_since.items() if since is not None
-        )
-        if not candidates:
-            return
-        victim = candidates[self._rng.randrange(len(candidates))]
-        self._crash_victims.append(victim)
-        self.journal.emit(
-            "live.node_crashed", node=victim, downtime_s=config.crash_downtime
-        )
-        self._last_life[victim] = self._loop.time() - self._up_since[victim]
-        self._up_since[victim] = None
-        node = self.nodes[victim]
-        await node.stop(graceful=False)  # a crash: no goodbye, no snapshot
-        self.introducer.drop(victim)
-        await asyncio.sleep(config.crash_downtime)
-        await self._boot_node(victim, introducer_addr)
-
-    async def _scrape(self, prober, scraper, timeout: float, attempts: int = 3):
-        return await prober.probe(
-            scraper,
-            self.introducer.alive_entries(),
-            timeout=timeout,
-            attempts=attempts,
-        )
-
-    async def _run(self) -> LiveReport:
-        config = self.config
-        loop = self._loop
-        wall_start = time.perf_counter()
-        self.network = MemoryNetwork(self.plan, clock=self._overlay_now)
-        self.journal.bind_clock(loop.time)
-        self.introducer = IntroducerGroup(
-            config.introducers,
-            ttl=config.introducer_ttl,
-            epoch=VIRTUAL_EPOCH,
-            clock=loop.time,
-            journal=self.journal,
-            sync_interval=config.introducer_sync_interval,
-        )
-        introducer_addr = await self.introducer.start(
-            transport_factories=[
-                self.network.transport_factory(introducer_label(index))
-                for index in range(config.introducers)
-            ]
-        )
-        prober = StatusProber()
-        scraper = MemoryTransport(
-            self.network, prober.on_reply, label=SUPERVISOR
-        )
-        self._state_dir = (
-            pathlib.Path(config.state_dir)
-            if config.state_dir
-            else pathlib.Path(tempfile.mkdtemp(prefix="avmon-mem-"))
-        )
-        self._own_state_dir = not config.state_dir
-        self._state_dir.mkdir(parents=True, exist_ok=True)
-        chaos_task: Optional[asyncio.Task] = None
-        kill_task: Optional[asyncio.Task] = None
-        workload_task: Optional[asyncio.Task] = None
-        try:
-            for node_id in range(config.nodes):
-                await self._boot_node(node_id, introducer_addr)
-            if config.crash_after is not None:
-                chaos_task = asyncio.create_task(
-                    self._crash_and_respawn(introducer_addr)
-                )
-            if config.kill_introducer_after is not None:
-                kill_task = asyncio.create_task(self._kill_introducer())
-            if self._workload is not None:
-                workload_task = asyncio.create_task(self._workload(self))
-            deadline = loop.time() + config.duration
-            next_sample = loop.time() + config.sample_interval
-            scrape_timeout = max(0.5, config.ping_timeout * 4)
-            while loop.time() < deadline:
-                await asyncio.sleep(min(0.25, deadline - loop.time()))
-                if loop.time() >= next_sample:
-                    next_sample = loop.time() + config.sample_interval
-                    statuses = await self._scrape(
-                        prober, scraper, scrape_timeout
-                    )
-                    for node, status in statuses.items():
-                        self._memory_series.setdefault(node, []).append(
-                            float(status.memory_entries)
-                        )
-            if chaos_task is not None:
-                # The crash schedule lies inside the run window; let a
-                # respawn that is mid-boot finish so teardown is orderly.
-                await chaos_task
-                chaos_task = None
-            if kill_task is not None:
-                await kill_task  # scheduled inside the window: already done
-                kill_task = None
-            if workload_task is not None:
-                # A workload still in flight at the deadline runs to
-                # completion (virtual time: effectively free) — a half
-                # -driven request schedule would be nondeterministic.
-                self.workload_result = await workload_task
-                workload_task = None
-            # The final scrape feeds the audit: retry harder, so a lossy
-            # regime degrades the *measured* discovery ratio, not the
-            # measurement itself (6 probe losses in a row at 20% loss is
-            # already < 0.1% per node).
-            statuses = await self._scrape(
-                prober, scraper, max(2.0, config.ping_timeout * 12), attempts=6
-            )
-            final_alive = self.introducer.alive_count()
-        finally:
-            for task in (chaos_task, kill_task, workload_task):
-                if task is not None:
-                    task.cancel()
-                    try:
-                        await task
-                    except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                        pass
-            for node in self.nodes.values():
-                await node.stop(graceful=False)
-            scraper.close()
-            self.introducer.close()
-            if self._own_state_dir and self._state_dir is not None:
-                shutil.rmtree(self._state_dir, ignore_errors=True)
-        return build_live_report(
-            config,
-            self.condition,
-            statuses,
-            crash_victims=self._crash_victims,
-            final_alive=final_alive,
-            elapsed=time.perf_counter() - wall_start,
-            join_times=self._join_times,
-            life_seconds=self._life_seconds,
-            memory_series=self._memory_series,
-            n_longterm=config.nodes,
-        )
 
 
 def run_memory_overlay(

@@ -348,7 +348,9 @@ class LiveNode:
         self._restore_state()
         await self._register()
         self.started_at = self.runtime.now()
-        self._tasks = [
+        # += not =: _register's directory reply already queued the
+        # join-retry task, and stop() must find it to cancel it.
+        self._tasks += [
             asyncio.create_task(self._membership_loop()),
             asyncio.create_task(self._periodic_loop(
                 self.config.protocol_period, self._protocol_tick

@@ -1,20 +1,24 @@
 """Boot, churn, scrape and summarise a live AVMON overlay.
 
-:class:`LiveSupervisor` is the deployment harness: it starts the
-introducer, spawns one OS process per node (:mod:`repro.live.node_main`),
-waits for the overlay to assemble, and then
+:class:`LiveSupervisor` is the deployment harness and the only
+orchestration loop.  What differs between the worlds an overlay runs in
+sits behind a *fabric* (:class:`ProcessFabric`): by default one OS process
+per node (:mod:`repro.live.node_main`) over UDP on the wall clock; in
+tests and benches, in-loop nodes over a memory hub on a virtual clock
+(:class:`~repro.live.memory_transport.MemoryFabric`).  It starts the
+introducer, spawns the nodes, waits for the overlay to assemble, and then
 
 * **injects churn** through any component registered under the ``churn``
   kind — the supervisor implements the same
   :class:`~repro.churn.base.ChurnDriver` interface the simulator's cluster
-  does, except ``request_leave`` sends SIGTERM (graceful leave: the node
-  persists state and says goodbye), ``request_death`` sends SIGKILL, and
-  ``request_rejoin`` respawns the process against its persistent state
-  file, so SYNTH and friends drive real process churn unmodified;
-* **injects one-shot crashes** (``crash_after``/``chaos``): SIGKILL now,
+  does, except ``request_leave`` is a graceful kill (SIGTERM: the node
+  persists state and says goodbye), ``request_death`` a hard one
+  (SIGKILL), and ``request_rejoin`` respawns the node against its
+  persistent state file, so SYNTH and friends drive real churn unmodified;
+* **injects one-shot crashes** (``crash_after``/``chaos``): hard kill now,
   respawn after a configurable downtime — the failure the consistency
   condition exists to survive;
-* **scrapes per-node metrics** over UDP status probes on a sampling
+* **scrapes per-node metrics** over status probes on a sampling
   cadence, and at teardown folds them into the standard
   :class:`~repro.experiments.summary.SimulationSummary`, optionally
   persisting it to a :class:`~repro.experiments.store.SummaryStore` under
@@ -68,7 +72,7 @@ from .control import (
     StatusReply,
     StatusRequest,
 )
-from .faults import FaultPlan
+from .faults import SUPERVISOR, FaultPlan, introducer_label
 from .introducer import Introducer, IntroducerGroup  # noqa: F401 — re-export
 from .runtime import LiveNodeSpec
 from .transport import Address, UdpTransport
@@ -77,6 +81,7 @@ __all__ = [
     "LiveConfig",
     "LiveReport",
     "LiveSupervisor",
+    "ProcessFabric",
     "StatusProber",
     "build_live_report",
     "control_call",
@@ -200,7 +205,7 @@ class LiveConfig:
         *,
         epoch: float,
         state_file: str,
-        fault: str = "",
+        host: str,
         introducers: Sequence[Address] = (),
     ) -> LiveNodeSpec:
         return LiveNodeSpec(
@@ -219,7 +224,7 @@ class LiveConfig:
             enable_pr2=self.enable_pr2,
             hash_algorithm=self.hash_algorithm,
             seed=self.seed,
-            host=self.host,
+            host=host,
             epoch=epoch,
             heartbeat_interval=self.heartbeat_interval,
             directory_interval=max(
@@ -227,7 +232,6 @@ class LiveConfig:
             ),
             snapshot_interval=self.protocol_period,
             state_file=state_file,
-            fault=fault,
             introducers=tuple(introducers),
         )
 
@@ -295,27 +299,39 @@ class _NodeHandle:
 
     node: NodeId
     spec: LiveNodeSpec
-    process: Optional[subprocess.Popen] = None
+    #: What the fabric's ``spawn`` returned for the current life.
+    process: Any = None
     first_spawn: float = 0.0
+    #: The *commanded* state: flips at the request, ahead of the fabric.
     alive: bool = False
     dead: bool = False
-    crashes: int = 0
     up_since: Optional[float] = None
     #: Length of the most recently *closed* process life, in seconds.
     last_life_seconds: float = 0.0
+    #: Tail of this node's lifecycle chain (see ``_lifecycle``).
+    task: Optional[asyncio.Task] = None
+
+
+def _unlink(state_file: str) -> None:
+    try:
+        pathlib.Path(state_file).unlink(missing_ok=True)
+    except OSError:
+        pass
 
 
 class _WallSim:
-    """The ``sim`` facade churn models schedule against, on the wall clock."""
+    """The ``sim`` facade churn models schedule against, on the fabric's
+    monotonic clock (a virtual clock warps ``call_later`` too)."""
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Callable[[], float]) -> None:
         self._loop = asyncio.get_running_loop()
-        self._t0 = time.monotonic()
+        self._clock = clock
+        self._t0 = clock()
         self._handles: List[asyncio.TimerHandle] = []
 
     @property
     def now(self) -> float:
-        return time.monotonic() - self._t0
+        return self._clock() - self._t0
 
     def schedule(self, delay: float, callback, *args) -> asyncio.TimerHandle:
         handle = self._loop.call_later(max(0.0, delay), callback, *args)
@@ -344,6 +360,90 @@ class _WallSim:
         for handle in self._handles:
             handle.cancel()
         self._handles.clear()
+
+
+class ProcessFabric:
+    """The production fabric: one OS process per node, UDP, wall clocks.
+
+    This surface is everything :class:`LiveSupervisor` knows about where
+    an overlay runs; :class:`~repro.live.memory_transport.MemoryFabric`
+    is the only other implementation.
+    """
+
+    #: Epoch timebase, and the clock timeouts and lives are measured on.
+    clock = staticmethod(time.time)
+    monotonic = staticmethod(time.monotonic)
+
+    def __init__(self, host: str) -> None:
+        #: What infrastructure binds and nodes announce in ``Hello``.
+        self.host = host
+
+    def transport_factory(self, label):
+        """Async ``(handler, host, port) -> endpoint``; no hub reads the
+        fault *label* on UDP."""
+        return UdpTransport.create
+
+    def apply_fault_plan(self, plan_json: str) -> bool:
+        """True when applied at the fabric's hub.  Not here: each process
+        injects its own faults, so the plan travels in specs and pushes."""
+        return False
+
+    async def spawn(self, spec: LiveNodeSpec) -> subprocess.Popen:
+        """Fire-and-poll: the process registers on its own time."""
+        src_root = pathlib.Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src_root), env.get("PYTHONPATH")) if p
+        )
+        # stderr goes to a per-node log next to the state file (not
+        # /dev/null): a node whose ticks raise logs there, and the file is
+        # the first place to look when a gate fails.
+        log_path = pathlib.Path(spec.state_file).with_suffix(".log")
+        try:
+            stderr = open(log_path, "ab")
+        except OSError:
+            stderr = subprocess.DEVNULL
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.live.node_main",
+                "--spec",
+                spec.to_json(),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+            start_new_session=True,
+        )
+        if stderr is not subprocess.DEVNULL:
+            stderr.close()  # the child holds its own descriptor now
+        return process
+
+    async def kill(self, process: subprocess.Popen, *, graceful: bool) -> None:
+        """SIGTERM (persist state, say goodbye) or SIGKILL; returns at once."""
+        if process.poll() is None:
+            try:
+                process.send_signal(
+                    signal.SIGTERM if graceful else signal.SIGKILL
+                )
+            except OSError:
+                pass
+
+    def exited(self, process: subprocess.Popen) -> bool:
+        return process.poll() is not None
+
+    async def reap(
+        self, processes: Sequence[subprocess.Popen], timeout: float = 5.0
+    ) -> None:
+        """Wait for signalled processes to exit; SIGKILL the stragglers."""
+        deadline = time.monotonic() + timeout
+        for process in processes:
+            while process.poll() is None and time.monotonic() < deadline:
+                await asyncio.sleep(0.05)
+            if process.poll() is None:
+                process.kill()
+                await asyncio.sleep(0)
 
 
 class StatusProber:
@@ -424,8 +524,7 @@ class StatusProber:
 
 
 # ----------------------------------------------------------------------
-# Shared oracle + summary construction (used by the process supervisor and
-# the in-memory harness alike — one audit, two fabrics)
+# Oracle + summary construction (pure functions of the scraped statuses)
 # ----------------------------------------------------------------------
 
 
@@ -674,10 +773,21 @@ class LiveSupervisor:
         *,
         store: Optional[SummaryStore] = None,
         journal=None,
+        fabric=None,
+        plan: Optional[FaultPlan] = None,
+        workload: Optional[Callable[["LiveSupervisor"], Any]] = None,
     ) -> None:
         self.config = config
         self.store = store
-        self.rng = random.Random(config.seed)
+        self.fabric = fabric if fabric is not None else ProcessFabric(config.host)
+        #: Boot-time fault plan (also keys the store cell); an explicit
+        #: one overrides the config's ``fault`` component.
+        self.plan = plan if plan is not None else config.resolved_fault_plan()
+        #: Async ``workload(supervisor)``: started once the overlay is up,
+        #: awaited before the final scrape, result kept below.
+        self._workload = workload
+        self.workload_result: Any = None
+        self.rng = random.Random(config.seed * 7919 + 13)
         self.condition = ConsistencyCondition(
             config.resolved_k(), config.nodes, config.hash_algorithm
         )
@@ -691,6 +801,8 @@ class LiveSupervisor:
         self.introducer = IntroducerGroup(
             config.introducers,
             ttl=config.introducer_ttl,
+            epoch=self.fabric.clock(),
+            clock=self.fabric.monotonic,
             journal=journal,
             sync_interval=config.introducer_sync_interval,
         )
@@ -701,13 +813,13 @@ class LiveSupervisor:
         self._running = False
         self._stop_early = asyncio.Event()
         self._state_dir: Optional[pathlib.Path] = None
-        self._own_state_dir = False
-        self._scraper: Optional[UdpTransport] = None
-        self._control: Optional[UdpTransport] = None
+        self._scraper = None
+        self._control = None
         self._prober = StatusProber()
-        plan = config.resolved_fault_plan()
-        #: JSON fault plan every (re)spawned node boots with; "" = perfect.
-        self._fault_json = "" if plan.is_null() else plan.to_json()
+        #: JSON of the current fault plan ("" = perfect network).
+        self._fault_json = "" if self.plan.is_null() else self.plan.to_json()
+        #: Whether the fabric applied the plan at its hub (else: per node).
+        self._hub_faults = False
         #: True once an operator replaced the plan at runtime (enables the
         #: per-scrape re-broadcast that converges nodes that missed it).
         self._fault_pushed = False
@@ -730,9 +842,18 @@ class LiveSupervisor:
 
     async def run(self) -> LiveReport:
         """Boot the overlay, run it for the configured duration, report."""
-        started = time.monotonic()
-        config = self.config
-        introducer_addr = await self.introducer.start(config.host, 0)
+        wall_start = time.perf_counter()
+        config, fabric = self.config, self.fabric
+        started = fabric.monotonic()
+        self._hub_faults = fabric.apply_fault_plan(self._fault_json)
+        await self.introducer.start(
+            fabric.host,
+            0,
+            transport_factories=[
+                fabric.transport_factory(introducer_label(index))
+                for index in range(config.introducers)
+            ],
+        )
         self.journal.emit(
             "live.run.start",
             nodes=config.nodes,
@@ -740,50 +861,45 @@ class LiveSupervisor:
             duration=config.duration,
             label=config.label,
         )
-        self.sim = _WallSim()
+        self.sim = _WallSim(fabric.monotonic)
+        workload_task: Optional[asyncio.Task] = None
         try:
             self._state_dir = (
                 pathlib.Path(config.state_dir)
                 if config.state_dir
                 else pathlib.Path(tempfile.mkdtemp(prefix="avmon-live-"))
             )
-            self._own_state_dir = not config.state_dir
             try:
                 self._state_dir.mkdir(parents=True, exist_ok=True)
             except OSError as error:
                 raise RuntimeError(
                     f"cannot use state dir {self._state_dir}: {error}"
                 ) from error
-            self._scraper = await UdpTransport.create(
-                self._prober.on_reply, host=config.host, port=0
-            )
+            bind = fabric.transport_factory(SUPERVISOR)
+            self._scraper = await bind(self._prober.on_reply, fabric.host, 0)
             if config.control_port >= 0:
                 try:
-                    self._control = await UdpTransport.create(
-                        self._on_control,
-                        host=config.host,
-                        port=config.control_port,
+                    self._control = await bind(
+                        self._on_control, fabric.host, config.control_port
                     )
                 except OSError:
                     # Port taken (another overlay up?): fall back to
                     # ephemeral so the run proceeds — and say so, or the
                     # operator's status/chaos/down commands would target
                     # the *other* overlay.
-                    self._control = await UdpTransport.create(
-                        self._on_control, host=config.host, port=0
-                    )
+                    self._control = await bind(self._on_control, fabric.host, 0)
                     print(
                         f"live: control port {config.control_port} in use; "
                         f"this overlay's control is "
-                        f"{config.host}:{self._control.local_address[1]}",
+                        f"{fabric.host}:{self._control.local_address[1]}",
                         file=sys.stderr,
                     )
             self._running = True
             for _ in range(config.nodes):
-                self._spawn_new(introducer_addr)
+                await self._up(self._new_handle())
             await self._await_boot()
             if config.serve_port is not None and config.serve_port >= 0:
-                await self._start_serve(introducer_addr)
+                await self._start_serve()
             self._bind_churn()
             if config.crash_after is not None:
                 self.sim.schedule(config.crash_after, self._inject_crash)
@@ -792,35 +908,65 @@ class LiveSupervisor:
                     config.kill_introducer_after,
                     self.introducer.kill_primary,
                 )
+            if self._workload is not None:
+                workload_task = asyncio.create_task(self._workload(self))
             await self._measurement_window()
-            statuses = await self.scrape(timeout=max(1.0, config.ping_timeout * 8))
+            await self._settle()
+            if workload_task is not None:
+                # Run to completion even past the deadline: a half-driven
+                # request schedule would be nondeterministic.
+                self.workload_result = await workload_task
+            # The final scrape feeds the audit: retry harder, so a lossy
+            # regime degrades the *measured* discovery ratio, not the
+            # measurement itself (6 probe losses in a row at 20% loss is
+            # already < 0.1% per node).
+            statuses = await self.scrape(
+                timeout=max(2.0, config.ping_timeout * 12), attempts=6
+            )
             self._last_statuses = statuses
             final_alive = self.introducer.alive_count()
         finally:
-            await self._teardown()
-        elapsed = time.monotonic() - started
+            await self._teardown(workload_task)
         self.journal.emit(
             "live.run.end",
             alive=final_alive,
-            elapsed_s=round(elapsed, 3),
+            # Fabric seconds: a virtual-clock journal stays byte-identical.
+            elapsed_s=round(fabric.monotonic() - started, 3),
         )
-        report = self._build_report(statuses, final_alive, elapsed)
+        report = build_live_report(
+            config,
+            self.condition,
+            statuses,
+            crash_victims=self._crash_victims,
+            final_alive=final_alive,
+            elapsed=time.perf_counter() - wall_start,
+            join_times={
+                node: handle.first_spawn
+                for node, handle in self._handles.items()
+            },
+            life_seconds=self.life_seconds,
+            memory_series=self._memory_series,
+            n_longterm=self._next_id,
+        )
         if self.store is not None:
-            path = self.store.save(live_config_key(config), report.summary)
+            path = self.store.save(
+                live_config_key(config, plan=self.plan), report.summary
+            )
             report.store_path = str(path) if path is not None else None
         return report
 
     async def _await_boot(self) -> None:
-        deadline = time.monotonic() + (
+        monotonic = self.fabric.monotonic
+        deadline = monotonic() + (
             self.BOOT_TIMEOUT_BASE + 0.25 * self.config.nodes
         )
-        while time.monotonic() < deadline:
+        while monotonic() < deadline:
             if self.introducer.alive_count() >= self.config.nodes:
                 return
             dead = [
                 h.node
                 for h in self._handles.values()
-                if h.process is not None and h.process.poll() is not None
+                if h.process is not None and self.fabric.exited(h.process)
             ]
             if dead:
                 raise RuntimeError(
@@ -847,18 +993,14 @@ class LiveSupervisor:
                 self._model.on_node_up(handle.node)
 
     async def _measurement_window(self) -> None:
-        deadline = time.monotonic() + self.config.duration
-        next_sample = time.monotonic() + self.config.sample_interval
-        while time.monotonic() < deadline and not self._stop_early.is_set():
-            remaining = deadline - time.monotonic()
-            wait = min(0.25, max(0.0, remaining))
-            try:
-                await asyncio.wait_for(self._stop_early.wait(), timeout=wait)
-                break
-            except asyncio.TimeoutError:
-                pass
-            if time.monotonic() >= next_sample:
-                next_sample = time.monotonic() + self.config.sample_interval
+        monotonic = self.fabric.monotonic
+        deadline = monotonic() + self.config.duration
+        next_sample = monotonic() + self.config.sample_interval
+        while monotonic() < deadline and not self._stop_early.is_set():
+            # An early `down` is noticed at the next 0.25 s tick.
+            await asyncio.sleep(min(0.25, deadline - monotonic()))
+            if monotonic() >= next_sample:
+                next_sample = monotonic() + self.config.sample_interval
                 self._rebroadcast_fault_plan()
                 statuses = await self.scrape(
                     timeout=max(0.5, self.config.ping_timeout * 4)
@@ -874,7 +1016,7 @@ class LiveSupervisor:
                         float(status.memory_entries)
                     )
 
-    async def _start_serve(self, introducer_addr: Address) -> None:
+    async def _start_serve(self) -> None:
         """Attach the HTTP availability front end to this overlay.
 
         Imported lazily: the supervisor must stay importable (and the
@@ -886,14 +1028,14 @@ class LiveSupervisor:
 
         backend = OverlayBackend(
             self.condition,
-            introducer_addr,
-            host=self.config.host,
+            self.introducer.address,
+            host=self.fabric.host,
             query_timeout=max(2.0, self.config.ping_timeout * 8),
         )
         await backend.start()
         service = AvailabilityService(backend, ServeConfig())
         server = await serve_http(
-            service, self.config.host, self.config.serve_port
+            service, self.fabric.host, self.config.serve_port
         )
         self._serve_backend = backend
         self._serve_service = service
@@ -902,7 +1044,7 @@ class LiveSupervisor:
         self.journal.emit("live.serve_started", port=port)
         print(
             f"live: serving availability on "
-            f"http://{self.config.host}:{port}",
+            f"http://{self.fabric.host}:{port}",
             file=sys.stderr,
         )
 
@@ -918,119 +1060,121 @@ class LiveSupervisor:
             await self._serve_backend.close()
             self._serve_backend = None
 
-    async def _teardown(self) -> None:
+    async def _settle(self) -> None:
+        """Let lifecycle steps under way (a respawn mid-boot) finish
+        before the final scrape; a failed step fails the run here."""
+        while True:
+            tasks = [h.task for h in self._handles.values() if h.task is not None]
+            pending = [task for task in tasks if not task.done()]
+            if not pending:
+                for task in tasks:
+                    task.result()
+                return
+            await asyncio.wait(pending)
+
+    async def _teardown(self, workload_task: Optional[asyncio.Task]) -> None:
         self._running = False
         self.journal.emit("live.teardown")
         await self._stop_serve()
         if self.sim is not None:
             self.sim.cancel_all()
-        for handle in self._handles.values():
-            self._stop_process(handle, sig=signal.SIGTERM)
-        await self._reap_processes()
+        # Fixed order (workload, then nodes by id): determinism.
+        tasks = [workload_task] + [h.task for h in self._handles.values()]
+        tasks = [task for task in tasks if task is not None]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        processes = [
+            h.process for h in self._handles.values() if h.process is not None
+        ]
+        for process in processes:
+            await self.fabric.kill(process, graceful=True)
+        await self.fabric.reap(processes)
         if self._scraper is not None:
             self._scraper.close()
         if self._control is not None:
             self._control.close()
         self.introducer.close()
-        if self._own_state_dir and self._state_dir is not None:
+        if not self.config.state_dir and self._state_dir is not None:
             shutil.rmtree(self._state_dir, ignore_errors=True)
 
-    async def _reap_processes(self, timeout: float = 5.0) -> None:
-        deadline = time.monotonic() + timeout
-        for handle in self._handles.values():
-            process = handle.process
-            if process is None:
-                continue
-            while process.poll() is None and time.monotonic() < deadline:
-                await asyncio.sleep(0.05)
-            if process.poll() is None:
-                process.kill()
-                await asyncio.sleep(0)
-
     # ------------------------------------------------------------------
-    # Process management
+    # Node lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn_new(self, introducer_addr: Address) -> NodeId:
+    def _lifecycle(self, handle: _NodeHandle, step, *args) -> None:
+        """Queue ``step(handle, *args)`` behind the node's earlier steps.
+
+        Requests come from timers and churn models, which cannot await a
+        fabric whose spawn and kill take (virtual) time: commanded state
+        flips at the request, the fabric work runs here in request order,
+        so a respawn never overtakes the kill before it.
+        """
+        previous = handle.task
+
+        async def chain() -> None:
+            if previous is not None:
+                await previous
+            await step(handle, *args)
+
+        handle.task = asyncio.get_running_loop().create_task(chain())
+
+    async def _up(self, handle: _NodeHandle) -> None:
+        process, fresh = handle.process, handle.process is None
+        if not fresh and not self.fabric.exited(process):
+            # A leaver still draining must not outlive its successor.
+            await self.fabric.kill(process, graceful=False)
+        # A respawn boots with the *current* fault plan: `avmon live chaos
+        # --loss` may have replaced the one this spec was created with.
+        handle.spec.fault = "" if self._hub_faults else self._fault_json
+        handle.process = await self.fabric.spawn(handle.spec)
+        handle.up_since = self.fabric.monotonic()
+        if fresh:
+            handle.first_spawn = self.fabric.clock() - self.introducer.epoch
+            self.journal.emit("live.node_spawned", node=handle.node)
+
+    async def _down(
+        self, handle: _NodeHandle, graceful: bool, forget: bool = False
+    ) -> None:
+        if handle.up_since is not None:
+            handle.last_life_seconds = (
+                self.fabric.monotonic() - handle.up_since
+            )
+            handle.up_since = None
+        if handle.process is not None:
+            await self.fabric.kill(handle.process, graceful=graceful)
+        if forget:
+            # Death is final: the paper grants persistent storage to
+            # rejoining nodes only, so a dead node's store goes with it.
+            _unlink(handle.spec.state_file)
+
+    def _take_down(
+        self, handle: _NodeHandle, *, graceful: bool, forget: bool = False
+    ) -> None:
+        handle.alive = False
+        self.introducer.drop(handle.node)
+        self._lifecycle(handle, self._down, graceful, forget)
+
+    def _new_handle(self) -> _NodeHandle:
+        """Mint the next node; the caller runs or queues its first _up."""
         node = self._next_id
         self._next_id += 1
         spec = self.config.node_spec(
             node,
-            introducer_addr,
+            self.introducer.address,
             epoch=self.introducer.epoch,
             state_file=str(self._state_dir / f"node-{node}.json"),
-            fault=self._fault_json,
+            host=self.fabric.host,
             introducers=self.introducer.addresses,
         )
-        handle = _NodeHandle(node=node, spec=spec)
-        self._handles[node] = handle
-        self._start_process(handle)
-        handle.first_spawn = time.time() - self.introducer.epoch
-        self.journal.emit("live.node_spawned", node=node)
-        return node
-
-    def _start_process(self, handle: _NodeHandle) -> None:
-        # A respawn boots with the *current* fault plan: `avmon live chaos
-        # --loss` may have replaced the one this spec was created with.
-        handle.spec.fault = self._fault_json
-        src_root = pathlib.Path(__file__).resolve().parents[2]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src_root), env.get("PYTHONPATH")) if p
+        # A new node owns no history: a file left in a reused state dir
+        # is another run's (the node's epoch guard cannot tell on a
+        # virtual clock, where every run shares one epoch).
+        _unlink(spec.state_file)
+        handle = self._handles[node] = _NodeHandle(
+            node=node, spec=spec, alive=True
         )
-        # stderr goes to a per-node log next to the state file (not
-        # /dev/null): a node whose ticks raise logs there, and the file is
-        # the first place to look when a gate fails.
-        log_path = pathlib.Path(handle.spec.state_file).with_suffix(".log")
-        try:
-            stderr = open(log_path, "ab")
-        except OSError:
-            stderr = subprocess.DEVNULL
-        handle.process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.live.node_main",
-                "--spec",
-                handle.spec.to_json(),
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=stderr,
-            start_new_session=True,
-        )
-        if stderr is not subprocess.DEVNULL:
-            stderr.close()  # the child holds its own descriptor now
-        handle.alive = True
-        handle.up_since = time.monotonic()
-
-    def _stop_process(
-        self, handle: _NodeHandle, *, sig: int = signal.SIGTERM
-    ) -> None:
-        process = handle.process
-        if process is not None and process.poll() is None:
-            try:
-                process.send_signal(sig)
-            except OSError:
-                pass
-        if handle.alive:
-            handle.alive = False
-            if handle.up_since is not None:
-                handle.last_life_seconds = time.monotonic() - handle.up_since
-                handle.up_since = None
-        self.introducer.drop(handle.node)
-
-    def _respawn(self, node: NodeId) -> None:
-        handle = self._handles.get(node)
-        if handle is None or handle.dead or handle.alive or not self._running:
-            return
-        process = handle.process
-        if process is not None and process.poll() is None:
-            process.kill()
-        self._start_process(handle)
-        self.journal.emit("live.node_respawned", node=node)
-        if self._model is not None:
-            self._model.on_node_up(node)
+        return handle
 
     def life_seconds(self, node: NodeId) -> float:
         """Seconds of the node's *current* process life (or its last one).
@@ -1042,7 +1186,7 @@ class LiveSupervisor:
         """
         handle = self._handles[node]
         if handle.up_since is not None:
-            return time.monotonic() - handle.up_since
+            return self.fabric.monotonic() - handle.up_since
         return handle.last_life_seconds
 
     # ------------------------------------------------------------------
@@ -1054,38 +1198,40 @@ class LiveSupervisor:
         if handle is None or not handle.alive or not self._running:
             return
         self.journal.emit("live.node_leave", node=node)
-        self._stop_process(handle, sig=signal.SIGTERM)
+        self._take_down(handle, graceful=True)
         if self._model is not None:
             self._model.on_node_down(node)
 
     def request_rejoin(self, node: NodeId) -> None:
-        self._respawn(node)
+        handle = self._handles.get(node)
+        if handle is None or handle.dead or handle.alive or not self._running:
+            return
+        handle.alive = True
+        self._lifecycle(handle, self._up)
+        self.journal.emit("live.node_respawned", node=node)
+        if self._model is not None:
+            self._model.on_node_up(node)
 
     def request_birth(self) -> NodeId:
         if not self._running:
             return -1
-        node = self._spawn_new(self.introducer.address)
+        handle = self._new_handle()
+        self._lifecycle(handle, self._up)
         # Mirror the simulator's Cluster.request_birth: the model must hear
         # about the newborn or it would never schedule its next transition.
         if self._model is not None:
-            self._model.on_node_up(node)
-        return node
+            self._model.on_node_up(handle.node)
+        return handle.node
 
     def request_death(self, node: NodeId) -> None:
         handle = self._handles.get(node)
         if handle is None or handle.dead:
             return
         self.journal.emit("live.node_death", node=node)
-        self._stop_process(handle, sig=signal.SIGKILL)
+        self._take_down(handle, graceful=False, forget=True)
         handle.dead = True
         # Death is permanent: stop re-broadcasting fault plans at it.
         self._known_addresses.pop(node, None)
-        # Death is final: the paper grants persistent storage to rejoining
-        # nodes only, so a dead node's store goes with it.
-        try:
-            pathlib.Path(handle.spec.state_file).unlink(missing_ok=True)
-        except OSError:
-            pass
         if self._model is not None:
             self._model.on_node_death(node)
 
@@ -1108,27 +1254,22 @@ class LiveSupervisor:
     # ------------------------------------------------------------------
 
     def _inject_crash(self, downtime: Optional[float] = None) -> Optional[NodeId]:
-        """SIGKILL a random alive node; respawn it after *downtime*."""
+        """Hard-kill a random alive node; respawn it after *downtime*."""
         if not self._running:
             return None
         victim = self.random_alive()
         if victim is None:
             return None
         handle = self._handles[victim]
-        self._stop_process(handle, sig=signal.SIGKILL)
-        handle.crashes += 1
+        self._take_down(handle, graceful=False)
         self._crash_victims.append(victim)
-        self.journal.emit(
-            "live.node_crashed",
-            node=victim,
-            downtime_s=self.config.crash_downtime if downtime is None else downtime,
-        )
+        wait = self.config.crash_downtime if downtime is None else downtime
+        self.journal.emit("live.node_crashed", node=victim, downtime_s=wait)
         # Deliberately NOT telling the churn model: its on_node_down would
         # schedule a competing rejoin timer and the earlier of the two
         # would win, silently overriding the requested crash downtime.
-        # _respawn notifies on_node_up, which resumes the model's cycle.
-        wait = self.config.crash_downtime if downtime is None else downtime
-        self.sim.schedule(wait, lambda: self._respawn(victim))
+        # The rejoin notifies on_node_up, which resumes the model's cycle.
+        self.sim.schedule(wait, self.request_rejoin, victim)
         return victim
 
     # ------------------------------------------------------------------
@@ -1159,8 +1300,9 @@ class LiveSupervisor:
     def push_fault_plan(self, plan_json: str, *, merge: bool = False) -> int:
         """Replace (or update) the overlay-wide fault plan.
 
-        Broadcasts a :class:`FaultUpdate` to every known node and
-        remembers the plan so respawned processes boot with it.  With
+        Applied at the fabric's hub when it has one; otherwise broadcast
+        as a :class:`FaultUpdate` to every known node and remembered so
+        respawned processes boot with it.  With
         *merge*, *plan_json* is a sparse dict of plan fields laid over
         the current plan — pushing a partition onto a ``--fault WAN``
         overlay keeps the WAN loss/latency.  A malformed plan is
@@ -1189,6 +1331,7 @@ class LiveSupervisor:
         except (ValueError, TypeError):
             return -1
         self._fault_json = plan_json
+        self._hub_faults = self.fabric.apply_fault_plan(plan_json)
         self._fault_pushed = True
         sent = self._broadcast_fault_plan()
         self.journal.emit(
@@ -1213,10 +1356,11 @@ class LiveSupervisor:
         return dict(self._known_addresses)
 
     def _broadcast_fault_plan(self) -> int:
-        update = FaultUpdate(plan=self._fault_json)
         targets = self._fault_targets()
-        for address in targets.values():
-            self._scraper.send_to(address, update)
+        if not self._hub_faults:
+            update = FaultUpdate(plan=self._fault_json)
+            for address in targets.values():
+                self._scraper.send_to(address, update)
         return len(targets)
 
     def _rebroadcast_fault_plan(self) -> None:
@@ -1229,9 +1373,8 @@ class LiveSupervisor:
         this periodic re-send converges stragglers without resetting
         anyone's decision streams.
         """
-        if not self._fault_pushed:
-            return  # boot-time plans travel in the spec; nothing changed
-        self._broadcast_fault_plan()
+        if self._fault_pushed:  # boot-time plans travel in the spec
+            self._broadcast_fault_plan()
 
     # ------------------------------------------------------------------
     # Operator control plane (avmon live status/chaos/down)
@@ -1298,7 +1441,7 @@ class LiveSupervisor:
             )
         elif isinstance(message, ServeStatusRequest):
             # Only answered when a serving front end is attached: the
-            # client's timeout is the "no serving surface" signal.
+            # client's timeout is how "no serving surface" reads.
             if self._serve_service is not None:
                 self._control.send_to(
                     addr,
@@ -1314,32 +1457,6 @@ class LiveSupervisor:
         elif isinstance(message, DownRequest):
             self._control.send_to(addr, DownAck(probe=message.probe))
             self._stop_early.set()
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def _build_report(
-        self,
-        statuses: Dict[NodeId, StatusReply],
-        final_alive: int,
-        elapsed: float,
-    ) -> LiveReport:
-        return build_live_report(
-            self.config,
-            self.condition,
-            statuses,
-            crash_victims=self._crash_victims,
-            final_alive=final_alive,
-            elapsed=elapsed,
-            join_times={
-                node: handle.first_spawn
-                for node, handle in self._handles.items()
-            },
-            life_seconds=self.life_seconds,
-            memory_series=self._memory_series,
-            n_longterm=self._next_id,
-        )
 
 
 def run_live(

@@ -211,9 +211,10 @@ class OverlayBackend:
 
 def memory_backend(overlay, **kwargs) -> OverlayBackend:
     """An :class:`OverlayBackend` attached to a *running*
-    :class:`~repro.live.memory_transport.MemoryOverlay` (e.g. from inside
-    its ``workload`` hook): same codec, same introducer directory, virtual
-    clock — no sockets."""
+    :class:`~repro.live.memory_transport.MemoryOverlay` from inside its
+    ``workload`` hook — the socket-free way to serve on the memory fabric
+    (``serve_port`` is rejected there): same codec, same introducer
+    directory, virtual clock."""
     loop = asyncio.get_running_loop()
     kwargs.setdefault("query_timeout", 2.0)
     return OverlayBackend(

@@ -142,39 +142,22 @@ class ServeMetrics:
         #: Requests rejected by admission control (concurrency bound).
         self._shed_overload = self.registry.counter("serve.shed_overload")
 
-    # The four query counters read and assign as plain ints so existing
-    # call sites (``metrics.shed_overload += 1``) and tests keep working.
+    # The four query counters read as plain ints (avbench and tests do).
     @property
     def monitors_verified(self) -> int:
         return self._monitors_verified.value
-
-    @monitors_verified.setter
-    def monitors_verified(self, value: int) -> None:
-        self._monitors_verified.value = value
 
     @property
     def monitors_rejected(self) -> int:
         return self._monitors_rejected.value
 
-    @monitors_rejected.setter
-    def monitors_rejected(self, value: int) -> None:
-        self._monitors_rejected.value = value
-
     @property
     def queries_timed_out(self) -> int:
         return self._queries_timed_out.value
 
-    @queries_timed_out.setter
-    def queries_timed_out(self, value: int) -> None:
-        self._queries_timed_out.value = value
-
     @property
     def shed_overload(self) -> int:
         return self._shed_overload.value
-
-    @shed_overload.setter
-    def shed_overload(self, value: int) -> None:
-        self._shed_overload.value = value
 
     def endpoint(self, route: str) -> EndpointMetrics:
         metrics = self._endpoints.get(route)
@@ -190,6 +173,10 @@ class ServeMetrics:
         self._monitors_rejected.inc(len(result.rejected_monitors))
         if result.timed_out:
             self._queries_timed_out.inc()
+
+    def record_shed(self) -> None:
+        """One request rejected by admission control."""
+        self._shed_overload.inc()
 
     def totals(self) -> Dict[str, int]:
         return {

@@ -143,7 +143,7 @@ class AvailabilityService:
                         max(1, int(decision.retry_after + 0.999))
                     )
                 elif self._active >= self.config.max_concurrency:
-                    self.metrics.shed_overload += 1
+                    self.metrics.record_shed()
                     status, payload = 429, {
                         "error": "overloaded",
                         "retry_after": round(self.config.query_timeout, 3),

@@ -17,6 +17,7 @@ from repro.experiments.store import SummaryStore
 from repro.live.supervisor import (
     LiveConfig,
     LiveSupervisor,
+    build_live_report,
     live_config_key,
     live_store_filename,
     run_live,
@@ -147,15 +148,18 @@ def test_unusable_state_dir_fails_cleanly():
 def test_empty_scrape_reports_zero_discovery():
     """expected_pairs == 0 from a dead overlay must read as 0% discovered,
     not a vacuous 100% (the CI gate's whole purpose)."""
-    config = LiveConfig(nodes=4, duration=2.0, control_port=-1)
-    supervisor = LiveSupervisor.__new__(LiveSupervisor)
-    supervisor.config = config
-    supervisor.condition = ConsistencyCondition(2, 4)
-    supervisor._handles = {}
-    supervisor._crash_victims = []
-    supervisor._memory_series = {}
-    supervisor._next_id = 0
-    report = supervisor._build_report({}, final_alive=0, elapsed=1.0)
+    report = build_live_report(
+        LiveConfig(nodes=4, duration=2.0, control_port=-1),
+        ConsistencyCondition(2, 4),
+        {},
+        crash_victims=[],
+        final_alive=0,
+        elapsed=1.0,
+        join_times={},
+        life_seconds=lambda node: 0.0,
+        memory_series={},
+        n_longterm=0,
+    )
     assert report.expected_pairs == 0
     assert report.discovery_ratio == 0.0
 
