@@ -226,6 +226,10 @@ class QueryClient:
         state = self._pending.get(message.subject)
         if state is None or message.sender not in state["awaiting"]:
             return
+        if not 0.0 <= message.availability <= 1.0:
+            # Not an availability (the codec already drops NaN/inf): treat
+            # the monitor as silent rather than poison the aggregate.
+            return
         state["awaiting"].discard(message.sender)
         result: QueryResult = state["result"]
         result.reports[message.sender] = message.availability

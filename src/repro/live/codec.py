@@ -1,24 +1,42 @@
-"""Versioned, deterministic wire codec for live AVMON datagrams.
+"""Compiled wire codec: canonical JSON datagrams, planned once per type.
 
 One protocol message (or control message) maps to one UDP datagram whose
 payload is canonical JSON: ``{"t": <type name>, "v": <wire version>,
-<field>: <value>, ...}`` with sorted keys and minimal separators, encoded
-as UTF-8.  The encoding is
+<field>: <value>, ...}`` with sorted keys and minimal separators, e.g.
+``{"monitor":5,"sender":4,"t":"Notify","target":6,"v":1}``.
 
-* **round-trippable** — ``decode(encode(m)) == m`` for every registered
-  message type (tuples are rendered as JSON arrays and restored as tuples,
-  recursively), which the property suite verifies exhaustively;
-* **deterministic** — the same message always yields the same bytes, in
-  every process (sorted keys, no whitespace, ``repr``-faithful floats);
-* **versioned** — payloads carry :data:`WIRE_VERSION`; a datagram stamped
-  with an unknown version, an unknown type, missing/extra fields or
-  mistyped values raises :class:`CodecError`, which transports treat as a
-  counted drop, never a crash.
+**Compiled at registration.**  :func:`register_wire_type` builds a
+:class:`_WireSpec` holding everything that does not depend on the message:
+the sorted key order as a ``%`` template with the keys, the type tag and
+the version already rendered; one ``attrgetter`` over the fields in
+template order; the field-name set a payload must match; and, per field in
+constructor order, the exact parsed-JSON types it accepts.  :func:`encode`
+is then *spec lookup -> getter -> render each value by exact type -> fill
+the template*, and :func:`decode` is *parse -> compare key sets -> tuple-ise
+arrays -> check types -> construct positionally*; nothing walks a dataclass
+or sorts keys per datagram.  Types registered later (the control plane's,
+third parties') are compiled the same way.
+
+**Canonical JSON on the wire.**  The bytes are exactly what the stdlib
+encoder produces for ``{"t": ..., "v": ..., **fields}`` with
+``sort_keys=True, separators=(",", ":")`` and tuples as arrays.  That call
+survives only in the test suite (``canonical_json``), as the oracle the
+compiled encoder is held against for every registered type.
+Output is pure ASCII — non-ASCII and control characters, lone surrogates
+included, travel ``\\uXXXX``-escaped — so ``bytes_sent`` is the same on
+every fabric.  The encoding is **round-trippable** (``decode(encode(m)) ==
+m``; arrays come back as tuples, recursively), **deterministic** (same
+message, same bytes, in every process), **finite** (NaN and the infinities
+are rejected in both directions: nothing crosses the wire that a strict
+JSON consumer downstream could not parse) and **versioned**: a datagram
+with an unknown version or type, missing/extra fields or mistyped values
+raises :class:`CodecError`, which transports treat as a counted drop,
+never a crash.
 
 All concrete protocol messages (:data:`repro.core.messages.MESSAGE_TYPES`)
-are registered at import time; the control plane registers its own types
-the same way via :func:`register_wire_type`, so third-party extensions can
-put new dataclasses on the wire without touching this module.
+are registered at import time; the control plane registers its own the same
+way, so extensions can put new dataclasses on the wire without touching
+this module.
 """
 
 from __future__ import annotations
@@ -26,7 +44,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing
-from typing import Any, Dict, Tuple, Type
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import attrgetter
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Type
 
 from ..core.messages import MESSAGE_TYPES
 
@@ -47,46 +69,114 @@ WIRE_VERSION = 1
 #: million-node overlay is ~40 entries, far below this).
 MAX_DATAGRAM_BYTES = 64 * 1024
 
-_SCALARS = (str, int, float, bool)
-
 
 class CodecError(ValueError):
     """A payload that cannot be decoded (or a value that cannot be encoded)."""
 
 
-def _field_checker(annotation: Any):
-    """A loose runtime validator derived from one dataclass field annotation.
+# -- value rendering (encode side) -------------------------------------------
+
+
+def _render_float(value: float) -> str:
+    if not isfinite(value):
+        raise CodecError(f"cannot encode non-finite float on the wire: {value!r}")
+    return float.__repr__(value)
+
+
+def _render_sequence(value: Any) -> str:
+    return "[" + ",".join([_RENDERERS[type(item)](item) for item in value]) + "]"
+
+
+def _unencodable(value: Any) -> str:
+    raise CodecError(
+        f"cannot encode value of type {type(value).__name__} on the wire: "
+        f"{value!r}"
+    )
+
+
+class _Renderers(dict):
+    """Exact value type -> what the JSON encoder would emit for the value.
+
+    A subclass (an ``IntEnum``, a ``str`` subclass, a namedtuple) resolves
+    on first sight to the renderer of its JSON base type — which is how the
+    JSON encoder treats it — and anything else to :func:`_unencodable`.
+    """
+
+    def __missing__(self, cls: type) -> Callable[[Any], str]:
+        for base, renderer in (
+            (str, encode_basestring_ascii),
+            (int, int.__repr__),  # not repr(): an IntEnum renders as its value
+            (float, _render_float),
+            (tuple, _render_sequence),
+            (list, _render_sequence),
+        ):
+            if issubclass(cls, base):
+                break
+        else:
+            renderer = _unencodable
+        self[cls] = renderer
+        return renderer
+
+
+_RENDERERS = _Renderers(
+    {
+        int: repr,
+        str: encode_basestring_ascii,
+        float: _render_float,
+        bool: {True: "true", False: "false"}.__getitem__,
+        type(None): lambda value: "null",
+        tuple: _render_sequence,
+        list: _render_sequence,
+    }
+)
+
+
+# -- field plans (decode side) -----------------------------------------------
+
+
+def _accepted_types(annotation: Any) -> Optional[FrozenSet[type]]:
+    """The exact parsed-JSON types one field annotation admits.
 
     Wire safety needs only coarse shape checks: ints where the protocol
     expects node ids/sequence numbers, numbers where it expects floats,
-    tuples where it expects sequences.  Anything unresolvable is accepted
+    tuples where it expects sequences.  Values reach the check straight
+    from the JSON parser (arrays already tuples), so exact types suffice —
+    ``bool`` never passes for ``int``.  ``None`` means anything is accepted
     (the constructor remains the last line of defence).
     """
     origin = typing.get_origin(annotation)
     if origin is typing.Union:
-        checkers = [_field_checker(arg) for arg in typing.get_args(annotation)]
-        return lambda value: any(check(value) for check in checkers)
-    if annotation is type(None):
-        return lambda value: value is None
-    if annotation is bool:
-        return lambda value: isinstance(value, bool)
-    if annotation is int:
-        return lambda value: isinstance(value, int) and not isinstance(value, bool)
+        members = [_accepted_types(arg) for arg in typing.get_args(annotation)]
+        if None in members:
+            return None
+        return frozenset().union(*members)
+    if annotation is type(None) or annotation in (bool, int, str):
+        return frozenset((annotation,))
     if annotation is float:
-        return lambda value: (
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-        )
-    if annotation is str:
-        return lambda value: isinstance(value, str)
+        return frozenset((int, float))
     if origin is tuple or annotation is tuple:
-        return lambda value: isinstance(value, tuple)
-    return lambda value: True
+        return frozenset((tuple,))
+    return None
+
+
+def _to_native(value: list) -> tuple:
+    """JSON arrays come back as tuples so decoded messages compare equal."""
+    kinds = set(map(type, value))
+    if list not in kinds:
+        return tuple(value)
+    if len(kinds) == 1 and list not in map(type, chain.from_iterable(value)):
+        # A table — rows of scalars, like a directory or a status reply's
+        # (monitor, time) pairs — converts without a Python call per row.
+        return tuple(map(tuple, value))
+    return tuple(
+        [_to_native(item) if type(item) is list else item for item in value]
+    )
 
 
 class _WireSpec:
-    """Field names and validators for one registered dataclass."""
+    """Everything about one registered dataclass that no message changes."""
 
-    __slots__ = ("cls", "fields", "checkers")
+    __slots__ = ("cls", "names", "template", "getter", "plan", "positional")
 
     def __init__(self, cls: Type) -> None:
         self.cls = cls
@@ -94,13 +184,39 @@ class _WireSpec:
             hints = typing.get_type_hints(cls)
         except Exception:  # unresolvable forward refs: skip validation
             hints = {}
-        self.fields = tuple(f.name for f in dataclasses.fields(cls))
-        self.checkers = {
-            name: _field_checker(hints.get(name, Any)) for name in self.fields
+        fields = dataclasses.fields(cls)
+        self.names = frozenset(f.name for f in fields)
+        # Encode side.  Canonical key order, sorted once; ``t`` and ``v``
+        # are rendered into the template, every field leaves a ``%s`` slot
+        # that ``getter`` fills in the same order.
+        rendered = {
+            "t": encode_basestring_ascii(cls.__name__),
+            "v": int.__repr__(WIRE_VERSION),
         }
+        members = []
+        for key in sorted(self.names | rendered.keys()):
+            literal = encode_basestring_ascii(key) + ":" + rendered.get(key, "")
+            members.append(
+                literal.replace("%", "%%") + ("%s" if key in self.names else "")
+            )
+        self.template = "{" + ",".join(members) + "}"
+        slots = sorted(self.names)
+        if len(slots) > 1:
+            self.getter = attrgetter(*slots)
+        else:  # attrgetter needs a name, and returns a scalar for just one
+            self.getter = lambda message: tuple(
+                [getattr(message, name) for name in slots]
+            )
+        # Decode side: ``(name, accepted types)`` in constructor order.
+        self.plan = tuple(
+            (f.name, _accepted_types(hints.get(f.name, Any))) for f in fields
+        )
+        self.positional = all(f.init and not f.kw_only for f in fields)
 
 
+#: Wire tag -> spec (decode) and class -> spec (encode).
 _REGISTRY: Dict[str, _WireSpec] = {}
+_SPEC_OF: Dict[type, _WireSpec] = {}
 
 
 def register_wire_type(cls: Type) -> Type:
@@ -123,7 +239,7 @@ def register_wire_type(cls: Type) -> Type:
             f"wire type {name!r} has reserved field name(s): "
             f"{', '.join(sorted(clashes))}"
         )
-    _REGISTRY[name] = _WireSpec(cls)
+    _REGISTRY[name] = _SPEC_OF[cls] = _WireSpec(cls)
     return cls
 
 
@@ -132,37 +248,33 @@ def wire_types() -> Tuple[Type, ...]:
     return tuple(_REGISTRY[name].cls for name in sorted(_REGISTRY))
 
 
-def _to_jsonable(value: Any) -> Any:
-    if isinstance(value, bool) or value is None or isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_to_jsonable(item) for item in value]
-    raise CodecError(
-        f"cannot encode value of type {type(value).__name__} on the wire: "
-        f"{value!r}"
-    )
+def encode(message: Any) -> bytes:
+    """One registered message -> one canonical-JSON datagram payload."""
+    try:
+        spec = _SPEC_OF[type(message)]
+    except KeyError:
+        raise CodecError(
+            f"{type(message).__name__} is not a registered wire type"
+        ) from None
+    rendered = [_RENDERERS[type(value)](value) for value in spec.getter(message)]
+    return (spec.template % tuple(rendered)).encode("ascii")
 
 
-def _to_native(value: Any) -> Any:
-    """JSON arrays come back as tuples so decoded messages compare equal."""
-    if isinstance(value, list):
-        return tuple(_to_native(item) for item in value)
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):  # 1e999 parses to inf
+        raise ValueError(f"non-finite number {text}")
     return value
 
 
-def encode(message: Any) -> bytes:
-    """One registered message -> one canonical-JSON datagram payload."""
-    spec = _REGISTRY.get(type(message).__name__)
-    if spec is None or spec.cls is not type(message):
-        raise CodecError(
-            f"{type(message).__name__} is not a registered wire type"
-        )
-    payload = {"t": type(message).__name__, "v": WIRE_VERSION}
-    for name in spec.fields:
-        payload[name] = _to_jsonable(getattr(message, name))
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
+_DECODER = json.JSONDecoder(
+    parse_float=_finite_float, parse_constant=_reject_constant
+)
+_scan = _DECODER.scan_once
 
 
 def decode(data: bytes) -> Any:
@@ -186,36 +298,52 @@ def _decode(data: bytes) -> Any:
     if len(data) > MAX_DATAGRAM_BYTES:
         raise CodecError(f"datagram too large ({len(data)} bytes)")
     try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        text = data.decode("utf-8")
+        try:
+            payload, end = _scan(text, 0)
+        except StopIteration:
+            end = -1
+        if end != len(text):
+            # Surrounding whitespace is legal, anything else is not: the
+            # full parser decides and words the error.
+            payload = _DECODER.decode(text)
+    except ValueError as error:
+        # Bad UTF-8, malformed JSON, a non-finite number, or one of the
+        # interpreter's own limits (an integer literal longer than
+        # ``sys.get_int_max_str_digits()``): all plain ValueErrors.
+        if data.startswith(b"\xef\xbb\xbf"):  # json.loads' own wording
+            error = (
+                "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                "line 1 column 1 (char 0)"
+            )
         raise CodecError(f"not a JSON datagram: {error}") from None
-    if not isinstance(payload, dict):
+    if type(payload) is not dict:
         raise CodecError(f"payload must be an object, got {type(payload).__name__}")
     version = payload.pop("v", None)
-    if version != WIRE_VERSION:
+    if type(version) is not int or version != WIRE_VERSION:
         raise CodecError(f"unsupported wire version {version!r}")
     tag = payload.pop("t", None)
-    spec = _REGISTRY.get(tag) if isinstance(tag, str) else None
+    spec = _REGISTRY.get(tag) if type(tag) is str else None
     if spec is None:
         raise CodecError(f"unknown wire type {tag!r}")
-    expected = set(spec.fields)
-    present = set(payload)
-    if present != expected:
-        missing = ", ".join(sorted(expected - present)) or "-"
-        extra = ", ".join(sorted(present - expected)) or "-"
+    if payload.keys() != spec.names:
+        missing = ", ".join(sorted(spec.names - payload.keys())) or "-"
+        extra = ", ".join(sorted(payload.keys() - spec.names)) or "-"
         raise CodecError(
             f"{tag}: field mismatch (missing: {missing}; unexpected: {extra})"
         )
-    kwargs = {}
-    for name in spec.fields:
-        value = _to_native(payload[name])
-        if not spec.checkers[name](value):
-            raise CodecError(
-                f"{tag}.{name}: implausible value {value!r}"
-            )
-        kwargs[name] = value
+    values = []
+    for name, accepted in spec.plan:
+        value = payload[name]
+        if type(value) is list:
+            value = _to_native(value)
+        if accepted is not None and type(value) not in accepted:
+            raise CodecError(f"{tag}.{name}: implausible value {value!r}")
+        values.append(value)
     try:
-        return spec.cls(**kwargs)
+        if spec.positional:
+            return spec.cls(*values)
+        return spec.cls(**{name: v for (name, _), v in zip(spec.plan, values)})
     except (TypeError, ValueError) as error:
         raise CodecError(f"{tag}: {error}") from None
 

@@ -364,7 +364,9 @@ class FaultInjector:
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
         self.plan = plan if plan is not None else FaultPlan()
         self.stats = FaultStats()
-        self._rngs: Dict[Tuple[str, str], random.Random] = {}
+        #: Per-link streams, keyed ``(type, label, type, label)``: the types
+        #: keep labels ``True`` and ``1`` (equal, same hash) apart.
+        self._rngs: Dict[tuple, random.Random] = {}
 
     def set_plan(self, plan: FaultPlan) -> None:
         """Swap the plan at runtime (``avmon live chaos --loss ...``).
@@ -375,17 +377,17 @@ class FaultInjector:
         self._rngs.clear()
 
     def _rng(self, src: Optional[Label], dst: Optional[Label]) -> random.Random:
-        key = (_label_token(src), _label_token(dst))
-        rng = self._rngs.get(key)
+        link = (src.__class__, src, dst.__class__, dst)
+        rng = self._rngs.get(link)
         if rng is None:
             text = json.dumps(
-                [self.plan.seed, key[0], key[1]], separators=(",", ":")
+                [self.plan.seed, _label_token(src), _label_token(dst)],
+                separators=(",", ":"),
             )
             digest = hashlib.blake2b(
                 text.encode("utf-8"), digest_size=8
             ).digest()
-            rng = random.Random(int.from_bytes(digest, "big"))
-            self._rngs[key] = rng
+            rng = self._rngs[link] = random.Random(int.from_bytes(digest, "big"))
         return rng
 
     def plan_delivery(
@@ -403,10 +405,15 @@ class FaultInjector:
         if plan.is_null():
             self.stats.passed += 1
             return (0.0,)
-        if plan.partitioned(src, dst, now):
+        if plan.partitions and plan.partitioned(src, dst, now):
             self.stats.partitioned += 1
             return ()
-        loss, latency, jitter, duplicate = plan.link_params(src, dst)
+        if plan.links:
+            loss, latency, jitter, duplicate = plan.link_params(src, dst)
+        else:
+            loss, latency, jitter, duplicate = (
+                plan.loss, plan.latency, plan.jitter, plan.duplicate
+            )
         rng = self._rng(src, dst)
         if loss > 0.0 and rng.random() < loss:
             self.stats.dropped += 1
@@ -423,7 +430,7 @@ class FaultInjector:
             if plan.reorder > 0.0 and rng.random() < plan.reorder:
                 delay += plan.reorder_window
             delays.append(delay)
-        if any(delay > 0.0 for delay in delays):
+        if max(delays) > 0.0:
             self.stats.delayed += 1
         self.stats.passed += 1
         return tuple(delays)

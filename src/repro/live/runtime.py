@@ -27,7 +27,7 @@ import pathlib
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.condition import ConsistencyCondition
 from ..core.config import AvmonConfig
@@ -58,20 +58,38 @@ logger = logging.getLogger(__name__)
 STATE_VERSION = 1
 
 
+#: The id-bearing fields :func:`referenced_ids` walks, in output order.
+_ID_FIELDS = ("sender", "origin", "monitor", "target", "subject")
+_ID_TUPLE_FIELDS = ("view", "monitors")
+
+#: Message class -> which of those names its instances carry.
+_ID_PLANS: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+
+
 def referenced_ids(message: Any) -> Tuple[NodeId, ...]:
     """Every node id a protocol message mentions.
 
     The live relation index learns the id universe from traffic (the
     simulator learned it from the cluster); this walks the known id-bearing
     fields so :class:`~repro.core.relation.MonitorRelation` is never asked
-    about an id it has not seen.
+    about an id it has not seen.  Which of them a message class declares
+    is worked out once per class, not probed by name per datagram.
     """
+    cls = type(message)
+    plan = _ID_PLANS.get(cls)
+    if plan is None:
+        declared = getattr(cls, "__dataclass_fields__", {})
+        plan = _ID_PLANS[cls] = tuple(
+            tuple(n for n in names if n in declared or hasattr(cls, n))
+            for names in (_ID_FIELDS, _ID_TUPLE_FIELDS)
+        )
+    scalar_fields, tuple_fields = plan
     ids: List[NodeId] = []
-    for name in ("sender", "origin", "monitor", "target", "subject"):
+    for name in scalar_fields:
         value = getattr(message, name, None)
         if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
             ids.append(value)
-    for name in ("view", "monitors"):
+    for name in tuple_fields:
         value = getattr(message, name, None)
         if isinstance(value, tuple):
             ids.extend(

@@ -212,6 +212,40 @@ class TestDeadlinesAndPartialResults:
             for monitor in casualties:
                 result.cluster.bring_up(monitor)
 
+    @pytest.mark.parametrize("claim", [1.5, -0.25, float("nan"), float("inf")])
+    def test_out_of_range_report_is_ignored_like_an_unasked_one(
+        self, system, claim
+    ):
+        result, client = system
+        sim = result.cluster.sim
+        subject_node = next(
+            node
+            for node in result.cluster.nodes.values()
+            if len(node.ps) >= 2
+            and all(result.network.is_alive(m) for m in node.ps)
+            and result.network.is_alive(node.id)
+            and node.id not in client.pending_subjects()
+        )
+        liar = result.cluster.nodes[min(subject_node.ps)]
+        liar.availability_report = lambda target: claim
+        try:
+            outcome = []
+            client.query(
+                subject_node.id,
+                outcome.append,
+                min_monitors=len(subject_node.ps),
+                timeout=5.0,
+            )
+            sim.run_until(sim.now + 6.0)
+        finally:
+            del liar.availability_report
+        (partial,) = outcome
+        assert liar.id in partial.verified_monitors
+        assert liar.id not in partial.reports
+        assert partial.timed_out and not partial.complete
+        assert partial.monitors_answered == partial.monitors_queried - 1
+        assert 0.0 <= partial.availability <= 1.0
+
     def test_fetch_monitors_skips_history_phase(self, system):
         subject = self._alive_subject(system)
         result, client = system

@@ -13,7 +13,7 @@ import json
 import typing
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import MESSAGE_TYPES
 from repro.live import codec
@@ -73,6 +73,90 @@ def test_round_trip(message):
 @given(any_message)
 def test_encoding_is_deterministic(message):
     assert codec.encode(message) == codec.encode(message)
+
+
+# -- the compiled encoder against its oracle ---------------------------------
+#
+# The codec renders datagrams from per-type templates compiled at
+# registration; the format it must reproduce is still "canonical JSON":
+# ``json.dumps`` of the field dict plus the ``t``/``v`` envelope, sorted
+# keys, minimal separators.  That one-liner lives only here, as the oracle.
+
+#: Quotes, backslashes, control characters, astral code points, ``%`` ...
+wide_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=20)
+#: ... and lone surrogates (which JSON carries escaped, like the rest).
+any_text = st.text(st.characters(exclude_categories=()), max_size=20)
+wide_ints = st.one_of(
+    st.integers(),
+    st.sampled_from([0, -1, 2**63, 2**64 + 1, -(2**70), 10**40]),
+)
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e22, 1e-07, 1e16]),
+)
+
+
+def _wide_strategy_for(annotation, text, loose):
+    """Values as wide as the wire allows; *loose* adds the off-annotation
+    ones the encoder must still render like JSON (a bool in an int field,
+    an int in a float field, a list for a tuple)."""
+    origin = typing.get_origin(annotation)
+    if annotation is bool:
+        return st.booleans()
+    if annotation is int:
+        return st.one_of(wide_ints, st.booleans()) if loose else wide_ints
+    if annotation is float:
+        return st.one_of(finite_floats, wide_ints) if loose else finite_floats
+    if annotation is str:
+        return text
+    assert origin is tuple, annotation
+    args = typing.get_args(annotation)
+    if len(args) == 2 and args[1] is Ellipsis:
+        items = st.lists(_wide_strategy_for(args[0], text, loose), max_size=5)
+        return st.one_of(items, items.map(tuple)) if loose else items.map(tuple)
+    return st.tuples(*[_wide_strategy_for(arg, text, loose) for arg in args])
+
+
+def _wide_instances(text, loose):
+    def instances(cls):
+        hints = typing.get_type_hints(cls)
+        return st.builds(
+            cls,
+            **{
+                f.name: _wide_strategy_for(hints[f.name], text, loose)
+                for f in dataclasses.fields(cls)
+            },
+        )
+
+    return st.one_of(*[instances(cls) for cls in codec.wire_types()])
+
+
+def canonical_json(message) -> bytes:
+    payload = {
+        f.name: getattr(message, f.name) for f in dataclasses.fields(message)
+    }
+    payload["t"] = type(message).__name__
+    payload["v"] = codec.WIRE_VERSION
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+@settings(max_examples=600)
+@given(_wide_instances(any_text, loose=True))
+def test_encoder_matches_the_canonical_json_oracle(message):
+    data = codec.encode(message)
+    assert data == canonical_json(message)
+    assert data.isascii()
+
+
+@settings(max_examples=600)
+@given(_wide_instances(wide_text, loose=False))
+def test_wide_values_round_trip(message):
+    data = codec.encode(message)
+    assert data == canonical_json(message)
+    decoded = codec.decode(data)
+    assert decoded == message
+    assert type(decoded) is type(message)
+    assert codec.encode(decoded) == data
 
 
 @pytest.mark.parametrize("cls", ALL_TYPES, ids=lambda c: c.__name__)

@@ -7,7 +7,9 @@ and a deterministic decision engine shared by every fabric.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import warnings
 
 import pytest
@@ -21,6 +23,7 @@ from repro.live.faults import (
     FaultPlan,
     LinkFault,
     Partition,
+    _label_token,
     introducer_label,
     is_introducer_label,
     parse_partition_groups,
@@ -420,6 +423,98 @@ def test_set_plan_resets_decision_streams():
     first = [injector.plan_delivery(0, 1, 0.0) for _ in range(32)]
     injector.set_plan(FaultPlan(loss=0.5, seed=1))
     assert [injector.plan_delivery(0, 1, 0.0) for _ in range(32)] == first
+
+
+class _TokenKeyedInjector(FaultInjector):
+    """The pre-PR-15 decision path, kept as the reference: partition and
+    link scans on every datagram, the link stream found by rebuilding two
+    label tokens."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self._by_token = {}
+
+    def _rng(self, src, dst):
+        key = (_label_token(src), _label_token(dst))
+        rng = self._by_token.get(key)
+        if rng is None:
+            text = json.dumps(
+                [self.plan.seed, key[0], key[1]], separators=(",", ":")
+            )
+            digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+            rng = self._by_token[key] = random.Random(
+                int.from_bytes(digest, "big")
+            )
+        return rng
+
+    def plan_delivery(self, src, dst, now):
+        plan = self.plan
+        if plan.is_null():
+            self.stats.passed += 1
+            return (0.0,)
+        if plan.partitioned(src, dst, now):
+            self.stats.partitioned += 1
+            return ()
+        loss, latency, jitter, duplicate = plan.link_params(src, dst)
+        rng = self._rng(src, dst)
+        if loss > 0.0 and rng.random() < loss:
+            self.stats.dropped += 1
+            return ()
+        copies = 1
+        if duplicate > 0.0 and rng.random() < duplicate:
+            copies = 2
+            self.stats.duplicated += 1
+        delays = []
+        for _ in range(copies):
+            delay = latency
+            if jitter > 0.0:
+                delay += rng.random() * jitter
+            if plan.reorder > 0.0 and rng.random() < plan.reorder:
+                delay += plan.reorder_window
+            delays.append(delay)
+        if any(delay > 0.0 for delay in delays):
+            self.stats.delayed += 1
+        self.stats.passed += 1
+        return tuple(delays)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        create("fault", "LOSSY", seed=3),
+        create("fault", "WAN", seed=4),
+        create("fault", "FLAKY", seed=5),
+        FaultPlan(
+            loss=0.05,
+            jitter=0.01,
+            seed=6,
+            partitions=(
+                Partition(groups=((0, 1, INTRODUCER), (2, 3, "serve")), start=2.0, end=6.0),
+            ),
+        ),
+        full_plan(),
+        FaultPlan(seed=9),  # null: nothing drawn, everything passes
+    ],
+    ids=["LOSSY", "WAN", "FLAKY", "partition", "links+partitions", "null"],
+)
+def test_decisions_match_the_token_keyed_reference_over_10k_sends(plan):
+    """Same delays, same drops, same stats — so same RNG draw order — for
+    interleaved int, string and unlabelled endpoints; 1, True and "1" are
+    three different endpoints."""
+    labels = [0, 1, 2, 3, 4, None, INTRODUCER, SUPERVISOR, "serve", "1", True]
+    pick = random.Random(11)
+    injector, reference = FaultInjector(plan), _TokenKeyedInjector(plan)
+    for step in range(10_000):
+        src, dst = pick.choice(labels), pick.choice(labels)
+        now = step / 1000.0  # sweeps across the partition windows
+        assert injector.plan_delivery(src, dst, now) == reference.plan_delivery(
+            src, dst, now
+        ), (step, src, dst)
+        if step == 7_000:  # a pushed plan restarts every stream, memo included
+            injector.set_plan(plan)
+            reference.set_plan(plan)
+            reference._by_token.clear()
+    assert injector.stats.as_dict() == reference.stats.as_dict()
 
 
 # -- CLI surface -------------------------------------------------------------

@@ -31,6 +31,8 @@ from repro.live.memory_transport import (
 )
 from repro.live.supervisor import LiveConfig, StatusProber
 
+from test_wire_format import FORGED_DATAGRAMS
+
 pytestmark = pytest.mark.usefixtures("no_udp_sockets")
 
 
@@ -95,6 +97,30 @@ def test_memory_transport_send_receive_and_codec_path():
         a.send_to(b.local_address, message)
         await asyncio.sleep(0)
         assert network.undeliverable == 1
+        return True
+
+    assert run_virtual(scenario())
+
+
+def test_forged_datagrams_are_counted_drops_not_loop_errors():
+    async def scenario():
+        loop_errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: loop_errors.append(context)
+        )
+        network = MemoryNetwork()
+        inbox = []
+        a = MemoryTransport(network, lambda m, addr: None)
+        b = MemoryTransport(network, lambda m, addr: inbox.append(m))
+        for count, payload in enumerate(FORGED_DATAGRAMS, start=1):
+            # Through the hub, as a hostile peer's bytes would arrive.
+            network.deliver(a.local_address, b.local_address, payload)
+            await asyncio.sleep(0)
+            assert b.stats.datagrams_received == count
+            assert b.stats.malformed == count
+        assert b.stats.handler_errors == 0
+        assert inbox == []
+        assert loop_errors == []
         return True
 
     assert run_virtual(scenario())

@@ -10,8 +10,14 @@ counters — and rejoin with the reduced JOIN weight of Figure 1.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
+import typing
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.live.codec import wire_types
 from repro.live.introducer import Introducer
 from repro.live.runtime import LiveNode, LiveNodeSpec, referenced_ids
 from repro.core.messages import CvFetchReply, Join, Notify
@@ -144,3 +150,66 @@ def test_referenced_ids_walks_every_id_field():
         8,
         9,
     }
+
+
+def _referenced_ids_by_probing(message):
+    """The pre-PR-15 implementation, kept as the reference: probe every
+    id-bearing name on every message."""
+    ids = []
+    for name in ("sender", "origin", "monitor", "target", "subject"):
+        value = getattr(message, name, None)
+        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+            ids.append(value)
+    for name in ("view", "monitors"):
+        value = getattr(message, name, None)
+        if isinstance(value, tuple):
+            ids.extend(
+                v
+                for v in value
+                if isinstance(v, int) and not isinstance(v, bool) and v >= 0
+            )
+    return tuple(ids)
+
+
+@pytest.mark.parametrize("cls", wire_types(), ids=lambda c: c.__name__)
+def test_referenced_ids_plan_matches_probing_on_every_wire_type(cls):
+    hints = typing.get_type_hints(cls)
+
+    @given(st.data())
+    def check(data):
+        kwargs = {}
+        for field in dataclasses.fields(cls):
+            if hints[field.name] is int:  # incl. what must be skipped
+                kwargs[field.name] = data.draw(
+                    st.one_of(st.integers(-3, 1 << 48), st.booleans())
+                )
+            elif hints[field.name] == typing.Tuple[int, ...]:
+                kwargs[field.name] = data.draw(
+                    st.lists(
+                        st.one_of(st.integers(-3, 99), st.booleans(), st.none()),
+                        max_size=5,
+                    ).map(tuple)
+                )
+        message = cls(**kwargs)
+        assert referenced_ids(message) == _referenced_ids_by_probing(message)
+
+    check()
+
+
+def test_referenced_ids_sees_inherited_and_class_level_names():
+    @dataclasses.dataclass
+    class Forwarded(Notify):
+        subject: int = 9
+        hops: int = 0
+
+    class Odd:  # not a dataclass: class attributes and properties count
+        sender = 4
+        view = (5, -1, True, 6)
+
+        @property
+        def target(self):
+            return 7
+
+    for message in (Forwarded(sender=1, monitor=2, target=3), Odd(), object()):
+        assert referenced_ids(message) == _referenced_ids_by_probing(message)
+    assert referenced_ids(Odd()) == (4, 7, 5, 6)

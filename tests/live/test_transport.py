@@ -9,6 +9,8 @@ from repro.core.messages import CvPing, Join
 from repro.live.codec import encode
 from repro.live.transport import PeerTable, UdpTransport
 
+from test_wire_format import FORGED_DATAGRAMS
+
 
 def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=10.0))
@@ -62,6 +64,34 @@ def test_malformed_datagrams_counted_not_fatal():
             a.send_to(b.local_address, CvPing(sender=7, seq=1))
             await _settle(lambda: inbox_b)
             assert inbox_b[0][0] == CvPing(sender=7, seq=1)
+        finally:
+            raw.close()
+            a.close()
+            b.close()
+
+    run(scenario())
+
+
+def test_forged_datagrams_are_counted_drops_not_loop_errors():
+    """An int literal past the interpreter's digit limit used to escape the
+    codec as a plain ``ValueError``: not counted, and a traceback through
+    the loop's exception handler for every such packet."""
+
+    async def scenario():
+        loop_errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: loop_errors.append(context)
+        )
+        a, b, inbox_a, inbox_b = await _pair()
+        raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            for count, payload in enumerate(FORGED_DATAGRAMS, start=1):
+                raw.sendto(payload, b.local_address)
+                await _settle(lambda: b.stats.datagrams_received >= count)
+                assert b.stats.malformed == count
+            assert b.stats.handler_errors == 0
+            assert inbox_b == []
+            assert loop_errors == []
         finally:
             raw.close()
             a.close()

@@ -156,6 +156,47 @@ class TestColluderRejection:
         assert metrics["query"]["monitors_rejected"] == 3
 
 
+class TestForgedHistory:
+    def test_out_of_range_reports_never_reach_the_response_body(self):
+        """A *genuine* monitor answering 7.5 — or NaN, which the parent
+        codec carried and ``/availability`` then served as the non-JSON
+        body ``{"availability": NaN}`` — is treated as silent."""
+        subject = 3
+
+        class RawClient(MemoryHttpClient):
+            _parse_response = staticmethod(lambda raw: raw)
+
+        def reject_constant(name):
+            raise AssertionError(f"{name} in an application/json body")
+
+        async def body(overlay, service, http):
+            _, before, _ = await http.get(f"/monitors/{subject}?l=2")
+            liars = before["verified_monitors"][:2]
+            assert len(liars) == 2
+            for liar, claim in zip(liars, (7.5, float("nan"))):
+                overlay.nodes[liar].node.availability_report = (
+                    lambda target, claim=claim: claim
+                )
+            raw = await RawClient(service).get(f"/availability/{subject}?l=2")
+            return liars, raw, [overlay.nodes[liar] for liar in liars]
+
+        liars, raw, nodes = run_serve(
+            body, serve_config=ServeConfig(cache_ttl=0.0, query_timeout=1.0)
+        )
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        answer = json.loads(payload, parse_constant=reject_constant)
+        assert 0.0 <= answer["availability"] <= 1.0
+        assert answer["timed_out"] and not answer["complete"]
+        assert answer["monitors_queried"] == len(answer["verified_monitors"])
+        assert answer["monitors_answered"] == answer["monitors_queried"] - 2
+        for liar in liars:
+            assert str(liar) not in answer["reports"]
+        # 7.5 crossed the wire and was ignored by the query client; NaN
+        # never left its node: the codec refused to encode it.
+        assert [node.transport.stats.handler_errors for node in nodes] == [0, 1]
+
+
 class TestTimeoutPaths:
     def test_unknown_subject_times_out_partial(self):
         async def body(overlay, service, http):
