@@ -1,8 +1,18 @@
-"""Deterministic in-process transport + the virtual-clock memory fabric.
+"""Deterministic in-process transport + the virtual-time memory fabric.
 
 Over real UDP sockets on real clocks the live stack is slow, port-hungry
 and irreproducible to test.  This module supplies the other fabric:
 
+* :class:`VirtualEventLoop`: an asyncio loop whose clock jumps when it
+  would sleep, so every timer, ``sleep`` and ``wait_for`` is deterministic
+  and a 30-virtual-second overlay takes well under a wall second.  It
+  replaced a monkeypatched stock loop (virtual ``time``; ``select(t)``
+  became "advance by *t*, poll"), keeping its float arithmetic and **its
+  tie order** but not its per-message cost: timers are ``(when, handle)``
+  pairs compared in C, the selector is never polled, a datagram in flight
+  is a slotted :class:`_Delivery`.  On equal ``when`` a pair compare falls
+  through to the handles, which answer "not less" as two ``TimerHandle``
+  objects do, so seeded runs keep their bytes (``(when, seq)`` would not);
 * :class:`MemoryTransport` satisfies the same endpoint surface as
   :class:`~repro.live.transport.UdpTransport` (``create``/``send_to``/
   ``local_address``/``close``/``stats``, the shared
@@ -13,11 +23,9 @@ and irreproducible to test.  This module supplies the other fabric:
 * :class:`MemoryNetwork` applies one
   :class:`~repro.live.faults.FaultInjector` centrally: loss, latency,
   jitter, duplication, reordering and timed partitions per the plan, every
-  decision drawn from per-link seeded streams;
-* :func:`install_virtual_clock` time-warps an asyncio event loop — when
-  the loop would sleep, virtual time jumps instead — so ``loop.time()``,
-  every timer and every ``asyncio.sleep`` are deterministic and a
-  30-virtual-second overlay runs in well under a wall second;
+  decision drawn from per-link seeded streams.  **Precondition:** a
+  :class:`VirtualEventLoop` runs it (:func:`run_virtual` and
+  :class:`MemoryOverlay` make one): delivery writes its heap directly;
 * :class:`MemoryFabric` plugs those into
   :class:`~repro.live.supervisor.LiveSupervisor`, and :class:`MemoryOverlay`
   is the front door: the supervisor's own loop — boot, registered churn
@@ -26,12 +34,15 @@ and irreproducible to test.  This module supplies the other fabric:
   :class:`~repro.live.runtime.LiveNode` instances, in one process, no
   sockets, no subprocesses, byte-identical
   :class:`~repro.experiments.summary.SimulationSummary` output for a fixed
-  seed.
+  seed and Python minor version.
 """
 
 from __future__ import annotations
 
 import asyncio
+from asyncio import format_helpers
+from asyncio.base_events import MAXIMUM_SELECT_TIMEOUT
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.condition import ConsistencyCondition
@@ -51,7 +62,7 @@ __all__ = [
     "MemoryNetwork",
     "MemoryTransport",
     "MemoryOverlay",
-    "install_virtual_clock",
+    "VirtualEventLoop",
     "run_memory_overlay",
     "run_virtual",
 ]
@@ -65,60 +76,91 @@ MEM_HOST = "mem"
 VIRTUAL_EPOCH = 1000.0
 
 
-class _VirtualClock:
-    """A clock that only moves when the event loop would otherwise sleep."""
+class VirtualEventLoop(asyncio.SelectorEventLoop):
+    """Virtual time for code that never waits on real I/O (the selector is
+    never polled), which is the point: the memory fabric has none."""
 
-    def __init__(self, start: float = 0.0) -> None:
+    def __init__(self, start: float = VIRTUAL_EPOCH) -> None:
+        super().__init__()
         self._now = start
 
     def time(self) -> float:
         return self._now
 
-    def advance(self, seconds: float) -> None:
-        self._now += seconds
+    def call_at(self, when, callback, *args, context=None):
+        self._check_closed()
+        timer = asyncio.TimerHandle(when, callback, args, self, context)
+        heappush(self._scheduled, (when, timer))
+        timer._scheduled = True
+        return timer
 
-
-def install_virtual_clock(
-    loop: asyncio.AbstractEventLoop, *, start: float = VIRTUAL_EPOCH
-) -> _VirtualClock:
-    """Time-warp *loop*: sleeps become instant virtual-time jumps.
-
-    The selector's blocking ``select(timeout)`` is replaced by "advance the
-    virtual clock by *timeout*, then poll" and ``loop.time`` by the virtual
-    clock, so timer ordering, ``asyncio.sleep`` and ``wait_for`` all run on
-    deterministic virtual time.  Only valid for loops that never wait on
-    real I/O — which is the point: the memory fabric has none.
-    """
-    clock = _VirtualClock(start)
-    selector = loop._selector  # type: ignore[attr-defined]
-    original_select = selector.select
-
-    def warped_select(timeout=None):
-        if timeout is None:
-            # No ready callbacks and no timers: nothing can ever wake this
-            # loop again.  Failing loudly beats hanging the test run.
-            raise RuntimeError(
-                "virtual clock: the event loop would sleep forever "
-                "(deadlock in the in-memory overlay?)"
-            )
-        if timeout > 0:
-            clock.advance(timeout)
-            timeout = 0
-        return original_select(timeout)
-
-    selector.select = warped_select
-    loop.time = clock.time  # type: ignore[method-assign]
-    return clock
+    def _run_once(self) -> None:
+        # The stock _run_once with select(timeout) replaced by a clock
+        # jump: its compaction thresholds and float arithmetic for "now"
+        # are what keep seeded bytes (a cancelled handle's _scheduled is
+        # not reset: nothing reads it again).
+        scheduled, ready = self._scheduled, self._ready
+        count = len(scheduled)
+        if count > 100 and self._timer_cancelled_count / count > 0.5:
+            scheduled = [entry for entry in scheduled if not entry[1]._cancelled]
+            heapify(scheduled)
+            self._scheduled, self._timer_cancelled_count = scheduled, 0
+        else:
+            while scheduled and scheduled[0][1]._cancelled:
+                self._timer_cancelled_count -= 1
+                heappop(scheduled)
+        if not ready and not self._stopping:
+            if not scheduled:  # nothing can ever wake it: fail, don't hang
+                raise RuntimeError(
+                    "virtual clock: the event loop would sleep forever "
+                    "(deadlock in the in-memory overlay?)"
+                )
+            wait = scheduled[0][0] - self._now
+            if wait > 0:
+                self._now += min(wait, MAXIMUM_SELECT_TIMEOUT)
+        end = self._now + self._clock_resolution
+        while scheduled and scheduled[0][0] < end:
+            handle = heappop(scheduled)[1]
+            handle._scheduled = False  # a later cancel must not count it
+            ready.append(handle)
+        for _ in range(len(ready)):
+            handle = ready.popleft()
+            if not handle._cancelled:
+                handle._run()
 
 
 def run_virtual(coro, *, start: float = VIRTUAL_EPOCH):
-    """``asyncio.run`` on a fresh virtual-clock loop."""
-    loop = asyncio.new_event_loop()
-    install_virtual_clock(loop, start=start)
-    try:
-        return loop.run_until_complete(coro)
-    finally:
-        loop.close()
+    """``asyncio.run`` on a fresh :class:`VirtualEventLoop`: tasks still
+    pending when *coro* returns are cancelled and run to completion (their
+    ``finally`` blocks included) before the loop closes."""
+    with asyncio.Runner(loop_factory=lambda: VirtualEventLoop(start)) as runner:
+        return runner.run(coro)
+
+
+class _Delivery:
+    """``network._push(dst, data, src)`` as a loop handle without context
+    copy or cancel surface; on heap ties "not less" both ways."""
+
+    __slots__ = ("_network", "_dst", "_data", "_src", "_scheduled")
+    _cancelled = False
+
+    def __init__(self, network: "MemoryNetwork", dst, data, src) -> None:
+        self._network, self._dst, self._data, self._src = network, dst, data, src
+
+    __lt__ = __gt__ = lambda self, other: False
+
+    def _run(self) -> None:
+        try:
+            self._network._push(self._dst, self._data, self._src)
+        except (SystemExit, KeyboardInterrupt):
+            raise
+        except BaseException as exc:  # reported as Handle._run does
+            push, args = self._network._push, (self._dst, self._data, self._src)
+            source = format_helpers._format_callback_source(push, args)
+            message = f"Exception in callback {source}"
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": message, "exception": exc, "handle": self}
+            )
 
 
 class MemoryNetwork:
@@ -196,10 +238,11 @@ class MemoryNetwork:
         )
         for delay in deliveries:
             self.delivered += 1
-            if delay <= 0.0:
-                loop.call_soon(self._push, dst, data, src)
-            else:
-                loop.call_later(delay, self._push, dst, data, src)
+            copy = _Delivery(self, dst, data, src)
+            if delay <= 0.0:  # where call_soon would have put it
+                loop._ready.append(copy)
+            else:  # and call_later
+                heappush(loop._scheduled, (loop._now + delay, copy))
 
     def _push(self, dst: Address, data: bytes, src: Address) -> None:
         endpoint = self._endpoints.get(dst)
@@ -380,10 +423,9 @@ class MemoryOverlay:
         self._crash_victims: List[NodeId] = []
 
     def run(self) -> LiveReport:
-        """Execute the deployment on a fresh virtual-clock loop."""
-        loop = asyncio.new_event_loop()
-        install_virtual_clock(loop, start=VIRTUAL_EPOCH)
-        try:
+        """Execute the deployment on a fresh :class:`VirtualEventLoop`."""
+        with asyncio.Runner(loop_factory=VirtualEventLoop) as runner:
+            loop = runner.get_loop()
             self.journal.bind_clock(loop.time)
             fabric = MemoryFabric(loop, self.journal)
             workload = self._workload
@@ -402,11 +444,9 @@ class MemoryOverlay:
             self.introducer = supervisor.introducer
             self._crash_victims = supervisor._crash_victims
             try:
-                return loop.run_until_complete(supervisor.run())
+                return runner.run(supervisor.run())
             finally:
                 self.workload_result = supervisor.workload_result
-        finally:
-            loop.close()
 
 
 def run_memory_overlay(

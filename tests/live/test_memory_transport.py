@@ -85,7 +85,7 @@ def test_memory_transport_send_receive_and_codec_path():
         message = CvPing(sender=1, seq=7)
         size = a.send_to(b.local_address, message)
         assert size > 0
-        await asyncio.sleep(0)  # one loop turn: hub delivery is call_soon
+        await asyncio.sleep(0)  # one loop turn: a delay-0 copy is ready at once
         assert inbox_b == [(message, a.local_address)]
         assert a.stats.datagrams_sent == 1
         assert b.stats.datagrams_received == 1

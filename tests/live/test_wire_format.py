@@ -275,8 +275,13 @@ def test_subclassed_values_render_as_their_json_base_type():
     ) == codec.encode(CvFetchReply(sender=1, seq=2, view=(3, 4)))
 
 
+def _value_id(value):
+    # A bare object's repr carries its address, which differs run to run.
+    return "object()" if type(value) is object else repr(value)
+
+
 @pytest.mark.parametrize(
-    "value", [{"a": 1}, {1, 2}, b"bytes", object(), 1 + 2j], ids=repr
+    "value", [{"a": 1}, {1, 2}, b"bytes", object(), 1 + 2j], ids=_value_id
 )
 def test_unencodable_values_are_codec_errors(value):
     with pytest.raises(codec.CodecError, match="cannot encode value of type"):
