@@ -1,4 +1,5 @@
-"""Benchmark: regenerate the paper's Figures 3-20 (see DESIGN.md index).
+"""Benchmark: regenerate the paper's Figures 3-20 (one spec entry each in
+``repro.experiments.figures``).
 
 One case per figure, ids ``fig3`` ... ``fig20``; pick one with
 ``pytest benchmarks/bench_figures.py -k fig7``.

@@ -52,7 +52,7 @@ def record_report():
 
 def run_artifact(benchmark, record_report, cache, scale, artifact_id):
     """Benchmark one registry artifact and persist its rendered series."""
-    from repro.experiments.registry import run_experiment
+    from repro.experiments.figures import run_experiment
 
     report = benchmark.pedantic(
         lambda: run_experiment(artifact_id, scale, cache), rounds=1, iterations=1

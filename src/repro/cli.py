@@ -70,7 +70,7 @@ from .api import Scenario, sweep
 from .experiments.backends import ExecutionBackend, resolve_backend
 from .experiments.cache import SimulationCache
 from .experiments.orchestrator import SweepError
-from .experiments.registry import EXPERIMENTS, run_experiment
+from .experiments.figures import EXPERIMENTS, run_experiment
 from .experiments.scenarios import SCALES, n_values
 from .experiments.store import SummaryStore
 from .experiments.store_backends import is_url_spec

@@ -1,9 +1,9 @@
-"""Evaluation harness: runner, scenarios, orchestrator and one module per
-paper artifact."""
+"""Evaluation harness: runner, scenarios, orchestrator, and every paper
+artifact as one spec entry in :mod:`.figures`."""
 
 from .cache import SimulationCache, default_cache
+from .figures import EXPERIMENTS, Experiment, experiment_ids, run_experiment
 from .orchestrator import CellFailure, SweepError, default_jobs, run_configs
-from .registry import EXPERIMENTS, Experiment, experiment_ids, run_experiment
 from .runner import Cluster, SimulationConfig, SimulationResult, run_simulation
 from .scenarios import (
     SCALES,

@@ -17,7 +17,7 @@ priming the shared summary store.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from ..apps.prediction import (
     PeriodicPredictor,
@@ -28,7 +28,6 @@ from ..apps.query import QueryClient, QueryResult
 from ..apps.replication import compare_policies
 from ..metrics import stats
 from ..net.network import SimHost
-from .cache import SimulationCache
 from .report import format_kv, format_table
 from .runner import run_simulation
 from .scenarios import scenario
@@ -51,14 +50,13 @@ def _base_result(scale: str, *, churn_per_hour: float = 2.0, seed: int = 11):
     return run_simulation(config)
 
 
-def run_query(scale: str = "bench", cache: Optional[SimulationCache] = None) -> str:
+def run_query(scale: str = "bench") -> str:
     """§3.3 end to end: report -> verify -> per-monitor history -> aggregate.
 
     Attaches a :class:`~repro.apps.query.QueryClient` to the finished
     simulation's network (the simulator keeps running, churn and all) and
     queries a sample of alive nodes for their availability.
     """
-    del cache  # needs live node objects; see the module docstring
     result = _base_result(scale)
     cluster = result.cluster
     network = result.network
@@ -112,11 +110,8 @@ def run_query(scale: str = "bench", cache: Optional[SimulationCache] = None) -> 
     )
 
 
-def run_replication(
-    scale: str = "bench", cache: Optional[SimulationCache] = None
-) -> str:
+def run_replication(scale: str = "bench") -> str:
     """Availability-aware vs random replica placement over audited reports."""
-    del cache
     result = _base_result(scale)
     audits = result.availability_audit(control_only=False)
     measured = {node: estimate for node, (estimate, _) in audits.items()}
@@ -144,11 +139,8 @@ def run_replication(
     )
 
 
-def run_prediction(
-    scale: str = "bench", cache: Optional[SimulationCache] = None
-) -> str:
+def run_prediction(scale: str = "bench") -> str:
     """Train the two classic predictors on monitors' raw sample histories."""
-    del cache
     result = _base_result(scale)
     counter_scores: List[float] = []
     lastvalue_scores: List[float] = []

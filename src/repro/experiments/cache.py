@@ -2,8 +2,8 @@
 
 Figures 3–10 all consume the same base runs (three churn models × the N
 sweep); the cache keys runs by their full configuration so each distinct
-simulation executes once per process, whether it is requested by the fig-3
-module, the fig-9 module or a benchmark.
+simulation executes once per process, whether it is requested by the fig3
+spec, the fig9 spec or a benchmark.
 
 Two layers are cached in memory:
 

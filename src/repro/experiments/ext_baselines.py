@@ -16,7 +16,6 @@ arguments AVMON's introduction makes against the alternatives:
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from ..baselines.central import CentralMonitorScheme
 from ..baselines.dht import DhtMonitorScheme
@@ -25,7 +24,7 @@ from ..core.condition import ConsistencyCondition
 from ..core.relation import MonitorRelation
 from .report import format_kv
 
-__all__ = ["compute", "render", "run"]
+__all__ = ["compute", "render"]
 
 
 def compute(n: int = 300, k: int = 8, churn_events: int = 100, seed: int = 11) -> dict:
@@ -128,8 +127,3 @@ def render(data: dict) -> str:
             ("Self-report: selfish nodes", data["self_report_selfish_count"]),
         ]
     )
-
-
-def run(scale: str = "bench", cache=None) -> str:
-    n = 300 if scale != "test" else 80
-    return render(compute(n=n))

@@ -8,12 +8,12 @@ cross-checks the closed-form optima against a numeric minimiser.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..core import optimal
 from .report import format_kv, format_table
 
-__all__ = ["compute", "render", "run"]
+__all__ = ["compute", "render"]
 
 #: The paper's running example size.
 PAPER_EXAMPLE_N = 1_000_000
@@ -61,8 +61,3 @@ def render(rows: List[optimal.TableRow], n: int = PAPER_EXAMPLE_N) -> str:
     )
     header = f"Table 1 - AVMON variants at N = {n:,}\n"
     return header + table + "\n\nclosed form vs numeric minimiser:\n" + checks
-
-
-def run(scale: str = "bench", cache=None, n: Optional[int] = None) -> str:
-    size = n if n is not None else PAPER_EXAMPLE_N
-    return render(compute(size), size)

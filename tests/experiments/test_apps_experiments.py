@@ -6,7 +6,7 @@ import io
 import json
 
 from repro.cli import main
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.figures import EXPERIMENTS, run_experiment
 from repro.registry import REGISTRY
 
 APP_IDS = ("app_query", "app_replication", "app_prediction")

@@ -169,6 +169,16 @@ class TestForgedHistory:
         def reject_constant(name):
             raise AssertionError(f"{name} in an application/json body")
 
+        def pin_reported_pair(overlay):
+            # report_monitors samples its PS with the node's rng, so two
+            # queries may name different pairs (they do on 3.12): report a
+            # fixed genuine pair, so the liars set below are the ones asked.
+            node = overlay.nodes[subject].node
+            pair = tuple(
+                m for m in sorted(node.ps) if overlay.condition.holds(m, subject)
+            )[:2]
+            node.report_monitors = lambda min_monitors: pair
+
         async def body(overlay, service, http):
             _, before, _ = await http.get(f"/monitors/{subject}?l=2")
             liars = before["verified_monitors"][:2]
@@ -181,7 +191,9 @@ class TestForgedHistory:
             return liars, raw, [overlay.nodes[liar] for liar in liars]
 
         liars, raw, nodes = run_serve(
-            body, serve_config=ServeConfig(cache_ttl=0.0, query_timeout=1.0)
+            body,
+            serve_config=ServeConfig(cache_ttl=0.0, query_timeout=1.0),
+            prepare=pin_reported_pair,
         )
         head, _, payload = raw.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 200")
