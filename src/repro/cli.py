@@ -18,8 +18,6 @@ Examples::
     avmon live down                   # tear a running overlay down
     avmon serve --port 8080           # attach an HTTP front end to a
                                       # running overlay's control port
-    avmon bench serve --scale test    # serving load -> BENCH_serve.json
-    avmon bench fleet --scale test    # backend comparison -> BENCH_sweep.json
     avmon sweep --n 100,200 --backend fleet --jobs 4   # killable workers
     avmon store serve --dir ~/.avmon-cache --port 7780  # shared cache daemon
     avmon store stat http://127.0.0.1:7780
@@ -230,51 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_arguments(sweep_parser)
     _add_cache_dir_argument(sweep_parser)
-
-    bench_parser = commands.add_parser(
-        "bench",
-        help="measure hot paths, the serial sweep and the serving surface; "
-        "append the results to the BENCH_*.json trajectory files",
-    )
-    bench_parser.add_argument(
-        "which",
-        nargs="?",
-        choices=("micro", "sweep", "serve", "fleet", "all"),
-        default="all",
-        help="which bench suite to run (default: all = micro+sweep; "
-        "'serve' runs the serving-load bench separately; 'fleet' "
-        "compares execution backends over a shared store)",
-    )
-    bench_parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="shorthand for the 'serve' suite (sustained requests/s vs "
-        "overlay size through the HTTP surface, appended to "
-        "BENCH_serve.json)",
-    )
-    bench_parser.add_argument(
-        "--scale",
-        choices=SCALES,
-        default="bench",
-        help="bench sizing (default: bench; use test for a CI smoke)",
-    )
-    bench_parser.add_argument(
-        "--out-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for the BENCH_*.json files (default: current dir)",
-    )
-    bench_parser.add_argument(
-        "--label", default="", help="entry label recorded in the trajectory"
-    )
-    bench_parser.add_argument(
-        "--no-scale-out",
-        action="store_true",
-        help="skip the STAT N=10,000 scale-out cell of the sweep bench",
-    )
-    bench_parser.add_argument(
-        "--json", action="store_true", help="also print the results as JSON"
-    )
 
     _build_live_parser(commands)
     _build_serve_parser(commands)
@@ -1377,79 +1330,6 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
-def _cmd_bench(args, out) -> int:
-    from .experiments.bench import run_bench
-
-    try:
-        results = run_bench(
-            "serve" if args.serve else args.which,
-            scale=args.scale,
-            out_dir=args.out_dir,
-            label=args.label,
-            scale_out=False if args.no_scale_out else None,
-            out=sys.stderr,
-        )
-    except OSError as error:
-        print(f"error: cannot write bench output: {error}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True), file=out)
-    else:
-        for suite, payload in results.items():
-            print(f"== {suite} ==", file=out)
-            if suite == "micro":
-                for metric, values in payload.items():
-                    if "wall_s" not in values:  # e.g. the "obs" snapshot entry
-                        continue
-                    rate = next(
-                        (f"{values[k]:,}/s" for k in ("per_sec", "events_per_sec",
-                                                      "pairs_per_sec", "messages_per_sec")
-                         if k in values),
-                        "",
-                    )
-                    print(f"{metric:<32} {values['wall_s']:>9.4f}s  {rate}", file=out)
-            elif suite == "fleet":
-                for variant in payload["variants"]:
-                    deaths = variant.get("deaths")
-                    note = f"  deaths={deaths}" if deaths is not None else ""
-                    print(
-                        f"{variant['backend']:<20} {variant['wall_s']:>8.3f}s"
-                        f"{note}",
-                        file=out,
-                    )
-                print(
-                    f"{payload['cells']} cells, byte_identical="
-                    f"{payload['byte_identical']}",
-                    file=out,
-                )
-            elif suite == "serve":
-                for cell in payload["cells"]:
-                    sustained = cell["sustained"]
-                    overload = cell["overload"]
-                    shed = overload["counters"]["totals"]["rate_limited"]
-                    print(
-                        f"n={cell['n']:<4} {sustained['wall_rps']:>7,} req/s "
-                        f"sustained  hit_ratio="
-                        f"{sustained['counters']['hit_ratio']}  "
-                        f"overload shed {shed}/{overload['offered']}",
-                        file=out,
-                    )
-                print(
-                    f"{payload['requests_total']} requests, "
-                    f"{payload['server_errors_total']} server errors, "
-                    f"total wall: {payload['total_wall_s']}s",
-                    file=out,
-                )
-            else:
-                for cell in payload["cells"]:
-                    print(
-                        f"{cell['label']:<20} {cell['wall_s']:>8.3f}s  "
-                        f"events={cell['events_processed']:,} "
-                        f"hashes={cell['hash_evaluations']:,}",
-                        file=out,
-                    )
-                print(f"total serial wall: {payload['total_wall_s']}s", file=out)
-    return 0
 
 
 def _cmd_store(args, out) -> int:
@@ -1719,8 +1599,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             return _cmd_live(args, out)
         if args.command == "serve":
             return _cmd_serve(args, out)
-        if args.command == "bench":
-            return _cmd_bench(args, out)
         if args.command == "store":
             return _cmd_store(args, out)
         if args.command == "fleet":

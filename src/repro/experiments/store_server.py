@@ -430,7 +430,7 @@ class StoreDaemonThread:
 
     ``with StoreDaemonThread(backend) as daemon: ... daemon.url ...`` —
     for synchronous programs that need a live daemon beside them: the
-    local fleet's private coordinator, the fleet bench, the socket tests.
+    local fleet's private coordinator and the socket tests.
     ``port=0`` binds an ephemeral port (read it back from ``port`` /
     ``url`` after :meth:`start`); ``service`` is the in-process
     :class:`StoreService`, board and claims included.

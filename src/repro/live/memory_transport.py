@@ -408,8 +408,8 @@ class MemoryOverlay:
         self.journal = journal
         #: Optional async ``workload(overlay)`` started once every node is
         #: booted and awaited before the final scrape — the only way onto
-        #: the virtual loop: the serve bench builds a
-        #: :func:`repro.serve.memory_backend` here and drives requests.
+        #: the virtual loop: avbench's serve workloads and the serve tests
+        #: build a :func:`repro.serve.memory_backend` here and drive requests.
         self._workload = workload
         self.workload_result: Any = None
         self.condition = ConsistencyCondition(

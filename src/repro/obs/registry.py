@@ -7,7 +7,7 @@ a *kind*:
 - ``DETERMINISTIC`` — counts that are a pure function of the seeded run
   (events processed, hash evaluations, retries, cache hits).  Snapshots of
   this slice are byte-equal across identical seeded runs and are gated in
-  CI exactly like the bench counters.
+  CI exactly like avbench's exact counts.
 - ``WALL`` — anything measured against a real clock (latencies, scan
   phase durations).  Structurally excluded from deterministic snapshots
   so timing noise can never leak into the compared bytes.

@@ -33,7 +33,6 @@ _EXPORTS = {
     "handle_connection": "http",
     "serve_http": "http",
     "MemoryHttpClient": "http",
-    "run_serve_bench": "bench",
 }
 
 __all__ = sorted(_EXPORTS)

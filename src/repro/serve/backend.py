@@ -7,7 +7,7 @@ is that observer: it binds one transport (real UDP or a
 table fresh from the introducer's directory, and drives an upgraded
 :class:`~repro.apps.query.QueryClient` through an async facade —
 ``await backend.query(target, l=2)`` — usable from the HTTP service, the
-``avmon live query`` one-shot CLI, and the load bench alike.
+``avmon live query`` one-shot CLI, and avbench's load workloads alike.
 
 Nodes learn the observer's address passively (every ``ReportRequest`` /
 ``HistoryRequest`` carries ``sender``, and the live receive path learns

@@ -162,7 +162,7 @@ async def handle_connection(
                 break
             method, target, headers, body_bytes = request
             # An explicit client identity beats the transport address:
-            # the bench runs many logical clients over one fabric.
+            # a load driver runs many logical clients over one fabric.
             identity = headers.get("x-client-id", client)
             body: Optional[dict] = None
             if body_bytes:

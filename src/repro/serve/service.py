@@ -373,7 +373,7 @@ class _BadRequest(Exception):
 
 def result_json(result: QueryResult) -> dict:
     """One QueryResult as the JSON shape every consumer shares (the
-    ``/availability`` endpoint, ``avmon live query``, the bench)."""
+    ``/availability`` endpoint, ``avmon live query``, avbench)."""
     return {
         "subject": result.subject,
         "availability": round(result.availability, 6),

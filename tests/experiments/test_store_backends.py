@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+import threading
 
 import pytest
 
@@ -215,8 +216,20 @@ class TestRetrySchedule:
     def _sleeps_for(self, monkeypatch, retries, backoff):
         import repro.experiments.store_backends as module
 
+        # time.sleep is process-wide: record only this thread's sleeps, so
+        # fleet-worker threads that earlier tests left polling cannot leak
+        # theirs into the schedule.
         slept = []
-        monkeypatch.setattr(module.time, "sleep", slept.append)
+        caller = threading.get_ident()
+        real_sleep = module.time.sleep
+
+        def sleep(seconds):
+            if threading.get_ident() == caller:
+                slept.append(seconds)
+            else:
+                real_sleep(seconds)
+
+        monkeypatch.setattr(module.time, "sleep", sleep)
         backend = SharedStoreBackend(
             "http://127.0.0.1:1", retries=retries, retry_backoff=backoff
         )

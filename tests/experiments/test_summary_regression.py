@@ -57,13 +57,7 @@ def test_store_key_is_stable(model, n, seed):
     assert stable_key_hash(config_key(config)) == expected_key
 
 
-@pytest.mark.parametrize(
-    "model,n,seed",
-    # The full grid at run granularity is slow; two cells cover the two
-    # churn regimes (static and leave/rejoin) end to end, and the sweep
-    # bench records the rest of the grid into BENCH_sweep.json.
-    [("STAT", 30, 1), ("SYNTH", 30, 1)],
-)
+@pytest.mark.parametrize("model,n,seed", sorted(GOLDEN))
 def test_summary_bytes_are_stable(model, n, seed):
     config = scenario(model, n, "test", seed=seed)
     result = run_simulation(config)

@@ -1,12 +1,8 @@
-"""CLI coverage for ``avmon serve``, ``avmon live query`` and the serve
-bench wiring (``avmon bench serve`` -> BENCH_serve.json)."""
+"""CLI coverage for ``avmon serve`` and ``avmon live query``."""
 
 from __future__ import annotations
 
 import io
-import json
-
-import pytest
 
 from repro.cli import build_parser, main
 
@@ -38,12 +34,6 @@ class TestServeParser:
         assert args.json
         assert args.control_port == 7711
 
-    def test_bench_serve_suite(self):
-        assert build_parser().parse_args(["bench", "serve"]).which == "serve"
-        assert build_parser().parse_args(["bench", "--serve"]).serve
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "nonsense"])
-
 
 class TestMissingOverlay:
     def test_serve_reports_missing_overlay(self):
@@ -56,58 +46,3 @@ class TestMissingOverlay:
             ["live", "query", "3", "--control-port", "29998"], out=out
         )
         assert code == 1
-
-
-class TestBenchServe:
-    def test_bench_serve_appends_trajectory(self, tmp_path):
-        out = io.StringIO()
-        code = main(
-            [
-                "bench", "serve", "--scale", "test",
-                "--out-dir", str(tmp_path), "--label", "cli-test", "--json",
-            ],
-            out=out,
-        )
-        assert code == 0
-        results = json.loads(out.getvalue())["serve"]
-        # >=1k requests through the HTTP surface, zero 5xx, and the
-        # limiter provably shed the overload phase's excess as 429s.
-        assert results["requests_total"] >= 1000
-        assert results["server_errors_total"] == 0
-        assert results["rate_limited_total"] > 0
-        for cell in results["cells"]:
-            assert cell["sustained"]["tally"].get("200", 0) > 0
-            assert cell["overload"]["tally"].get("429", 0) > 0
-            assert cell["sustained"]["counters"]["cache"]["hits"] > 0
-
-        trajectory = json.loads((tmp_path / "BENCH_serve.json").read_text())
-        assert trajectory["schema"] == 1
-        entry = trajectory["entries"][-1]
-        assert entry["label"] == "cli-test"
-        assert entry["scale"] == "test"
-        assert entry["results"]["cells"][0]["n"] == 10
-
-    def test_bench_all_excludes_serve(self, tmp_path, monkeypatch):
-        """The CI perf-smoke contract: `bench all` stays micro+sweep."""
-        import repro.experiments.bench as bench_mod
-
-        called = []
-        monkeypatch.setattr(
-            bench_mod, "run_micro_bench", lambda scale: called.append("micro") or {}
-        )
-        monkeypatch.setattr(
-            bench_mod,
-            "run_sweep_bench",
-            lambda scale, scale_out=None: called.append("sweep")
-            or {"cells": [], "total_wall_s": 0.0},
-        )
-        out = io.StringIO()
-        assert (
-            main(
-                ["bench", "all", "--scale", "test", "--out-dir", str(tmp_path)],
-                out=out,
-            )
-            == 0
-        )
-        assert called == ["micro", "sweep"]
-        assert not (tmp_path / "BENCH_serve.json").exists()

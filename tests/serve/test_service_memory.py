@@ -363,7 +363,7 @@ class TestPolicyLayers:
 
 class TestDeterminism:
     def test_metrics_byte_identical_across_identical_runs(self):
-        """The CI serve-smoke gate, in miniature: same seed, same request
+        """The CI perf-smoke serve gate, in miniature: same seed, same request
         schedule => byte-identical /metrics JSON (latencies included —
         they are virtual-clock measurements)."""
 
