@@ -37,6 +37,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.hashing import NodeId
+from .codec import encode
 from .control import (
     DirectoryReply,
     DirectoryRequest,
@@ -96,6 +97,11 @@ class Introducer:
         self._sync_task: Optional[asyncio.Task] = None
         #: Directory entries merged from peers (observability counter).
         self.synced_in = 0
+        #: Bumped on every change to the membership or an address.
+        self._version = 0
+        #: ``(floor, version, reply, encoded reply)`` as last rendered;
+        #: *floor* is the oldest ``last_seen`` among its entries.
+        self._directory: Optional[Tuple[float, int, DirectoryReply, bytes]] = None
 
     async def start(
         self,
@@ -205,6 +211,7 @@ class Introducer:
                 merged += 1
             self._last_seen[node] = seen
             self._addresses[node] = (host, port)
+            self._version += 1
         if merged:
             self.synced_in += merged
             self.journal.emit(
@@ -222,6 +229,7 @@ class Introducer:
             if seen < deadline:
                 del self._last_seen[node]
                 self._addresses.pop(node, None)
+                self._version += 1
                 self.journal.emit(
                     "introducer.expired", node=node, silent_s=round(now - seen, 3)
                 )
@@ -233,14 +241,35 @@ class Introducer:
             if now >= lifted_at:
                 del self._quarantine[node]
 
+    def _current_directory(self) -> Tuple[float, int, DirectoryReply, bytes]:
+        """The directory reply and its encoding, rendered once per change.
+
+        A render stays valid until the version moves or ``now - ttl``
+        passes its floor: until then every ``last_seen`` is at least the
+        floor, so :meth:`_expire` would delete (and journal) nothing.
+        """
+        now = self._clock()
+        cached = self._directory
+        if cached is None or cached[1] != self._version or now - self.ttl > cached[0]:
+            self._expire(now)
+            reply = DirectoryReply(
+                entries=tuple(
+                    (node, self._addresses[node][0], self._addresses[node][1])
+                    for node in sorted(self._last_seen)
+                    if node in self._addresses
+                )
+            )
+            cached = self._directory = (
+                min(self._last_seen.values(), default=math.inf),
+                self._version,
+                reply,
+                encode(reply),
+            )
+        return cached
+
     def alive_entries(self) -> Tuple[Tuple[NodeId, str, int], ...]:
         """Current alive peers as ``(node, host, port)``, sorted by id."""
-        self._expire(self._clock())
-        return tuple(
-            (node, self._addresses[node][0], self._addresses[node][1])
-            for node in sorted(self._last_seen)
-            if node in self._addresses
-        )
+        return self._current_directory()[2].entries
 
     def alive_count(self) -> int:
         return len(self.alive_entries())
@@ -260,6 +289,7 @@ class Introducer:
         self._last_seen.pop(node, None)
         self._addresses.pop(node, None)
         self._quarantine[node] = self._clock() + self.ttl
+        self._version += 1
 
     # -- message handling --------------------------------------------------
 
@@ -272,6 +302,7 @@ class Introducer:
             renewal = message.node in self._last_seen
             self._addresses[message.node] = (host, message.port)
             self._last_seen[message.node] = now
+            self._version += 1
             self.registrations += 1
             self.journal.emit(
                 "introducer.registered",
@@ -296,14 +327,14 @@ class Introducer:
                 return
             if message.node not in self._addresses:
                 self._addresses[message.node] = addr
+                self._version += 1
             self._last_seen[message.node] = now
         elif isinstance(message, Goodbye):
             self.journal.emit("introducer.goodbye", node=message.node)
             self.drop(message.node)
         elif isinstance(message, DirectoryRequest):
-            self._transport.send_to(
-                addr, DirectoryReply(entries=self.alive_entries())
-            )
+            _floor, _version, reply, data = self._current_directory()
+            self._transport.send_to(addr, reply, data)
         elif isinstance(message, IntroducerSync):
             self._merge_sync(message, now)
         # Anything else on this socket is ignored; the transport already

@@ -294,11 +294,14 @@ class MemoryTransport(DatagramEndpoint):
     def local_address(self) -> Address:
         return self._address
 
-    def send_to(self, address: Address, message: Any) -> int:
-        """Encode and route one message; returns the payload size."""
+    def send_to(
+        self, address: Address, message: Any, data: Optional[bytes] = None
+    ) -> int:
+        """Encode (unless *data* already is the encoding) and route one
+        message; returns the payload size."""
         if self._closed:
             return 0
-        data = encode(message)
+        data = encode(message) if data is None else data
         self.stats.datagrams_sent += 1
         self.stats.bytes_sent += len(data)
         self._network.deliver(self._address, address, data)
@@ -336,6 +339,9 @@ class MemoryFabric:
         self.network = MemoryNetwork(clock=lambda: loop.time() - epoch)
         #: Every node's latest life, inspectable after the run.
         self.nodes: Dict[NodeId, LiveNode] = {}
+        #: Node state snapshots (the JSON a node process would write to
+        #: its state file), keyed by state-file path; one dict per run.
+        self.states: Dict[str, str] = {}
         self._journal = journal
 
     def transport_factory(self, label: Optional[Label]):
@@ -356,6 +362,7 @@ class MemoryFabric:
             transport_factory=self.network.transport_factory(spec.node),
             clock=self.clock,
             journal=self._journal,
+            states=self.states,
         )
         try:
             await node.start()

@@ -11,11 +11,12 @@ introducer directory — so :class:`~repro.core.node.AvmonNode` runs
 :class:`LiveNode` is one complete participant: it owns the transport, the
 runtime, the protocol node and its periodic ticks, keeps the peer table
 fresh (directory refreshes plus passive address learning), persists
-protocol state to disk across restarts (the paper's "persistent storage"
-assumption), heartbeats the introducer, and answers the supervisor's
-status probes.  It can run in-process (the conformance tests boot several
-on one loop) or as a standalone OS process via
-:mod:`repro.live.node_main`.
+protocol state across restarts (the paper's "persistent storage"
+assumption) in a state store its fabric provides — files for node
+processes, a dict on the memory fabric — heartbeats the introducer, and
+answers the supervisor's status probes.  It can run in-process (the
+conformance tests boot several on one loop) or as a standalone OS
+process via :mod:`repro.live.node_main`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import pathlib
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, MutableMapping, Optional, Tuple
 
 from ..core.condition import ConsistencyCondition
 from ..core.config import AvmonConfig
@@ -50,12 +51,34 @@ from .control import (
 from .faults import FaultInjector, FaultPlan, Label, introducer_label
 from .transport import Address, PeerTable, UdpTransport
 
-__all__ = ["LiveNodeSpec", "LiveRuntime", "LiveNode", "referenced_ids"]
+__all__ = ["LiveNodeSpec", "LiveRuntime", "LiveNode", "StateFiles", "referenced_ids"]
 
 logger = logging.getLogger(__name__)
 
-#: On-disk node-state schema (see :meth:`LiveNode._save_state`).
+#: Node-state snapshot schema (see :meth:`LiveNode._save_state`).
 STATE_VERSION = 1
+
+
+class StateFiles:
+    """Node state snapshots as files, one per key (its path): the store a
+    :class:`LiveNode` uses unless its fabric hands it another mapping."""
+
+    def get(self, path: str) -> Optional[str]:
+        try:
+            return pathlib.Path(path).read_text(encoding="utf-8")
+        except (OSError, ValueError):  # missing, unreadable or not UTF-8
+            return None
+
+    def __setitem__(self, path: str, text: str) -> None:
+        atomic_write_text(path, text)
+
+    def pop(self, path: str, default: Optional[str] = None) -> Optional[str]:
+        text = self.get(path)
+        try:
+            pathlib.Path(path).unlink()
+        except OSError:
+            return default
+        return default if text is None else text
 
 
 #: The id-bearing fields :func:`referenced_ids` walks, in output order.
@@ -258,8 +281,11 @@ class LiveNode:
         transport_factory=None,
         clock: Optional[Callable[[], float]] = None,
         journal=None,
+        states: Optional[MutableMapping[str, str]] = None,
     ) -> None:
         self.spec = spec
+        #: Snapshot store keyed by ``spec.state_file`` (default: files).
+        self._states = states if states is not None else StateFiles()
         #: Obs event journal; the no-op null journal by default, the
         #: harness's shared journal on the in-memory fabric (failover and
         #: re-seed events land on the virtual clock, deterministically).
@@ -331,6 +357,9 @@ class LiveNode:
         self._fault_plan_json = ""
         self._join_window_start = 0.0
         self._join_counts: dict = {}
+        #: ``(entries, peers.revision, alive)`` as of the last directory
+        #: applied: an identical reply over an unchanged table is a no-op.
+        self._applied_directory: Tuple[Any, int, List[NodeId]] = (None, -1, [])
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -611,18 +640,19 @@ class LiveNode:
         self._introducer_last_reply = loop.time()
 
     def _on_directory(self, reply: DirectoryReply) -> None:
-        alive = []
-        for entry in reply.entries:
-            if len(entry) != 3:
-                continue
-            node_id, host, port = entry
-            if node_id == self.id:
+        entries, revision, alive = self._applied_directory
+        if revision != self.peers.revision or entries != reply.entries:
+            alive = []
+            for entry in reply.entries:
+                if len(entry) != 3:
+                    continue
+                node_id, host, port = entry
                 alive.append(node_id)
-                continue
-            self.relation.add_node(node_id)
-            self.peers.learn(node_id, (host, port))
-            alive.append(node_id)
-        self.peers.set_alive(alive)
+                if node_id != self.id:
+                    self.relation.add_node(node_id)
+                    self.peers.learn(node_id, (host, port))
+            self.peers.set_alive(alive)
+            self._applied_directory = (reply.entries, self.peers.revision, alive)
         self._directory_seen.set()
         self._maybe_reseed_cv(alive)
         if not self._joined:
@@ -712,10 +742,9 @@ class LiveNode:
         """Reload CV/PS/TS and ping counters saved by a previous life."""
         if not self.spec.state_file:
             return
-        path = pathlib.Path(self.spec.state_file)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            payload = json.loads(self._states.get(self.spec.state_file) or "")
+        except json.JSONDecodeError:  # no snapshot (""), or a corrupt one
             return
         if not isinstance(payload, dict) or payload.get("version") != STATE_VERSION:
             return
@@ -776,9 +805,7 @@ class LiveNode:
             },
         }
         try:
-            atomic_write_text(
-                self.spec.state_file, json.dumps(payload, sort_keys=True)
-            )
+            self._states[self.spec.state_file] = json.dumps(payload, sort_keys=True)
         except OSError:
             # A failed snapshot costs at most one period of state; the
             # node keeps running and the next snapshot retries.

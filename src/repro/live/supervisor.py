@@ -74,7 +74,7 @@ from .control import (
 )
 from .faults import SUPERVISOR, FaultPlan, introducer_label
 from .introducer import Introducer, IntroducerGroup  # noqa: F401 — re-export
-from .runtime import LiveNodeSpec
+from .runtime import LiveNodeSpec, StateFiles
 from .transport import Address, UdpTransport
 
 __all__ = [
@@ -144,6 +144,7 @@ class LiveConfig:
     #: in (requires ``introducers`` >= 2; never kills the last replica).
     kill_introducer_after: Optional[float] = None
     #: Node state files live here; empty -> a run-scoped temp directory.
+    #: Process fabric only: the memory fabric keeps the same JSON in memory.
     state_dir: str = ""
     #: Fault component key (registry kind ``fault``) shaping the network.
     fault: str = "NONE"
@@ -312,13 +313,6 @@ class _NodeHandle:
     task: Optional[asyncio.Task] = None
 
 
-def _unlink(state_file: str) -> None:
-    try:
-        pathlib.Path(state_file).unlink(missing_ok=True)
-    except OSError:
-        pass
-
-
 class _WallSim:
     """The ``sim`` facade churn models schedule against, on the fabric's
     monotonic clock (a virtual clock warps ``call_later`` too)."""
@@ -377,6 +371,8 @@ class ProcessFabric:
     def __init__(self, host: str) -> None:
         #: What infrastructure binds and nodes announce in ``Hello``.
         self.host = host
+        #: Node state snapshots: the files the node processes write.
+        self.states = StateFiles()
 
     def transport_factory(self, label):
         """Async ``(handler, host, port) -> endpoint``; no hub reads the
@@ -1146,7 +1142,7 @@ class LiveSupervisor:
         if forget:
             # Death is final: the paper grants persistent storage to
             # rejoining nodes only, so a dead node's store goes with it.
-            _unlink(handle.spec.state_file)
+            self.fabric.states.pop(handle.spec.state_file, None)
 
     def _take_down(
         self, handle: _NodeHandle, *, graceful: bool, forget: bool = False
@@ -1167,10 +1163,6 @@ class LiveSupervisor:
             host=self.fabric.host,
             introducers=self.introducer.addresses,
         )
-        # A new node owns no history: a file left in a reused state dir
-        # is another run's (the node's epoch guard cannot tell on a
-        # virtual clock, where every run shares one epoch).
-        _unlink(spec.state_file)
         handle = self._handles[node] = _NodeHandle(
             node=node, spec=spec, alive=True
         )

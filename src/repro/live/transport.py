@@ -73,18 +73,29 @@ class PeerTable:
     _addresses: Dict[NodeId, Address] = field(default_factory=dict)
     _by_address: Dict[Address, NodeId] = field(default_factory=dict)
     _alive: set = field(default_factory=set)
+    #: Bumped on every effective change to either mapping, so a caller
+    #: can tell that re-learning an unchanged directory would be a no-op.
+    revision: int = 0
 
     def learn(self, node: NodeId, address: Address) -> None:
         previous = self._addresses.get(node)
-        if previous is not None and previous != address:
-            self._by_address.pop(previous, None)
-        self._addresses[node] = address
-        self._by_address[address] = node
+        if previous != address:
+            # The old address may already name another node (its UDP port
+            # was reused): only release the reverse entry if it is ours.
+            if previous is not None and self._by_address.get(previous) == node:
+                del self._by_address[previous]
+            self._addresses[node] = address
+            self.revision += 1
+        if self._by_address.get(address) != node:
+            self._by_address[address] = node
+            self.revision += 1
 
     def forget(self, node: NodeId) -> None:
         address = self._addresses.pop(node, None)
-        if address is not None and self._by_address.get(address) == node:
-            self._by_address.pop(address, None)
+        if address is not None:
+            self.revision += 1
+            if self._by_address.get(address) == node:
+                self._by_address.pop(address, None)
         self._alive.discard(node)
 
     def address_of(self, node: NodeId) -> Optional[Address]:
@@ -253,16 +264,20 @@ class UdpTransport(DatagramEndpoint):
         host, port = self._transport.get_extra_info("sockname")[:2]
         return (host, port)
 
-    def send_to(self, address: Address, message: Any) -> int:
+    def send_to(
+        self, address: Address, message: Any, data: Optional[bytes] = None
+    ) -> int:
         """Encode and transmit one message; returns the payload size.
 
+        *data*, when given, is ``encode(message)`` already done by the
+        caller (the introducer sends one cached directory many times).
         With a fault injector attached the datagram may be lost (counted
         in ``stats.fault_dropped``), delayed or duplicated — but it always
         counts as sent: loss happens *after* the node paid to transmit.
         """
         if self._closed:
             return 0
-        data = encode(message)
+        data = encode(message) if data is None else data
         self.stats.datagrams_sent += 1
         self.stats.bytes_sent += len(data)
         deliveries = self._plan_deliveries(address)

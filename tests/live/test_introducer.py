@@ -151,8 +151,12 @@ def test_supervisor_drop_expires_immediately_and_quarantines():
 # the TTL timebase is a hand-advanced clock, so every expiry boundary is
 # exact instead of sleep-raced.
 
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from repro.live.codec import encode  # noqa: E402
 from repro.live.control import IntroducerSync  # noqa: E402
 from repro.live.introducer import IntroducerGroup  # noqa: E402
+from repro.obs import Journal  # noqa: E402
 
 
 class _Clock:
@@ -171,13 +175,16 @@ class _FakeTransport:
 
     def __init__(self) -> None:
         self.sent = []
+        #: What went on the wire: the caller's pre-encoded bytes if given.
+        self.payloads = []
 
     @property
     def local_address(self):
         return ("mem", 1)
 
-    def send_to(self, address, message) -> int:
+    def send_to(self, address, message, data=None) -> int:
         self.sent.append((address, message))
+        self.payloads.append(encode(message) if data is None else data)
         return 1
 
     def close(self) -> None:
@@ -360,3 +367,97 @@ def test_group_start_requires_no_factories_for_udp():
             group.close()
 
     run(scenario())
+
+
+# -- the directory cache against a re-rendering oracle -------------------------
+
+
+class _Rerendering(Introducer):
+    """The uncached directory path: expire and render on every read."""
+
+    def _current_directory(self):
+        self._expire(self._clock())
+        reply = DirectoryReply(
+            entries=tuple(
+                (node, self._addresses[node][0], self._addresses[node][1])
+                for node in sorted(self._last_seen)
+                if node in self._addresses
+            )
+        )
+        return None, None, reply, encode(reply)
+
+
+_NODES = st.integers(0, 5)
+#: Clock steps and sync ages that land on, just before and just past the
+#: 2 s TTL (and so the quarantine) edges, plus a non-dyadic step.
+_STEPS = st.sampled_from((0.0, 0.1, 0.5, 1.0, 1.5, 1.9, 2.0, 2.5))
+_OPS = st.one_of(
+    st.tuples(st.just("hello"), _NODES, st.integers(1, 3)),
+    st.tuples(st.just("heartbeat"), _NODES, st.integers(1, 3)),
+    st.tuples(st.just("goodbye"), _NODES),
+    st.tuples(st.just("drop"), _NODES),
+    st.tuples(
+        st.just("sync"),
+        st.lists(st.tuples(_NODES, st.integers(1, 3), _STEPS), max_size=4),
+    ),
+    st.tuples(st.just("directory"), _NODES),
+    st.tuples(st.just("is_alive"), _NODES),
+    st.tuples(st.just("push_sync")),
+    st.tuples(st.just("advance"), _STEPS),
+)
+
+
+def _apply(intro, op) -> None:
+    kind = op[0]
+    if kind == "hello":
+        intro._handle(Hello(node=op[1], port=op[2]), ("mem", 100 + op[1]))
+    elif kind == "heartbeat":
+        intro._handle(Heartbeat(node=op[1]), ("mem", op[2]))
+    elif kind == "goodbye":
+        intro._handle(Goodbye(node=op[1]), ("mem", 100 + op[1]))
+    elif kind == "drop":
+        intro.drop(op[1])
+    elif kind == "sync":
+        entries = tuple((n, "mem", port, age) for n, port, age in op[1])
+        sync = IntroducerSync(sender="peer", epoch=intro.epoch, entries=entries)
+        intro._handle(sync, ("mem", 50))
+    elif kind == "directory":
+        intro._handle(DirectoryRequest(node=op[1]), ("mem", 100 + op[1]))
+    elif kind == "is_alive":
+        intro.is_alive(op[1])
+    else:
+        intro.send_sync()
+
+
+@settings(max_examples=300)
+@given(st.lists(_OPS, max_size=40))
+def test_cached_directory_matches_rerendering_oracle(ops):
+    """Same ops on one clock: the cached introducer sends the same bytes
+    (directory replies and ``HelloAck.alive``), holds the same registry
+    and journals the same events at the same instants as one that expires
+    and renders on every request."""
+    clock = _Clock()
+    pair = []
+    for cls in (Introducer, _Rerendering):
+        journal = Journal(clock=clock)
+        intro = cls(ttl=2.0, epoch=50.0, clock=clock, journal=journal)
+        intro._transport = _FakeTransport()
+        intro.peers = (("mem", 99),)
+        pair.append(intro)
+    shipped, oracle = pair
+    for op in ops:
+        if op[0] == "advance":
+            clock.advance(op[1])
+        else:
+            _apply(shipped, op)
+            _apply(oracle, op)
+        assert shipped._addresses == oracle._addresses
+        assert shipped._last_seen == oracle._last_seen
+        assert shipped._transport.payloads == oracle._transport.payloads
+        assert shipped.journal.events == oracle.journal.events
+    assert shipped.alive_entries() == oracle.alive_entries()
+    assert shipped.journal.events == oracle.journal.events
+    for (_addr, message), data in zip(
+        shipped._transport.sent, shipped._transport.payloads
+    ):
+        assert data == encode(message)

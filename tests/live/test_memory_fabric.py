@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import pathlib
 
 import pytest
 from test_memory_transport import no_udp_sockets, overlay_config  # noqa: F401
@@ -101,12 +100,13 @@ def test_graceful_leaver_restores_persisted_state():
 def test_death_forgets_state_and_fault_target():
     async def workload(overlay):
         supervisor = overlay.supervisor
+        states = supervisor.fabric.states
         await asyncio.sleep(5.0)
-        state = pathlib.Path(supervisor._handles[2].spec.state_file)
-        before = state.exists(), 2 in supervisor._fault_targets()
+        key = supervisor._handles[2].spec.state_file
+        before = key in states, 2 in supervisor._fault_targets()
         supervisor.request_death(2)
         await asyncio.sleep(1.0)
-        after = state.exists(), 2 in supervisor._fault_targets()
+        after = key in states, 2 in supervisor._fault_targets()
         return before, after, supervisor.is_dead(2), supervisor.is_alive(2)
 
     _overlay, report, journal = _run(_churn_config(), workload)
@@ -232,9 +232,9 @@ def test_down_request_ends_the_run_early():
 
 def test_reused_state_dir_does_not_leak_into_the_next_run(tmp_path):
     """Every memory run is stamped with the same virtual epoch, so the
-    node-side "different overlay run" guard cannot fire: a fresh spawn
-    must clear its own state file.  k=4 relationships restored into a k=2
-    overlay would be consistency violations."""
+    node-side "different overlay run" guard cannot fire: each run's
+    snapshots must live in that run's own state store.  k=4 relationships
+    restored into a k=2 overlay would be consistency violations."""
     shared, fresh = tmp_path / "shared", tmp_path / "fresh"
     _run(overlay_config(k=4, state_dir=str(shared)))
     _o, reused, _j = _run(overlay_config(k=2, state_dir=str(shared)))

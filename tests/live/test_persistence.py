@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from repro.live.codec import wire_types
 from repro.live.introducer import Introducer
-from repro.live.runtime import LiveNode, LiveNodeSpec, referenced_ids
+from repro.live.runtime import LiveNode, LiveNodeSpec, StateFiles, referenced_ids
 from repro.core.messages import CvFetchReply, Join, Notify
 
 
@@ -140,6 +140,22 @@ def test_corrupt_state_file_is_ignored(tmp_path):
             introducer.close()
 
     asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+
+
+def test_state_files_write_get_pop(tmp_path):
+    """The file-backed store a node process keeps its snapshots in."""
+    store = StateFiles()
+    key = str(tmp_path / "node-4.json")
+    assert store.get(key) is None
+    store[key] = '{"version": 1}'
+    assert store.get(key) == '{"version": 1}'
+    assert [p.name for p in tmp_path.iterdir()] == ["node-4.json"]  # no temps
+    assert store.pop(key, None) == '{"version": 1}'
+    assert store.get(key) is None
+    assert store.pop(key, None) is None
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe")
+    assert store.get(str(tmp_path / "bad.json")) is None  # not UTF-8: no state
 
 
 def test_referenced_ids_walks_every_id_field():

@@ -7,6 +7,8 @@ import socket
 
 from repro.core.messages import CvPing, Join
 from repro.live.codec import encode
+from repro.live.control import DirectoryReply
+from repro.live.runtime import LiveNode, LiveNodeSpec
 from repro.live.transport import PeerTable, UdpTransport
 
 from test_wire_format import FORGED_DATAGRAMS
@@ -144,3 +146,71 @@ def test_peer_table():
     assert not peers.is_alive(2)
     peers.set_alive([1])
     assert 1 in peers and len(peers) == 1
+
+
+def test_learn_keeps_a_reused_address_with_its_new_owner():
+    """Node 1 gives up port 5000, node 2 binds it, then node 1 is heard
+    at its new port: node 2 must still resolve (fault labels read it)."""
+    peers = PeerTable()
+    old, new = ("mem", 5000), ("mem", 5001)
+    peers.learn(1, old)
+    peers.learn(2, old)
+    peers.learn(1, new)
+    assert peers.id_at(old) == 2
+    assert peers.id_at(new) == 1
+    assert peers.address_of(2) == old
+
+
+def test_revision_counts_only_effective_changes():
+    peers = PeerTable()
+    address = ("mem", 7)
+    peers.learn(1, address)
+    learned = peers.revision
+    peers.learn(1, address)
+    assert peers.revision == learned  # nothing changed
+    peers.learn(2, address)  # 2 now owns the reverse entry
+    moved = peers.revision
+    assert moved > learned
+    peers.learn(1, address)  # forward entry equal: reverse re-pointed
+    assert peers.id_at(address) == 1
+    assert peers.revision > moved
+    peers.forget(2)
+    assert peers.revision > moved + 1
+
+
+def _directory_node() -> LiveNode:
+    node = LiveNode(
+        LiveNodeSpec(
+            node=1, introducer_host="mem", introducer_port=1,
+            n_expected=4, k=2, cvs=3,
+        )
+    )
+    node._joined = True  # direct drive: no protocol node to begin_join
+    return node
+
+
+def test_unchanged_directory_is_applied_once():
+    node = _directory_node()
+    entries = ((1, "mem", 11), (2, "mem", 12), (3, "mem", 13))
+    node._on_directory(DirectoryReply(entries=entries))
+    assert node.peers.alive_ids() == (1, 2, 3)
+
+    def unexpected(*_args):
+        raise AssertionError("an unchanged directory was re-learned")
+
+    node.peers.learn = unexpected
+    node._on_directory(DirectoryReply(entries=entries))
+    assert node.peers.alive_ids() == (1, 2, 3)
+    assert node._directory_seen.is_set()
+
+
+def test_directory_reapplied_after_passive_move_restores_its_address():
+    """Passive learning moved peer 2; the same directory again must put
+    it back, so the unchanged-directory shortcut must not fire."""
+    node = _directory_node()
+    entries = ((1, "mem", 11), (2, "mem", 12))
+    node._on_directory(DirectoryReply(entries=entries))
+    node.peers.learn(2, ("mem", 99))
+    node._on_directory(DirectoryReply(entries=entries))
+    assert node.peers.address_of(2) == ("mem", 12)
+    assert node.peers.id_at(("mem", 12)) == 2

@@ -18,6 +18,12 @@ A deliberate byte move regenerates the table — and says so in the
 change log::
 
     PYTHONPATH=src python tests/live/test_virtual_loop_goldens.py
+
+``--check`` instead compares every case against the running version's
+table and exits 1 on any mismatch.  The script path needs no pytest, so
+it also runs under an interpreter that has only the standard library::
+
+    PYTHONPATH=src python3.12 tests/live/test_virtual_loop_goldens.py --check
 """
 
 from __future__ import annotations
@@ -26,7 +32,10 @@ import hashlib
 import io
 import sys
 
-import pytest
+try:
+    import pytest
+except ImportError:  # run as a script by an interpreter without pytest
+    pytest = None
 
 from repro.live.faults import FaultPlan, Partition
 from repro.live.memory_transport import MemoryOverlay
@@ -205,7 +214,6 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name,seed", CASES)
 def test_seeded_memory_fabric_bytes_match_the_pinned_digests(name, seed):
     golden = GOLDEN.get(sys.version_info[:2])
     if golden is None:
@@ -215,7 +223,33 @@ def test_seeded_memory_fabric_bytes_match_the_pinned_digests(name, seed):
     assert journal == golden[name, seed][1], "journal bytes moved"
 
 
+if pytest is not None:
+    test_seeded_memory_fabric_bytes_match_the_pinned_digests = (
+        pytest.mark.parametrize("name,seed", CASES)(
+            test_seeded_memory_fabric_bytes_match_the_pinned_digests
+        )
+    )
+
+
+def check() -> int:
+    """Compare every case with the running version's table; 1 on a miss."""
+    version = sys.version_info[:2]
+    golden = GOLDEN.get(version)
+    if golden is None:
+        print(f"no digests pinned for Python {version}")
+        return 1
+    failed = 0
+    for name, seed in CASES:
+        ok = digests(name, seed) == golden[name, seed]
+        failed += not ok
+        print(f"{'ok' if ok else 'MISMATCH':8} {name} seed={seed}")
+    print(f"Python {version}: {len(CASES) - failed}/{len(CASES)} match")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     print(f"    {sys.version_info[:2]}: {{")
     for name, seed in CASES:
         summary, journal = digests(name, seed)
