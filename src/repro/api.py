@@ -429,14 +429,6 @@ class ResultSet:
 
     # -- selection and aggregation ----------------------------------------
 
-    def filter(self, **params) -> "ResultSet":
-        """Results whose scenario fields equal every given value."""
-        return ResultSet(
-            entry
-            for entry in self._results
-            if all(getattr(entry.scenario, key) == value for key, value in params.items())
-        )
-
     def group_by(self, *names: str) -> Dict[Tuple, "ResultSet"]:
         """Group by scenario fields; keys are value tuples, in sweep order."""
         groups: Dict[Tuple, ResultSet] = {}

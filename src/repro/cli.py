@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import os
 import sys
@@ -157,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.add_argument(
         "--json", action="store_true", help="machine-readable listing"
     )
+    list_parser.set_defaults(handler=_cmd_list)
 
     run_parser = commands.add_parser("run", help="run one experiment (or 'all')")
     run_parser.add_argument(
@@ -177,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_arguments(run_parser)
     _add_cache_dir_argument(run_parser)
+    run_parser.set_defaults(handler=_cmd_run)
 
     sweep_parser = commands.add_parser(
         "sweep", help="sweep a churn model over system sizes x seeds"
@@ -228,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_arguments(sweep_parser)
     _add_cache_dir_argument(sweep_parser)
+    sweep_parser.set_defaults(handler=_cmd_sweep)
 
     _build_live_parser(commands)
     _build_serve_parser(commands)
@@ -294,6 +298,7 @@ def _build_fleet_parser(commands) -> None:
         help="worker identity in leases and journals "
         "(default: worker-<host>-<pid>)",
     )
+    worker.set_defaults(handler=_cmd_fleet_worker)
 
 
 def _build_obs_parser(commands) -> None:
@@ -315,6 +320,7 @@ def _build_obs_parser(commands) -> None:
     tail.add_argument(
         "--json", action="store_true", help="raw JSONL instead of the human render"
     )
+    tail.set_defaults(handler=_cmd_obs_tail)
 
     summary = obs_commands.add_parser(
         "summary", help="aggregate a journal: per-event counts and span timings"
@@ -323,6 +329,7 @@ def _build_obs_parser(commands) -> None:
     summary.add_argument(
         "--json", action="store_true", help="machine-readable aggregate"
     )
+    summary.set_defaults(handler=_cmd_obs_summary)
 
     scrape = obs_commands.add_parser(
         "scrape", help="fetch a /metrics endpoint (store daemon or serve)"
@@ -340,6 +347,7 @@ def _build_obs_parser(commands) -> None:
     scrape.add_argument(
         "--timeout", type=float, default=5.0, help="HTTP timeout seconds"
     )
+    scrape.set_defaults(handler=_cmd_obs_scrape)
 
 
 #: Default operator control port for ``avmon live`` (UDP, localhost).
@@ -498,10 +506,12 @@ def _build_live_parser(commands) -> None:
         "scrapes) to PATH; inspect with 'avmon obs'",
     )
     _add_cache_dir_argument(up)
+    up.set_defaults(handler=_cmd_live_up)
 
     status = live_commands.add_parser("status", help="probe a running overlay")
     _add_control_arguments(status)
     status.add_argument("--json", action="store_true", help="JSON output")
+    status.set_defaults(handler=_cmd_live_status)
 
     query = live_commands.add_parser(
         "query",
@@ -525,6 +535,7 @@ def _build_live_parser(commands) -> None:
     )
     query.add_argument("--json", action="store_true", help="JSON output")
     _add_control_arguments(query)
+    query.set_defaults(handler=_cmd_live_query)
 
     chaos = live_commands.add_parser(
         "chaos",
@@ -578,9 +589,11 @@ def _build_live_parser(commands) -> None:
         default=None,
         help="replace the fault plan's decision-stream seed",
     )
+    chaos.set_defaults(handler=_cmd_live_chaos)
 
     down = live_commands.add_parser("down", help="tear a running overlay down")
     _add_control_arguments(down)
+    down.set_defaults(handler=_cmd_live_down)
 
 
 def _build_serve_parser(commands) -> None:
@@ -646,6 +659,7 @@ def _build_serve_parser(commands) -> None:
         default=2.0,
         help="per-query overlay deadline in seconds (default: 2.0)",
     )
+    serve_parser.set_defaults(handler=_cmd_serve)
 
 
 def _build_store_parser(commands) -> None:
@@ -681,6 +695,7 @@ def _build_store_parser(commands) -> None:
         help="require 'Authorization: Bearer TOKEN' on every mutating "
         "verb (default: AVMON_STORE_TOKEN; reads stay open)",
     )
+    serve.set_defaults(handler=_cmd_store_serve)
 
     compact = store_commands.add_parser(
         "compact",
@@ -709,6 +724,7 @@ def _build_store_parser(commands) -> None:
         "(default: AVMON_STORE_TOKEN)",
     )
     compact.add_argument("--json", action="store_true", help="JSON output")
+    compact.set_defaults(handler=_cmd_store_compact)
 
     stat = store_commands.add_parser(
         "stat", help="totals and request counters of a store daemon"
@@ -721,6 +737,7 @@ def _build_store_parser(commands) -> None:
         "(default: AVMON_CACHE_DIR when it is a URL)",
     )
     stat.add_argument("--json", action="store_true", help="JSON output")
+    stat.set_defaults(handler=_cmd_store_stat)
 
 
 def _build_cache_parser(commands) -> None:
@@ -728,19 +745,25 @@ def _build_cache_parser(commands) -> None:
         "cache", help="inspect or clear the disk-backed summary store"
     )
     cache_commands = cache_parser.add_subparsers(dest="cache_command", required=True)
-    for name, help_text in (
-        ("ls", "list stored summaries"),
-        ("stat", "store totals (entries, bytes)"),
-        ("clear", "delete every stored summary"),
+    for name, help_text, handler in (
+        ("ls", "list stored summaries", _cmd_cache_ls),
+        ("stat", "store totals (entries, bytes)", _cmd_cache_stat),
+        ("clear", "delete every stored summary", _cmd_cache_clear),
     ):
         sub = cache_commands.add_parser(name, help=help_text)
         _add_cache_dir_argument(sub)
         if name != "clear":
             sub.add_argument("--json", action="store_true", help="JSON output")
+        sub.set_defaults(handler=handler)
 
 
-class CacheDirError(RuntimeError):
-    """--cache-dir points somewhere that cannot back a store."""
+class CliError(Exception):
+    """A command failed: :func:`main` prints ``error: MESSAGE`` to stderr
+    and exits with *code* (2 for bad arguments, 1 for runtime failures)."""
+
+    def __init__(self, message: str, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _store_from(args) -> Optional[SummaryStore]:
@@ -749,7 +772,7 @@ def _store_from(args) -> Optional[SummaryStore]:
     try:
         return SummaryStore.open(args.cache_dir)
     except (OSError, ValueError) as error:
-        raise CacheDirError(
+        raise CliError(
             f"cannot use cache dir {args.cache_dir!r}: {error}"
         ) from error
 
@@ -759,7 +782,10 @@ def _backend_from(args) -> Optional[ExecutionBackend]:
     if getattr(args, "backend", None) is None:
         return None
     params = dict(args.backend_param or ())
-    return resolve_backend(args.backend, jobs=args.jobs, **params)
+    try:
+        return resolve_backend(args.backend, jobs=args.jobs, **params)
+    except ValueError as error:
+        raise CliError(str(error)) from error
 
 
 def _report_store(store: Optional[SummaryStore]) -> None:
@@ -775,6 +801,17 @@ def _report_backend(backend: Optional[ExecutionBackend]) -> None:
     """One grep-able stderr line for backends with operational tallies."""
     if backend is not None and backend.stats_line():
         print(backend.stats_line(), file=sys.stderr)
+
+
+def _print_mapping(payload: dict, args, out) -> int:
+    """``--json``: the payload as sorted JSON; else one ``key: value`` line
+    per item, in the payload's order."""
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+    else:
+        for key, value in payload.items():
+            print(f"{key}: {value}", file=out)
+    return 0
 
 
 def _run_one(experiment_id: str, scale: str, cache: SimulationCache, jobs: int, out) -> None:
@@ -806,24 +843,17 @@ def _cmd_list(args, out) -> int:
 
 
 def _cmd_run(args, out) -> int:
-    try:
-        store = _store_from(args)
-        backend = _backend_from(args)
-    except (CacheDirError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    store = _store_from(args)
+    backend = _backend_from(args)
     cache = SimulationCache(store=store, backend=backend)
     if args.experiment == "all":
         for experiment_id in EXPERIMENTS:
             _run_one(experiment_id, args.scale, cache, args.jobs, out)
-        _report_store(store)
-        _report_backend(backend)
-        return 0
-    try:
-        _run_one(args.experiment, args.scale, cache, args.jobs, out)
-    except UnknownComponentError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    else:
+        try:
+            _run_one(args.experiment, args.scale, cache, args.jobs, out)
+        except UnknownComponentError as error:
+            raise CliError(str(error)) from error
     _report_store(store)
     _report_backend(backend)
     return 0
@@ -865,12 +895,8 @@ def _sweep_payload(results) -> dict:
 
 def _cmd_sweep(args, out) -> int:
     ns = args.n if args.n is not None else n_values(args.scale)
-    try:
-        store = _store_from(args)
-        backend = _backend_from(args)
-    except (CacheDirError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    store = _store_from(args)
+    backend = _backend_from(args)
     registry = journal = None
     if args.journal or args.obs_snapshot:
         from .obs import Journal, MetricsRegistry
@@ -902,11 +928,9 @@ def _cmd_sweep(args, out) -> int:
             backend=backend,
         )
     except ValueError as error:  # includes UnknownComponentError
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise CliError(str(error)) from error
     except SweepError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        raise CliError(str(error), 1) from error
     finally:
         if journal is not None:
             journal.emit("sweep.end", cells=len(ns) * args.seeds)
@@ -916,8 +940,7 @@ def _cmd_sweep(args, out) -> int:
             with open(args.obs_snapshot, "w", encoding="utf-8") as fh:
                 fh.write(registry.deterministic_json() + "\n")
         except OSError as error:
-            print(f"error: cannot write obs snapshot: {error}", file=sys.stderr)
-            return 2
+            raise CliError(f"cannot write obs snapshot: {error}") from error
     _report_store(store)
     _report_backend(backend)
     if args.json:
@@ -942,176 +965,152 @@ def _cmd_sweep(args, out) -> int:
     return 0
 
 
-def _cmd_live(args, out) -> int:
-    from .live.control import (
-        ChaosRequest,
-        DownRequest,
-        FaultRequest,
-        OverlayStatusRequest,
-        ServeStatusRequest,
+def _no_overlay(address) -> CliError:
+    return CliError(
+        f"no overlay answered at {address[0]}:{address[1]} "
+        f"(is `avmon live up` running with this control port?)",
+        1,
     )
-    from .live.faults import FaultPlan, parse_partition_groups
-    from .live.supervisor import LiveConfig, control_call, run_live
 
-    if args.live_command == "up":
-        return _cmd_live_up(args, out, LiveConfig, run_live)
-    address = (args.host, args.control_port)
+
+def _overlay_command(handler):
+    """Wrap a ``live`` operator command: it gets the control address, and a
+    control port nobody answers on exits 1 with one message."""
+
+    def run(args, out) -> int:
+        address = (args.host, args.control_port)
+        try:
+            return handler(args, out, address)
+        except (TimeoutError, asyncio.TimeoutError, OSError):
+            raise _no_overlay(address) from None
+
+    return run
+
+
+def _reply_fields(reply) -> dict:
+    """A control-plane reply's fields in declaration order, minus its probe id."""
+    fields = dataclasses.asdict(reply)
+    del fields["probe"]
+    return fields
+
+
+@_overlay_command
+def _cmd_live_status(args, out, address) -> int:
+    from .live.control import OverlayStatusRequest, ServeStatusRequest
+    from .live.supervisor import control_call
+
+    payload = _reply_fields(control_call(address, OverlayStatusRequest()))
     try:
-        if args.live_command == "query":
-            return _cmd_live_query(args, out, address)
-        if args.live_command == "status":
-            reply = control_call(address, OverlayStatusRequest())
-            payload = {
-                "nodes": reply.nodes,
-                "alive": reply.alive,
-                "elapsed": reply.elapsed,
-                "discovered_pairs": reply.discovered_pairs,
-                "expected_pairs": reply.expected_pairs,
-                "crashes": reply.crashes,
-            }
-            try:
-                # Answered only when a serving front end is attached; the
-                # short timeout is the "no serving surface" signal.
-                serve = control_call(
-                    address, ServeStatusRequest(), timeout=0.5
-                )
-                payload["serve"] = {
-                    "requests": serve.requests,
-                    "ok": serve.ok,
-                    "client_errors": serve.client_errors,
-                    "server_errors": serve.server_errors,
-                    "rate_limited": serve.rate_limited,
-                    "cache_hits": serve.cache_hits,
-                    "cache_misses": serve.cache_misses,
-                    "monitors_verified": serve.monitors_verified,
-                    "monitors_rejected": serve.monitors_rejected,
-                    "queries_timed_out": serve.queries_timed_out,
-                }
-            except (TimeoutError, asyncio.TimeoutError):
-                pass
-            if args.json:
-                print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-            else:
-                for key, value in payload.items():
-                    print(f"{key}: {value}", file=out)
-            return 0
-        if args.live_command == "chaos":
-            injecting = (
-                args.heal
-                or args.loss is not None
-                or args.partition is not None
-                or args.fault_seed is not None
-            )
-            if args.heal and (
-                args.loss is not None
-                or args.partition is not None
-                or args.fault_seed is not None
-            ):
-                print(
-                    "error: --heal clears the whole plan; it cannot be "
-                    "combined with --loss/--partition/--fault-seed",
-                    file=sys.stderr,
-                )
-                return 2
-            if injecting:
-                # Build a *sparse* update: only the fields the operator
-                # named, merged server-side onto the running plan — a
-                # partition pushed onto a `--fault WAN` overlay keeps the
-                # WAN loss/latency.  --heal replaces with a clean slate.
-                overrides = {}
-                if args.loss is not None:
-                    overrides["loss"] = args.loss
-                if args.fault_seed is not None:
-                    overrides["seed"] = args.fault_seed
-                if args.partition is not None:
-                    if args.partition:
-                        try:
-                            groups = parse_partition_groups(args.partition)
-                        except ValueError as error:
-                            print(f"error: {error}", file=sys.stderr)
-                            return 2
-                        if "supervisor" in {
-                            member for group in groups for member in group
-                        }:
-                            print(
-                                "warning: the 'supervisor' label only takes "
-                                "effect on the in-memory fabric; live UDP "
-                                "nodes cannot identify the supervisor's "
-                                "scrape endpoint",
-                                file=sys.stderr,
-                            )
-                        overrides["partitions"] = [
-                            {"groups": [list(group) for group in groups]}
-                        ]
-                    else:
-                        overrides["partitions"] = []
+        # Answered only when a serving front end is attached; the short
+        # timeout is the "no serving surface" signal.
+        serve = control_call(address, ServeStatusRequest(), timeout=0.5)
+        payload["serve"] = _reply_fields(serve)
+    except (TimeoutError, asyncio.TimeoutError):
+        pass
+    return _print_mapping(payload, args, out)
+
+
+@_overlay_command
+def _cmd_live_chaos(args, out, address) -> int:
+    from .live.control import ChaosRequest, FaultRequest
+    from .live.faults import FaultPlan, parse_partition_groups
+    from .live.supervisor import control_call
+
+    overriding = (
+        args.loss is not None
+        or args.partition is not None
+        or args.fault_seed is not None
+    )
+    injecting = args.heal or overriding
+    if args.heal and overriding:
+        raise CliError(
+            "--heal clears the whole plan; it cannot be "
+            "combined with --loss/--partition/--fault-seed"
+        )
+    if injecting:
+        # Build a *sparse* update: only the fields the operator named,
+        # merged server-side onto the running plan — a partition pushed
+        # onto a `--fault WAN` overlay keeps the WAN loss/latency.
+        # --heal replaces with a clean slate.
+        overrides = {}
+        if args.loss is not None:
+            overrides["loss"] = args.loss
+        if args.fault_seed is not None:
+            overrides["seed"] = args.fault_seed
+        if args.partition is not None:
+            if args.partition:
                 try:
-                    FaultPlan.from_dict(overrides)  # validate before pushing
+                    groups = parse_partition_groups(args.partition)
                 except ValueError as error:
-                    print(f"error: {error}", file=sys.stderr)
-                    return 2
-                request = (
-                    FaultRequest(plan="")
-                    if args.heal
-                    else FaultRequest(plan=json.dumps(overrides), merge=True)
-                )
-                reply = control_call(address, request)
-                if reply.applied < 0:
+                    raise CliError(str(error)) from error
+                if "supervisor" in {member for group in groups for member in group}:
                     print(
-                        "error: supervisor rejected the fault plan",
+                        "warning: the 'supervisor' label only takes "
+                        "effect on the in-memory fabric; live UDP "
+                        "nodes cannot identify the supervisor's "
+                        "scrape endpoint",
                         file=sys.stderr,
                     )
-                    return 1
-                action = "healed" if args.heal else "updated"
+                overrides["partitions"] = [
+                    {"groups": [list(group) for group in groups]}
+                ]
+            else:
+                overrides["partitions"] = []
+        try:
+            FaultPlan.from_dict(overrides)  # validate before pushing
+        except ValueError as error:
+            raise CliError(str(error)) from error
+        request = (
+            FaultRequest(plan="")
+            if args.heal
+            else FaultRequest(plan=json.dumps(overrides), merge=True)
+        )
+        reply = control_call(address, request)
+        if reply.applied < 0:
+            raise CliError("supervisor rejected the fault plan", 1)
+        action = "healed" if args.heal else "updated"
+        print(f"fault plan {action}: pushed to {reply.applied} nodes", file=out)
+    kill_introducers = 1 if args.kill_introducer else 0
+    kill = args.kill if args.kill is not None else (
+        0 if injecting or kill_introducers else 1
+    )
+    if kill > 0 or kill_introducers > 0:
+        reply = control_call(
+            address,
+            ChaosRequest(
+                kill=kill, downtime=args.downtime, kill_introducers=kill_introducers
+            ),
+        )
+        if kill > 0:
+            victims = ",".join(str(v) for v in reply.victims) or "(none)"
+            print(f"crashed: {victims}", file=out)
+        if kill_introducers > 0:
+            killed = ",".join(reply.introducers_killed)
+            if killed:
+                print(f"introducer killed: {killed}", file=out)
+            else:
                 print(
-                    f"fault plan {action}: pushed to {reply.applied} nodes",
+                    "introducer not killed (no surviving quorum to fail over to)",
                     file=out,
                 )
-            kill_introducers = 1 if args.kill_introducer else 0
-            kill = args.kill if args.kill is not None else (
-                0 if injecting or kill_introducers else 1
-            )
-            if kill > 0 or kill_introducers > 0:
-                reply = control_call(
-                    address,
-                    ChaosRequest(
-                        kill=kill,
-                        downtime=args.downtime,
-                        kill_introducers=kill_introducers,
-                    ),
-                )
-                if kill > 0:
-                    victims = ",".join(str(v) for v in reply.victims) or "(none)"
-                    print(f"crashed: {victims}", file=out)
-                if kill_introducers > 0:
-                    killed = ",".join(reply.introducers_killed)
-                    if killed:
-                        print(f"introducer killed: {killed}", file=out)
-                    else:
-                        print(
-                            "introducer not killed (no surviving quorum "
-                            "to fail over to)",
-                            file=out,
-                        )
-            return 0
-        reply = control_call(address, DownRequest())
-        print("overlay teardown initiated", file=out)
-        return 0
-    except (TimeoutError, asyncio.TimeoutError, OSError):
-        print(
-            f"error: no overlay answered at {address[0]}:{address[1]} "
-            f"(is `avmon live up` running with this control port?)",
-            file=sys.stderr,
-        )
-        return 1
+    return 0
 
 
-def _cmd_live_up(args, out, LiveConfig, run_live) -> int:
-    try:
-        store = _store_from(args)
-    except CacheDirError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+@_overlay_command
+def _cmd_live_down(args, out, address) -> int:
+    from .live.control import DownRequest
+    from .live.supervisor import control_call
+
+    control_call(address, DownRequest())
+    print("overlay teardown initiated", file=out)
+    return 0
+
+
+def _cmd_live_up(args, out) -> int:
+    from .live.supervisor import LiveConfig, run_live
+    from .obs import Journal, journal_from_env
+
+    store = _store_from(args)
     fault_params = {}
     if args.loss is not None:
         fault_params["loss"] = args.loss
@@ -1141,8 +1140,7 @@ def _cmd_live_up(args, out, LiveConfig, run_live) -> int:
         )
         config.resolved_fault_plan()  # validate params (e.g. --loss 1.5) now
     except ValueError as error:  # includes UnknownComponentError
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise CliError(str(error)) from error
     fault_note = "" if config.fault.upper() == "NONE" and not fault_params else (
         f", fault={config.fault}"
         + (f" loss={fault_params['loss']}" if "loss" in fault_params else "")
@@ -1152,14 +1150,11 @@ def _cmd_live_up(args, out, LiveConfig, run_live) -> int:
         f"(control port {config.control_port}{fault_note})",
         file=sys.stderr,
     )
-    from .obs import Journal, journal_from_env
-
     journal = Journal(args.journal) if args.journal else journal_from_env()
     try:
         report = run_live(config, store=store, journal=journal)
     except RuntimeError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        raise CliError(str(error), 1) from error
     finally:
         journal.close()
     _report_store(store)
@@ -1233,6 +1228,7 @@ def _observer_backend(info, *, host: str, query_timeout: float):
     )
 
 
+@_overlay_command
 def _cmd_live_query(args, out, address) -> int:
     from .live.control import OverlayInfoRequest
     from .live.supervisor import control_call
@@ -1290,12 +1286,7 @@ def _cmd_serve(args, out) -> int:
     try:
         info = control_call(address, OverlayInfoRequest())
     except (TimeoutError, asyncio.TimeoutError, OSError):
-        print(
-            f"error: no overlay answered at {address[0]}:{address[1]} "
-            f"(is `avmon live up` running with this control port?)",
-            file=sys.stderr,
-        )
-        return 1
+        raise _no_overlay(address) from None
     config = ServeConfig(
         cache_ttl=args.cache_ttl,
         global_rate=args.global_rate,
@@ -1330,95 +1321,60 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
+def _cmd_store_serve(args, out) -> int:
+    if not args.dir:
+        raise CliError("no store directory (pass --dir or set AVMON_CACHE_DIR)")
+    if is_url_spec(args.dir):
+        raise CliError("'store serve' needs a directory to serve, not a URL")
+    from .experiments.store_server import run_store_server
 
-
-def _cmd_store(args, out) -> int:
-    if args.store_command == "serve":
-        if not args.dir:
-            print(
-                "error: no store directory (pass --dir or set AVMON_CACHE_DIR)",
-                file=sys.stderr,
-            )
-            return 2
-        if is_url_spec(args.dir):
-            print(
-                "error: 'store serve' needs a directory to serve, not a URL",
-                file=sys.stderr,
-            )
-            return 2
-        from .experiments.store_server import run_store_server
-
-        try:
-            return run_store_server(
-                args.dir,
-                host=args.host,
-                port=args.port,
-                auth_token=args.auth_token,
-            )
-        except OSError as error:
-            print(f"error: cannot serve store: {error}", file=sys.stderr)
-            return 1
-    if args.store_command == "compact":
-        if not args.url or not is_url_spec(args.url):
-            print(
-                "error: 'store compact' needs a daemon URL (http://host:port)",
-                file=sys.stderr,
-            )
-            return 2
-        from .experiments.store_backends import SharedStoreBackend
-
-        backend = SharedStoreBackend(args.url, auth_token=args.auth_token)
-        try:
-            result = backend.compact(tmp_age=args.tmp_age)
-        except OSError as error:
-            print(
-                f"error: no store daemon at {args.url}: {error}",
-                file=sys.stderr,
-            )
-            return 1
-        finally:
-            backend.close()
-        if args.json:
-            print(json.dumps(result, indent=2, sort_keys=True), file=out)
-        else:
-            print(
-                f"compacted: removed_tmp={result.get('removed_tmp', 0)} "
-                f"removed_corrupt={result.get('removed_corrupt', 0)}",
-                file=out,
-            )
-        return 0
-    # stat
-    if not args.url or not is_url_spec(args.url):
-        print(
-            "error: 'store stat' needs a daemon URL (http://host:port)",
-            file=sys.stderr,
+    try:
+        return run_store_server(
+            args.dir, host=args.host, port=args.port, auth_token=args.auth_token
         )
-        return 2
+    except OSError as error:
+        raise CliError(f"cannot serve store: {error}", 1) from error
+
+
+def _ask_store_daemon(args, verb: str, auth_token=None, **params):
+    """``SharedStoreBackend.<verb>(**params)`` against the daemon at
+    ``args.url``; a daemon that does not answer exits 1."""
+    if not args.url or not is_url_spec(args.url):
+        raise CliError(f"'store {verb}' needs a daemon URL (http://host:port)")
     from .experiments.store_backends import SharedStoreBackend
 
-    backend = SharedStoreBackend(args.url)
+    backend = SharedStoreBackend(args.url, auth_token=auth_token)
     try:
-        payload = backend.stat()
+        return getattr(backend, verb)(**params)
     except OSError as error:
-        print(f"error: no store daemon at {args.url}: {error}", file=sys.stderr)
-        return 1
+        raise CliError(f"no store daemon at {args.url}: {error}", 1) from error
     finally:
         backend.close()
+
+
+def _cmd_store_compact(args, out) -> int:
+    result = _ask_store_daemon(
+        args, "compact", auth_token=args.auth_token, tmp_age=args.tmp_age
+    )
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        print(json.dumps(result, indent=2, sort_keys=True), file=out)
     else:
-        for key, value in sorted(payload.items()):
-            print(f"{key}: {value}", file=out)
+        print(
+            f"compacted: removed_tmp={result.get('removed_tmp', 0)} "
+            f"removed_corrupt={result.get('removed_corrupt', 0)}",
+            file=out,
+        )
     return 0
 
 
-def _cmd_fleet(args, out) -> int:
+def _cmd_store_stat(args, out) -> int:
+    payload = _ask_store_daemon(args, "stat")
+    return _print_mapping(dict(sorted(payload.items())), args, out)
+
+
+def _cmd_fleet_worker(args, out) -> int:
     if not is_url_spec(args.attach):
-        print(
-            "error: --attach needs a store daemon URL (http://host:port)",
-            file=sys.stderr,
-        )
-        return 2
+        raise CliError("--attach needs a store daemon URL (http://host:port)")
     from .experiments.backends import run_fleet_worker
 
     try:
@@ -1431,45 +1387,39 @@ def _cmd_fleet(args, out) -> int:
             name=args.name,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise CliError(str(error)) from error
 
 
-def _cmd_cache(args, out) -> int:
+def _open_cache(args) -> SummaryStore:
+    """The store ``avmon cache`` inspects; never creates a directory."""
     if not args.cache_dir:
-        print(
-            "error: no cache directory (pass --cache-dir or set AVMON_CACHE_DIR)",
-            file=sys.stderr,
+        raise CliError(
+            "no cache directory (pass --cache-dir or set AVMON_CACHE_DIR)"
         )
-        return 2
     if not is_url_spec(args.cache_dir) and not os.path.isdir(args.cache_dir):
         # Inspection must not create directories as a side effect (a typo'd
         # path would silently become a fresh empty store).
-        print(f"error: no such cache dir: {args.cache_dir}", file=sys.stderr)
-        return 2
+        raise CliError(f"no such cache dir: {args.cache_dir}")
     try:
-        store = SummaryStore.open(args.cache_dir)
+        return SummaryStore.open(args.cache_dir)
     except (OSError, ValueError) as error:
-        print(f"error: cannot open cache dir {args.cache_dir!r}: {error}", file=sys.stderr)
-        return 2
-    if args.cache_command == "clear":
-        try:
-            removed = store.clear()
-        except OSError as error:
-            print(f"error: cache clear failed: {error}", file=sys.stderr)
-            return 1
-        print(f"removed {removed} entries from {store.root}", file=out)
-        return 0
-    # Listing and totals go through the StoreBackend protocol, so the same
-    # subcommands inspect a local directory or a remote store daemon.
+        raise CliError(
+            f"cannot open cache dir {args.cache_dir!r}: {error}"
+        ) from error
+
+
+def _cache_entries(store: SummaryStore) -> List[dict]:
+    """One row per stored object, corrupt ones flagged ``"corrupt": True``.
+
+    Listing goes through the StoreBackend protocol, so the same
+    subcommands inspect a local directory or a remote store daemon."""
     entries = []
-    corrupt = 0
     try:
         backend_entries = store.entries()
     except OSError as error:
-        print(f"error: cannot list cache: {error}", file=sys.stderr)
-        return 1
+        raise CliError(f"cannot list cache: {error}", 1) from error
     for entry in backend_entries:
+        key = entry.name.rsplit(".", 1)[0]
         summary = store.read_entry(entry.name)
         if summary is None:
             try:
@@ -1477,14 +1427,11 @@ def _cmd_cache(args, out) -> int:
                     continue  # vanished under us (a concurrent `cache clear`)
             except OSError:
                 continue
-            corrupt += 1
-            entries.append(
-                {"key": entry.name.rsplit(".", 1)[0], "bytes": entry.size, "corrupt": True}
-            )
+            entries.append({"key": key, "bytes": entry.size, "corrupt": True})
         else:
             entries.append(
                 {
-                    "key": entry.name.rsplit(".", 1)[0],
+                    "key": key,
                     "bytes": entry.size,
                     "model": summary.model,
                     "n": summary.n,
@@ -1492,20 +1439,34 @@ def _cmd_cache(args, out) -> int:
                     "label": summary.label,
                 }
             )
-    if args.cache_command == "stat":
-        payload = {
-            "dir": str(store.root),
-            "entries": len(entries),
-            "corrupt": corrupt,
-            "total_bytes": sum(entry["bytes"] for entry in entries),
-        }
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        else:
-            for key, value in payload.items():
-                print(f"{key}: {value}", file=out)
-        return 0
-    # ls
+    return entries
+
+
+def _cmd_cache_clear(args, out) -> int:
+    store = _open_cache(args)
+    try:
+        removed = store.clear()
+    except OSError as error:
+        raise CliError(f"cache clear failed: {error}", 1) from error
+    print(f"removed {removed} entries from {store.root}", file=out)
+    return 0
+
+
+def _cmd_cache_stat(args, out) -> int:
+    store = _open_cache(args)
+    entries = _cache_entries(store)
+    payload = {
+        "dir": str(store.root),
+        "entries": len(entries),
+        "corrupt": sum(1 for entry in entries if entry.get("corrupt")),
+        "total_bytes": sum(entry["bytes"] for entry in entries),
+    }
+    return _print_mapping(payload, args, out)
+
+
+def _cmd_cache_ls(args, out) -> int:
+    store = _open_cache(args)
+    entries = _cache_entries(store)
     if args.json:
         print(json.dumps({"entries": entries}, indent=2, sort_keys=True), file=out)
         return 0
@@ -1525,48 +1486,57 @@ def _cmd_cache(args, out) -> int:
     return 0
 
 
-def _cmd_obs(args, out) -> int:
-    from .obs import read_events, render_event, summarize_events
+def _cmd_obs_scrape(args, out) -> int:
+    import urllib.error
+    import urllib.request
 
-    if args.obs_command == "scrape":
-        import urllib.error
-        import urllib.request
+    url = args.url
+    if args.format == "prometheus":
+        sep = "&" if "?" in url else "?"
+        url = f"{url}{sep}format=prometheus"
+    try:
+        with urllib.request.urlopen(url, timeout=args.timeout) as response:
+            body = response.read().decode("utf-8")
+    except (urllib.error.URLError, OSError, ValueError) as error:
+        raise CliError(f"cannot scrape {args.url}: {error}", 1) from error
+    if args.format == "json":
+        try:  # re-render canonically so scrapes diff cleanly
+            body = json.dumps(json.loads(body), indent=2, sort_keys=True)
+        except ValueError:
+            pass
+    print(body.rstrip("\n"), file=out)
+    return 0
 
-        url = args.url
-        if args.format == "prometheus":
-            sep = "&" if "?" in url else "?"
-            url = f"{url}{sep}format=prometheus"
-        try:
-            with urllib.request.urlopen(url, timeout=args.timeout) as response:
-                body = response.read().decode("utf-8")
-        except (urllib.error.URLError, OSError, ValueError) as error:
-            print(f"error: cannot scrape {args.url}: {error}", file=sys.stderr)
-            return 1
-        if args.format == "json":
-            try:  # re-render canonically so scrapes diff cleanly
-                body = json.dumps(json.loads(body), indent=2, sort_keys=True)
-            except ValueError:
-                pass
-        print(body.rstrip("\n"), file=out)
-        return 0
+
+def _journal_events(args) -> List[dict]:
+    from .obs import read_events
 
     try:
-        events = read_events(args.path)
+        return read_events(args.path)
     except OSError as error:
-        print(f"error: cannot read journal: {error}", file=sys.stderr)
-        return 1
-    if args.obs_command == "tail":
-        if args.event:
-            events = [e for e in events if args.event in e.get("event", "")]
-        if args.lines > 0:
-            events = events[-args.lines:]
-        for record in events:
-            if args.json:
-                print(json.dumps(record, sort_keys=True), file=out)
-            else:
-                print(render_event(record), file=out)
-        return 0
-    summary = summarize_events(events)
+        raise CliError(f"cannot read journal: {error}", 1) from error
+
+
+def _cmd_obs_tail(args, out) -> int:
+    from .obs import render_event
+
+    events = _journal_events(args)
+    if args.event:
+        events = [e for e in events if args.event in e.get("event", "")]
+    if args.lines > 0:
+        events = events[-args.lines:]
+    for record in events:
+        if args.json:
+            print(json.dumps(record, sort_keys=True), file=out)
+        else:
+            print(render_event(record), file=out)
+    return 0
+
+
+def _cmd_obs_summary(args, out) -> int:
+    from .obs import summarize_events
+
+    summary = summarize_events(_journal_events(args))
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True), file=out)
         return 0
@@ -1591,23 +1561,10 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list(args, out)
-        if args.command == "sweep":
-            return _cmd_sweep(args, out)
-        if args.command == "live":
-            return _cmd_live(args, out)
-        if args.command == "serve":
-            return _cmd_serve(args, out)
-        if args.command == "store":
-            return _cmd_store(args, out)
-        if args.command == "fleet":
-            return _cmd_fleet(args, out)
-        if args.command == "cache":
-            return _cmd_cache(args, out)
-        if args.command == "obs":
-            return _cmd_obs(args, out)
-        return _cmd_run(args, out)
+        return args.handler(args, out)
+    except CliError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return error.code
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -76,12 +76,6 @@ class CoarseView:
         self._items.append(node)
         return True
 
-    def add_if_room(self, node: NodeId) -> bool:
-        """Insert *node* only if the view has spare capacity."""
-        if self.is_full:
-            return False
-        return self.add(node)
-
     def remove(self, node: NodeId) -> bool:
         """Remove *node*; returns True if it was present."""
         position = self._index.get(node)

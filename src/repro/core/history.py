@@ -67,14 +67,6 @@ class RawHistory(AvailabilityHistory):
         """Full raw record (for prediction-style consumers)."""
         return tuple(self._samples)
 
-    def availability_between(self, start: float, end: float) -> float:
-        """Fraction of up samples whose timestamp lies in ``[start, end]``."""
-        if end < start:
-            raise ValueError(f"end ({end}) must be >= start ({start})")
-        window = [alive for when, alive in self._samples if start <= when <= end]
-        if not window:
-            return 0.0
-        return sum(window) / len(window)
 
 
 class RecentWindowHistory(AvailabilityHistory):

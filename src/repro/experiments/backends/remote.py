@@ -623,15 +623,17 @@ def _worker_loop(
     completed = 0
     idle_since = time.monotonic()
     while True:
+        pause = poll_interval
         try:
             status, response = backend.call(
                 "POST", "/tasks/claim", {"worker": name}
             )
         except OSError:
             # Daemon down or restarting: back off and retry attachment —
-            # a worker outliving its daemon is the normal deploy order.
-            time.sleep(max(poll_interval, 0.5))
-            continue
+            # a worker outliving its daemon is the normal deploy order —
+            # while the idle clock keeps running toward --max-idle.
+            status = response = None
+            pause = max(poll_interval, 0.5)
         task = response.get("task") if status == 200 else None
         if not task:
             if (
@@ -645,7 +647,7 @@ def _worker_loop(
                     flush=True,
                 )
                 return completed
-            time.sleep(poll_interval)
+            time.sleep(pause)
             continue
         _run_task(backend, task, name)
         completed += 1

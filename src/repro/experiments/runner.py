@@ -262,19 +262,6 @@ class Cluster:
     def first_join_time(self, node: NodeId) -> Optional[float]:
         return self._first_join.get(node)
 
-    def last_up_time(self, node: NodeId, default: float) -> float:
-        """End of the node's most recent up interval (*default* if still up).
-
-        Used as the truth window's end when auditing availability: a node
-        that departed for good is judged over its observable lifetime, the
-        same horizon its monitors' ping records cover.
-        """
-        intervals = self._uptime.get(node)
-        if not intervals:
-            return default
-        last_end = intervals[-1][1]
-        return default if last_end is None else last_end
-
     def alive_ids(self) -> Tuple[NodeId, ...]:
         return self.network.alive_ids()
 

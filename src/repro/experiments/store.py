@@ -5,7 +5,7 @@ its process; every CLI invocation of ``avmon run``/``avmon sweep`` used to
 recompute the same base simulations from scratch.  :class:`SummaryStore`
 persists each :class:`~repro.experiments.summary.SimulationSummary` as one
 JSON file whose name is a stable hash of the run's structural cache key
-(:func:`config_key`, also exposed as ``SimulationCache.key_of``), so
+(:func:`config_key`), so
 
 * a killed sweep resumed with the same arguments recomputes only the
   missing cells (the orchestrator consults the store before simulating and
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
 import warnings
 from typing import Optional, Tuple, Union
 
@@ -247,9 +246,6 @@ class SummaryStore:
         """Where *key*'s summary lives (a path, or a URL for shared stores)."""
         return self.backend.location(self.name_for(key))
 
-    def path_for_config(self, config: SimulationConfig):
-        return self.path_for(config_key(config))
-
     # -- persistence -------------------------------------------------------
 
     def load(self, key: Tuple) -> Optional[SimulationSummary]:
@@ -355,14 +351,6 @@ class SummaryStore:
         except OSError:
             return None
         if text is None:
-            return None
-        return self._parse(text)
-
-    def read_file(self, path: Union[str, os.PathLike]) -> Optional[SimulationSummary]:
-        """Parse one store file by filesystem path (legacy inspection API)."""
-        try:
-            text = pathlib.Path(path).read_text(encoding="utf-8")
-        except OSError:
             return None
         return self._parse(text)
 

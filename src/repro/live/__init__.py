@@ -38,43 +38,3 @@ Layers, bottom up:
 
 The CLI front end is ``avmon live up|status|chaos|down``.
 """
-
-import importlib
-
-# Exports resolve lazily (PEP 562): the simulation layer imports
-# ``repro.live.faults`` at module scope, and an eager supervisor import
-# here would close a cycle back through ``repro.experiments``.
-_EXPORTS = {
-    "CodecError": "codec",
-    "WIRE_VERSION": "codec",
-    "decode": "codec",
-    "encode": "codec",
-    "wire_types": "codec",
-    "FaultInjector": "faults",
-    "FaultPlan": "faults",
-    "LiveNode": "runtime",
-    "LiveRuntime": "runtime",
-    "MemoryNetwork": "memory_transport",
-    "MemoryTransport": "memory_transport",
-    "run_memory_overlay": "memory_transport",
-    "LiveConfig": "supervisor",
-    "LiveReport": "supervisor",
-    "live_config_key": "supervisor",
-    "run_live": "supervisor",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value  # cache: resolve each export once
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

@@ -83,14 +83,13 @@ __all__ = [
     "LiveSupervisor",
     "ProcessFabric",
     "StatusProber",
+    "audit_pairs",
     "build_live_report",
     "control_call",
     "live_config_key",
     "live_store_filename",
-    "pair_coverage",
     "run_live",
     "summarize_statuses",
-    "victim_recovery_ratio",
 ]
 
 
@@ -524,64 +523,45 @@ class StatusProber:
 # ----------------------------------------------------------------------
 
 
-def pair_coverage(
-    condition: ConsistencyCondition, statuses: Mapping[NodeId, StatusReply]
-) -> Tuple[int, int, int]:
-    """(discovered, expected, violations) over the scraped population.
+def audit_pairs(
+    condition: ConsistencyCondition,
+    statuses: Mapping[NodeId, StatusReply],
+    victims: Sequence[NodeId] = (),
+) -> Tuple[int, int, int, Optional[float]]:
+    """(discovered, expected, violations, victim_recovery) over the scraped
+    population, in one pass.
 
     Expected: every ordered pair ``(monitor, target)`` of *scraped* nodes
     satisfying the consistency condition.  Discovered: the pair's target
     reports the monitor in its PS.  Violations: reported PS/TS entries
     that fail the condition — the scheme's verifiability means any party
-    can run this audit.
+    can run this audit.  Victim recovery: the discovered share of the
+    expected pairs with a crash victim at either end (None when there are
+    no victims or no such pairs).
     """
+    victims = set(victims)
     population = sorted(statuses)
-    expected = 0
-    discovered = 0
-    violations = 0
+    expected = discovered = violations = 0
+    victim_expected = victim_discovered = 0
     holds = condition.holds
     for target in population:
         reported = {m for m, _t in statuses[target].ps}
+        target_is_victim = target in victims
         for monitor in population:
-            if monitor == target:
+            if monitor == target or not holds(monitor, target):
                 continue
-            if holds(monitor, target):
-                expected += 1
-                if monitor in reported:
-                    discovered += 1
+            found = monitor in reported
+            expected += 1
+            discovered += found
+            if target_is_victim or monitor in victims:
+                victim_expected += 1
+                victim_discovered += found
         violations += sum(1 for m in reported if not holds(m, target))
         violations += sum(
             1 for t in statuses[target].ts if not holds(target, t)
         )
-    return discovered, expected, violations
-
-
-def victim_recovery_ratio(
-    condition: ConsistencyCondition,
-    statuses: Mapping[NodeId, StatusReply],
-    victims,
-) -> Optional[float]:
-    """Coverage of pairs involving crash victims, post-recovery."""
-    victims = set(victims)
-    if not victims:
-        return None
-    holds = condition.holds
-    expected = 0
-    discovered = 0
-    for target, status in statuses.items():
-        reported = {m for m, _t in status.ps}
-        for monitor in statuses:
-            if monitor == target:
-                continue
-            if not (monitor in victims or target in victims):
-                continue
-            if holds(monitor, target):
-                expected += 1
-                if monitor in reported:
-                    discovered += 1
-    if expected == 0:
-        return None
-    return discovered / expected
+    recovery = victim_discovered / victim_expected if victim_expected else None
+    return discovered, expected, violations, recovery
 
 
 def summarize_statuses(
@@ -720,7 +700,9 @@ def build_live_report(
     n_longterm: int,
 ) -> LiveReport:
     """Audit + summarise one overlay run (any fabric) into a report."""
-    discovered, expected, violations = pair_coverage(condition, statuses)
+    discovered, expected, violations, recovery = audit_pairs(
+        condition, statuses, crash_victims
+    )
     if expected:
         ratio = discovered / expected
     elif len(statuses) >= 2:
@@ -750,7 +732,7 @@ def build_live_report(
         violations=violations,
         crashes=len(crash_victims),
         crash_victims=tuple(crash_victims),
-        victim_recovery=victim_recovery_ratio(condition, statuses, crash_victims),
+        victim_recovery=recovery,
         final_alive=final_alive,
         elapsed=elapsed,
         statuses=dict(statuses),
@@ -1378,7 +1360,7 @@ class LiveSupervisor:
 
     def _on_control(self, message, addr: Address) -> None:
         if isinstance(message, OverlayStatusRequest):
-            discovered, expected, _ = pair_coverage(
+            discovered, expected, _, _ = audit_pairs(
                 self.condition, self._last_statuses
             )
             self._control.send_to(

@@ -37,9 +37,6 @@ class DiscoveryTimeCollector:
             self._join_time[node] = join_time
             self._nth_delay[node] = {}
 
-    def is_tracked(self, node: NodeId) -> bool:
-        return node in self._join_time
-
     def tracked_count(self) -> int:
         return len(self._join_time)
 
@@ -106,35 +103,16 @@ class ComputationCollector:
     def total(self, node: NodeId) -> int:
         return self._counts.get(node, 0)
 
-    def rates_per_second(self, duration: float, nodes=None) -> List[float]:
-        """Computations/second for each node (restricted to *nodes* if given)."""
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        selected = self._counts.keys() if nodes is None else nodes
-        return [self._counts.get(node, 0) / duration for node in selected]
-
 
 class PingActivityCollector:
     """Monitoring-ping activity: useless pings (sent to absent nodes)."""
 
     def __init__(self) -> None:
         self._useless: Dict[NodeId, int] = defaultdict(int)
-        self._sent: Dict[NodeId, int] = defaultdict(int)
 
     def on_monitor_ping_sent(self, monitor: NodeId, useless: bool) -> None:
-        self._sent[monitor] += 1
         if useless:
             self._useless[monitor] += 1
-
-    def useless_per_minute(self, duration: float, nodes=None) -> List[float]:
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        minutes = duration / 60.0
-        selected = self._useless.keys() if nodes is None else nodes
-        return [self._useless.get(node, 0) / minutes for node in selected]
-
-    def sent_total(self, node: NodeId) -> int:
-        return self._sent.get(node, 0)
 
     def useless_total(self, node: NodeId) -> int:
         return self._useless.get(node, 0)

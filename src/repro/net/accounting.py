@@ -54,12 +54,6 @@ class BandwidthAccountant:
         entry = self._entries.get(node)
         return entry[1] if entry is not None else 0
 
-    def rate_bps(self, node: int, duration: float) -> float:
-        """Average outgoing bytes/second for *node* over *duration*."""
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        return self.bytes_out(node) / duration
-
     def nodes(self):
         return self._entries.keys()
 

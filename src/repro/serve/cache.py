@@ -154,9 +154,5 @@ class TtlCache:
             self.stats.evictions += 1
         self._entries[key] = _Entry(value=value, expires_at=self._now() + ttl)
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop *key* if present; returns whether it was cached."""
-        return self._entries.pop(key, None) is not None
-
     def clear(self) -> None:
         self._entries.clear()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from .format import AvailabilityTrace
 
@@ -90,10 +90,3 @@ def _median(sorted_values: List[float]) -> float:
         return sorted_values[mid]
     return (sorted_values[mid - 1] + sorted_values[mid]) / 2.0
 
-
-def _sessions_of(trace: AvailabilityTrace) -> Tuple[float, ...]:
-    """All session lengths across the trace (helper for tests)."""
-    lengths: List[float] = []
-    for node in trace.nodes.values():
-        lengths.extend(node.session_lengths())
-    return tuple(lengths)

@@ -216,32 +216,6 @@ class AvailabilityTrace:
         ]
         return cls(payload["duration"], nodes)
 
-    def to_csv_lines(self) -> List[str]:
-        """``node_id,start,end`` rows (one per session), header included."""
-        lines = ["node_id,session_start,session_end"]
-        for node in self.nodes.values():
-            for session in node.sessions:
-                lines.append(f"{node.node_id},{session.start},{session.end}")
-        return lines
-
-    @classmethod
-    def from_csv_lines(
-        cls, lines: Iterable[str], duration: float
-    ) -> "AvailabilityTrace":
-        sessions_by_node: Dict[int, List[Session]] = {}
-        for index, line in enumerate(lines):
-            stripped = line.strip()
-            if not stripped or (index == 0 and stripped.startswith("node_id")):
-                continue
-            node_text, start_text, end_text = stripped.split(",")
-            sessions_by_node.setdefault(int(node_text), []).append(
-                Session(float(start_text), float(end_text))
-            )
-        return cls(
-            duration,
-            [NodeTrace(node_id, sess) for node_id, sess in sessions_by_node.items()],
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"AvailabilityTrace(nodes={len(self.nodes)}, "

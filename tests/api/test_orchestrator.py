@@ -105,11 +105,6 @@ class TestResultSetHelpers:
         for value in means.values():
             assert value >= 0.0
 
-    def test_filter(self, serial_results):
-        only = serial_results.filter(n=16, seed=2)
-        assert len(only) == 1
-        assert only[0].summary.seed == 2
-
     def test_values_accepts_string_and_callable(self, serial_results):
         by_name = serial_results.values("average_discovery_time")
         by_call = serial_results.values(lambda s: s.average_discovery_time())

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.api import Scenario, expand_grid, run
-from repro.experiments.cache import SimulationCache
 from repro.experiments.scenarios import scale_window, scenario
+from repro.experiments.store import config_key
 from repro.net.latency import ConstantLatency
 from repro.registry import UnknownComponentError
 
@@ -60,7 +60,7 @@ class TestScenarioResolution:
         for model in ("STAT", "SYNTH", "SYNTH-BD"):
             legacy = scenario(model, 60, "test", seed=3)
             declarative = Scenario(model=model, n=60, scale="test", seed=3).to_config()
-            assert SimulationCache.key_of(legacy) == SimulationCache.key_of(declarative)
+            assert config_key(legacy) == config_key(declarative)
 
     def test_scale_sets_window(self):
         config = Scenario(model="STAT", n=30, scale="test").to_config()

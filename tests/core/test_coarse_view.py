@@ -62,12 +62,6 @@ class TestCapacityEviction:
         assert len(view) == 5
         assert 100 in view
 
-    def test_add_if_room_respects_capacity(self, view):
-        for node in range(5):
-            view.add(node)
-        assert not view.add_if_room(100)
-        assert 100 not in view
-
     def test_never_exceeds_capacity_under_stress(self, rng):
         view = CoarseView(owner=0, capacity=7)
         for _ in range(500):

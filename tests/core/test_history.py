@@ -27,18 +27,6 @@ class TestRawHistory:
         history.record(2.0, False)
         assert history.samples() == ((1.0, True), (2.0, False))
 
-    def test_availability_between(self):
-        history = RawHistory()
-        for t in range(10):
-            history.record(float(t), t < 5)
-        assert history.availability_between(0, 4) == 1.0
-        assert history.availability_between(5, 9) == 0.0
-        assert history.availability_between(100, 200) == 0.0
-
-    def test_availability_between_invalid(self):
-        with pytest.raises(ValueError):
-            RawHistory().availability_between(5, 1)
-
 
 class TestRecentWindowHistory:
     def test_window_limits_memory(self):

@@ -2,6 +2,7 @@
 
 from repro.experiments.cache import SimulationCache, default_cache
 from repro.experiments.scenarios import scenario
+from repro.experiments.store import config_key
 from repro.traces.planetlab import generate_planetlab_trace
 
 
@@ -10,30 +11,29 @@ class TestSimulationCache:
         cache = SimulationCache()
         config_a = scenario("STAT", 30, "test", seed=4)
         config_b = scenario("STAT", 30, "test", seed=4)
-        first = cache.get(config_a)
-        second = cache.get(config_b)
+        first = cache.get_summary(config_a)
+        second = cache.get_summary(config_b)
         assert first is second
-        assert len(cache) == 1
+        assert cache.summary_count() == 1
 
     def test_distinct_seed_distinct_run(self):
         cache = SimulationCache()
-        first = cache.get(scenario("STAT", 30, "test", seed=1))
-        second = cache.get(scenario("STAT", 30, "test", seed=2))
+        first = cache.get_summary(scenario("STAT", 30, "test", seed=1))
+        second = cache.get_summary(scenario("STAT", 30, "test", seed=2))
         assert first is not second
-        assert len(cache) == 2
+        assert cache.summary_count() == 2
 
     def test_avmon_overrides_change_key(self):
-        cache = SimulationCache()
         config_a = scenario("STAT", 30, "test", seed=1)
         config_b = scenario("STAT", 30, "test", seed=1)
         config_b.avmon = config_b.resolved_avmon().with_overrides(enable_pr2=True)
-        assert cache.key_of(config_a) != cache.key_of(config_b)
+        assert config_key(config_a) != config_key(config_b)
 
     def test_clear(self):
         cache = SimulationCache()
-        cache.get(scenario("STAT", 30, "test", seed=1))
+        cache.get_summary(scenario("STAT", 30, "test", seed=1))
         cache.clear()
-        assert len(cache) == 0
+        assert cache.summary_count() == 0
 
     def test_default_cache_is_singleton(self):
         assert default_cache() is default_cache()
@@ -47,7 +47,7 @@ class TestSimulationCache:
         assert len(trace_a) == len(trace_b)  # the old fingerprint collided
         config_a = scenario("PL", 10, "test", trace=trace_a)
         config_b = scenario("PL", 10, "test", trace=trace_b)
-        assert SimulationCache.key_of(config_a) != SimulationCache.key_of(config_b)
+        assert config_key(config_a) != config_key(config_b)
 
     def test_trace_key_stable_for_identical_content(self):
         duration = 1500.0
@@ -55,7 +55,7 @@ class TestSimulationCache:
         trace_b = generate_planetlab_trace(n=10, duration=duration, seed=3)
         config_a = scenario("PL", 10, "test", trace=trace_a)
         config_b = scenario("PL", 10, "test", trace=trace_b)
-        assert SimulationCache.key_of(config_a) == SimulationCache.key_of(config_b)
+        assert config_key(config_a) == config_key(config_b)
 
     def test_summary_memoised(self):
         cache = SimulationCache()
@@ -64,8 +64,6 @@ class TestSimulationCache:
         second = cache.get_summary(config)
         assert first is second
         assert cache.summary_count() == 1
-        # serial get_summary retains the full result too
-        assert len(cache) == 1
 
     def test_prime_runs_each_config_once(self):
         cache = SimulationCache()

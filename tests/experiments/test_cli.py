@@ -1,7 +1,9 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import io
 import json
+import socket
 
 import pytest
 
@@ -176,3 +178,44 @@ class TestCliCacheDir:
             return [l for l in text.splitlines() if not l.startswith("== ")]
 
         assert body(second.getvalue()) == body(first.getvalue())
+
+
+def _parser_tree(parser, path=()):
+    """Every ``(path, parser, is_leaf)`` of the CLI, depth first."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    yield path, parser, not groups
+    for action in groups:
+        for name, sub in action.choices.items():
+            yield from _parser_tree(sub, path + (name,))
+
+
+class TestCliRegistration:
+    def test_every_leaf_resolves_to_a_handler(self):
+        tree = list(_parser_tree(build_parser()))
+        leaves = [(path, parser) for path, parser, leaf in tree if leaf]
+        assert len(tree) == 25 and len(leaves) == 19
+        for path, parser in leaves:
+            assert callable(parser.get_default("handler")), path
+
+    def test_every_help_page_exits_zero(self, capsys):
+        for path, _parser, _leaf in _parser_tree(build_parser()):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*path, "--help"])
+            assert exit_info.value.code == 0, path
+            usage = " ".join(("usage: avmon",) + path)
+            assert capsys.readouterr().out.startswith(usage + " [-h]"), path
+
+    def test_command_error_exits_2_with_its_message(self, capsys):
+        assert main(["fleet", "worker", "--attach", "/tmp/not-a-url"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --attach needs a store daemon URL (http://host:port)\n"
+        )
+
+    def test_unreachable_daemon_exits_1(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        assert main(["store", "stat", url]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: no store daemon at {url}: ")
+        assert "unreachable" in err and err.count("\n") == 1

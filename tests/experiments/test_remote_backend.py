@@ -17,12 +17,15 @@ components into their process.  The guarantees under test:
 
 from __future__ import annotations
 
+import io
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.experiments.backends import RemoteWorkerBackend, run_fleet_worker
+from repro.experiments.backends.remote import _worker_loop
 from repro.experiments.orchestrator import SweepError, run_configs
 from repro.experiments.runner import SimulationConfig
 from repro.experiments.store import SummaryStore, config_key
@@ -370,3 +373,27 @@ class TestDaemonRestartMidSweep:
         # ...and every cell was computed exactly once, post-restart.
         assert counts.get("fleet.cell_done") == len(configs)
         assert counts.get("fleet.cell_adopted", 0) == 0
+
+
+@pytest.mark.udp
+def test_idle_worker_exits_while_its_daemon_is_unreachable():
+    """``--max-idle`` keeps counting while the daemon is down: a worker
+    attached to a closed port gives up instead of polling forever."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    completed = []
+    worker = threading.Thread(
+        target=lambda: completed.append(
+            _worker_loop(
+                f"http://127.0.0.1:{port}", "w-orphan", 0.05, 0.3, None, io.StringIO()
+            )
+        ),
+        daemon=True,
+    )
+    started = time.monotonic()
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive(), "worker kept polling an unreachable daemon"
+    assert time.monotonic() - started < 2.5
+    assert completed == [0]

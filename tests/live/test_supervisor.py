@@ -14,9 +14,11 @@ import pytest
 
 from repro.core.condition import ConsistencyCondition
 from repro.experiments.store import SummaryStore
+from repro.live.control import StatusReply
 from repro.live.supervisor import (
     LiveConfig,
     LiveSupervisor,
+    audit_pairs,
     build_live_report,
     live_config_key,
     live_store_filename,
@@ -162,6 +164,46 @@ def test_empty_scrape_reports_zero_discovery():
     )
     assert report.expected_pairs == 0
     assert report.discovery_ratio == 0.0
+
+
+def _audit_oracle(condition, statuses, victims):
+    """The audit by brute force: list every pair, then count."""
+    nodes = list(statuses)
+    pairs = [
+        (m, t) for t in nodes for m in nodes if m != t and condition.holds(m, t)
+    ]
+    found = [(m, t) for m, t in pairs if m in dict(statuses[t].ps)]
+    violations = sum(
+        not condition.holds(m, t) for t in nodes for m, _ in statuses[t].ps
+    ) + sum(not condition.holds(t, x) for t in nodes for x in statuses[t].ts)
+    victim_pairs = [pair for pair in pairs if set(pair) & set(victims)]
+    victim_found = [pair for pair in found if set(pair) & set(victims)]
+    recovery = len(victim_found) / len(victim_pairs) if victim_pairs else None
+    return len(found), len(pairs), violations, recovery
+
+
+def test_audit_matches_brute_force_oracle():
+    """Hand-built scrapes: every other true monitor reported, one PS and
+    one TS entry that fail the condition, and several victim sets."""
+    condition = ConsistencyCondition(3, 8)
+    nodes = range(8)
+    monitors = {t: [m for m in nodes if condition.holds(m, t)] for t in nodes}
+    liar = next(m for m in nodes if m != 0 and not condition.holds(m, 0))
+    stray = next(x for x in nodes if x != 1 and not condition.holds(1, x))
+    statuses = {}
+    for t in nodes:
+        ps = [(m, 1.0) for m in monitors[t][::2]] + ([(liar, 2.0)] if t == 0 else [])
+        ts = [x for x in nodes if condition.holds(t, x)] + ([stray] if t == 1 else [])
+        statuses[t] = StatusReply(node=t, ps=tuple(ps), ts=tuple(ts))
+    for victims in ((), (2,), (2, 5), (99,)):
+        audit = audit_pairs(condition, statuses, victims)
+        assert audit == _audit_oracle(condition, statuses, victims), victims
+    discovered, expected, violations, recovery = audit_pairs(condition, statuses)
+    assert 0 < discovered < expected
+    assert violations == 2
+    assert recovery is None
+    assert audit_pairs(condition, statuses, (99,))[3] is None
+    assert 0.0 < audit_pairs(condition, statuses, (2, 5))[3] < 1.0
 
 
 def test_unknown_churn_component_fails_fast():

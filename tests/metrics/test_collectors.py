@@ -70,16 +70,12 @@ class TestComputationCollector:
         collector = ComputationCollector()
         collector.on_computations(1, 600)
         collector.on_computations(1, 600)
-        assert collector.rates_per_second(60.0, [1]) == [20.0]
+        assert collector.total(1) == 1200
 
     def test_selection_includes_zero_nodes(self):
         collector = ComputationCollector()
         collector.on_computations(1, 60)
-        assert collector.rates_per_second(60.0, [1, 2]) == [1.0, 0.0]
-
-    def test_invalid_duration(self):
-        with pytest.raises(ValueError):
-            ComputationCollector().rates_per_second(0.0)
+        assert [collector.total(node) for node in (1, 2)] == [60, 0]
 
 
 class TestPingActivityCollector:
@@ -88,9 +84,8 @@ class TestPingActivityCollector:
         collector.on_monitor_ping_sent(1, useless=True)
         collector.on_monitor_ping_sent(1, useless=False)
         collector.on_monitor_ping_sent(1, useless=True)
-        assert collector.useless_per_minute(120.0, [1]) == [1.0]
-        assert collector.sent_total(1) == 3
         assert collector.useless_total(1) == 2
+        assert collector.useless_total(2) == 0
 
 
 class TestMetricsHub:

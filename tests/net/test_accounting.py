@@ -27,15 +27,6 @@ class TestBandwidthAccountant:
         assert accountant.bytes_out(99) == 0
         assert accountant.messages_out(99) == 0
 
-    def test_rate(self):
-        accountant = BandwidthAccountant()
-        accountant.charge(1, 600)
-        assert accountant.rate_bps(1, 60.0) == pytest.approx(10.0)
-
-    def test_rate_invalid_duration(self):
-        with pytest.raises(ValueError):
-            BandwidthAccountant().rate_bps(1, 0.0)
-
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             BandwidthAccountant().charge(1, -5)

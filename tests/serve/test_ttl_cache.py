@@ -146,21 +146,6 @@ def test_zero_ttl_is_passthrough_but_still_single_flights():
     assert asyncio.run(scenario())
 
 
-def test_invalidate():
-    async def scenario():
-        cache = TtlCache(ttl=10.0)
-
-        async def loader():
-            return "x"
-
-        await cache.get("k", loader)
-        assert cache.invalidate("k")
-        assert not cache.invalidate("k")
-        return True
-
-    assert asyncio.run(scenario())
-
-
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         TtlCache(ttl=-1.0)

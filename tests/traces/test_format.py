@@ -135,16 +135,3 @@ class TestAvailabilityTrace:
         assert len(restored) == len(trace)
         assert restored.node(2).death == 80.0
         assert restored.node(1).sessions == trace.node(1).sessions
-
-    def test_csv_roundtrip(self):
-        trace = sample_trace()
-        restored = AvailabilityTrace.from_csv_lines(
-            trace.to_csv_lines(), duration=100.0
-        )
-        assert len(restored) == 3
-        assert restored.node(1).sessions == trace.node(1).sessions
-
-    def test_csv_skips_blank_lines(self):
-        lines = ["node_id,session_start,session_end", "", "0,1.0,2.0", "  "]
-        restored = AvailabilityTrace.from_csv_lines(lines, duration=10.0)
-        assert restored.node(0).sessions == (Session(1.0, 2.0),)

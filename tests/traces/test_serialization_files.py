@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.traces import generate_overnet_trace, generate_planetlab_trace
+from repro.traces import generate_overnet_trace
 from repro.traces.format import AvailabilityTrace
 
 
@@ -33,30 +33,3 @@ class TestJsonFiles:
         assert restored.churn_per_hour == original.churn_per_hour
         assert restored.n_longterm == original.n_longterm
 
-
-class TestCsvFiles:
-    def test_csv_file_roundtrip(self, trace, tmp_path):
-        path = tmp_path / "overnet.csv"
-        path.write_text("\n".join(trace.to_csv_lines()))
-        with open(path) as handle:
-            restored = AvailabilityTrace.from_csv_lines(handle, trace.duration)
-        # CSV drops death annotations but preserves all sessions of nodes
-        # that ever appeared.
-        originals_with_sessions = {
-            node_id for node_id, node in trace.nodes.items() if node.sessions
-        }
-        assert set(restored.nodes) == originals_with_sessions
-        for node_id in originals_with_sessions:
-            assert restored.node(node_id).sessions == trace.node(node_id).sessions
-
-    def test_planetlab_roundtrip_keeps_availability(self, tmp_path):
-        trace = generate_planetlab_trace(n=10, duration=6 * 3600.0, seed=2)
-        restored = AvailabilityTrace.from_csv_lines(
-            trace.to_csv_lines(), trace.duration
-        )
-        for node_id in restored.nodes:
-            assert restored.node(node_id).availability(
-                0, trace.duration
-            ) == pytest.approx(
-                trace.node(node_id).availability(0, trace.duration)
-            )
