@@ -786,6 +786,10 @@ def _backend_from(args) -> Optional[ExecutionBackend]:
         return resolve_backend(args.backend, jobs=args.jobs, **params)
     except ValueError as error:
         raise CliError(str(error)) from error
+    except TypeError as error:  # a parameter the backend does not take
+        raise CliError(
+            f"bad --backend-param for backend {args.backend!r}: {error}"
+        ) from error
 
 
 def _report_store(store: Optional[SummaryStore]) -> None:

@@ -94,10 +94,6 @@ class ConsistencyCondition:
         """
         self._hasher.scan_targets(monitor, ids, packed, start, stop, self.bound, emit)
 
-    def scan_monitors(self, target, ids, packed, start, stop, emit) -> None:
-        """Emit every id in ``ids[start:stop]`` that would watch *target*."""
-        self._hasher.scan_monitors(target, ids, packed, start, stop, self.bound, emit)
-
     # The two directed views of the same relation, named for readability at
     # call sites that think in terms of pinging sets and target sets.
 

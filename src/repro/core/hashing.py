@@ -8,6 +8,13 @@ the first 64 bits of the digest (Section 5); we reproduce exactly that, and
 additionally offer SHA-1, BLAKE2b and a fast non-cryptographic SplitMix64
 mixer for very large simulations.
 
+The digests are the paper's MD5 (and SHA-1), computed by CPython's builtin
+implementations (``_md5``, ``_sha1``): on a 12-byte input they skip the
+OpenSSL EVP set-up that ``hashlib``'s constructors pay per call (about half
+the cost per pair on CPython 3.11, x86_64).  Where an interpreter lacks those
+modules, ``hashlib``'s constructors are used; both give the same digest, so
+nothing seeded depends on which one runs.
+
 Node identities in this library are plain integers.  To stay faithful to the
 paper's hashing over endpoints, each integer id is packed into a synthetic
 6-byte ``<IP, port>`` endpoint (4 bytes of address, 2 bytes of port) before
@@ -18,7 +25,12 @@ back-of-the-envelope computation cost analysis (Section 4.1).
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict
+
+try:
+    from _md5 import md5 as _md5
+    from _sha1 import sha1 as _sha1
+except ImportError:  # an interpreter built without the builtin modules
+    _md5, _sha1 = hashlib.md5, hashlib.sha1
 
 __all__ = [
     "NodeId",
@@ -37,7 +49,7 @@ NodeId = int
 #: Number of bytes a packed ``<IP, port>`` endpoint occupies.
 ENDPOINT_BYTES = 6
 
-#: Normalisation constant: first 64 bits of a digest divided by 2**64.
+#: Normalisation constant: ``H(a, b)`` is its raw 64-bit value over 2**64.
 _TWO_64 = float(2**64)
 
 # SplitMix64 constants (Steele, Lea, Flood 2014); used by the fast
@@ -45,6 +57,10 @@ _TWO_64 = float(2**64)
 _SM64_GAMMA = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
+#: Salt mixed into the SplitMix64 pair derivation.  Two dependent rounds keep
+#: the pair ordering significant: H(a,b) and H(b,a) are unrelated values,
+#: exactly as for the cryptographic hashes.
+_SM64_PAIR_SALT = 0xA5A5A5A5A5A5A5A5
 _MASK64 = (1 << 64) - 1
 
 
@@ -69,26 +85,6 @@ def unpack_endpoint(data: bytes) -> NodeId:
     return int.from_bytes(data, "big")
 
 
-def _digest_to_unit(digest: bytes) -> float:
-    """Map the first 64 bits of a digest to ``[0, 1)``."""
-    return int.from_bytes(digest[:8], "big") / _TWO_64
-
-
-def _md5_pair(a: NodeId, b: NodeId) -> float:
-    return _digest_to_unit(hashlib.md5(pack_endpoint(a) + pack_endpoint(b)).digest())
-
-
-def _sha1_pair(a: NodeId, b: NodeId) -> float:
-    return _digest_to_unit(hashlib.sha1(pack_endpoint(a) + pack_endpoint(b)).digest())
-
-
-def _blake2b_pair(a: NodeId, b: NodeId) -> float:
-    digest = hashlib.blake2b(
-        pack_endpoint(a) + pack_endpoint(b), digest_size=8
-    ).digest()
-    return _digest_to_unit(digest)
-
-
 def _splitmix64(value: int) -> int:
     """One round of the SplitMix64 finaliser over a 64-bit value."""
     value = (value + _SM64_GAMMA) & _MASK64
@@ -97,59 +93,100 @@ def _splitmix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
-def _splitmix_pair(a: NodeId, b: NodeId) -> float:
-    # Two dependent rounds keep the pair ordering significant: H(a,b) and
-    # H(b,a) are unrelated values, exactly as for the cryptographic hashes.
-    mixed = _splitmix64(_splitmix64(a) ^ ((b << 1) & _MASK64) ^ 0xA5A5A5A5A5A5A5A5)
-    return mixed / _TWO_64
-
-_ALGORITHMS: Dict[str, Callable[[NodeId, NodeId], float]] = {
-    "md5": _md5_pair,
-    "sha1": _sha1_pair,
-    "blake2b": _blake2b_pair,
-    "splitmix64": _splitmix_pair,
-}
-
-
 # -- integer-domain evaluation ----------------------------------------------
 #
-# The float functions above all take the form ``u / 2**64`` for a 64-bit
-# integer ``u`` derived from the pair.  Comparing against a threshold is
-# therefore a pure integer comparison once the threshold is converted to the
-# exact integer boundary of the float comparison (unit_threshold_bound), so
-# the consistency condition's hot path needs no float division at all while
-# remaining bit-for-bit equivalent to ``hash_pair(a, b) <= threshold``.
-
-#: Salt mixed into the SplitMix64 pair derivation (see _splitmix_pair).
-_SM64_PAIR_SALT = 0xA5A5A5A5A5A5A5A5
-
-
-def _md5_pair_u64(a: NodeId, b: NodeId) -> int:
-    digest = hashlib.md5(pack_endpoint(a) + pack_endpoint(b)).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def _sha1_pair_u64(a: NodeId, b: NodeId) -> int:
-    digest = hashlib.sha1(pack_endpoint(a) + pack_endpoint(b)).digest()
-    return int.from_bytes(digest[:8], "big")
+# Every algorithm derives ``H(a, b)`` from a 64-bit integer ``u`` as
+# ``u / 2**64``.  Comparing against a threshold is therefore a pure integer
+# comparison once the threshold is converted to the exact integer boundary
+# of the float comparison (unit_threshold_bound), so the consistency
+# condition's hot path needs no float division at all while remaining
+# bit-for-bit equivalent to ``hash_pair(a, b) <= threshold``.
+#
+# Each algorithm is a pair of functions: ``pair_u64(a, b)`` for one ordered
+# pair, and a scan kernel that evaluates a fixed node as monitor against a
+# slice of the universe (repro.core.relation).  Doing that through per-pair
+# calls costs more in interpreter overhead than in hashing, so the kernel
+# walks the caller's preconverted id/endpoint arrays in one tight loop and
+# emits matching ids, in universe order, through an ``emit`` callable
+# (typically ``set.add``).  Kernels return the number of pairs hashed so
+# callers can maintain evaluation counters; the self pair is skipped
+# without hashing, exactly as in single-pair evaluation.
 
 
-def _blake2b_pair_u64(a: NodeId, b: NodeId) -> int:
-    digest = hashlib.blake2b(
-        pack_endpoint(a) + pack_endpoint(b), digest_size=8
-    ).digest()
-    return int.from_bytes(digest[:8], "big")
+def _digest_ceiling(bound: int) -> bytes:
+    """Bytes ``c`` with ``digest <= c`` iff ``from_bytes(digest[:8]) <= bound``.
+
+    Exact for a bound below 2**64 and every digest of 8 to 32 bytes: the
+    first 8 bytes compare as the big-endian integer, and on a tie the
+    ``0xff`` tail is never smaller than the rest of the digest.  A negative
+    bound admits nothing (every digest is greater than ``b""``).
+    """
+    if bound < 0:
+        return b""
+    return bound.to_bytes(8, "big") + b"\xff" * 24
+
+
+def _digest_algorithm(new_digest):
+    """``(pair_u64, scan_targets)`` for *new_digest*, which maps bytes to a
+    hash object.
+
+    The scan absorbs the fixed node's endpoint once per row and, per pair,
+    copies that state, absorbs the candidate's preconverted endpoint and
+    compares the digest bytes against the bound's ceiling
+    (:func:`_digest_ceiling`), which needs no per-pair integer conversion.
+    """
+
+    def pair_u64(a: NodeId, b: NodeId) -> int:
+        digest = new_digest(pack_endpoint(a) + pack_endpoint(b)).digest()
+        return int.from_bytes(digest[:8], "big")
+
+    def scan_targets(fixed, ids, packed, start, stop, bound, emit) -> int:
+        copy = new_digest(pack_endpoint(fixed)).copy
+        ceiling = _digest_ceiling(bound)
+        row = ids[start:stop]
+        count = len(row)
+        for v, pv in zip(row, packed[start:stop]):
+            if v == fixed:
+                count -= 1
+                continue
+            state = copy()
+            state.update(pv)
+            if state.digest() <= ceiling:
+                emit(v)
+        return count
+
+    return pair_u64, scan_targets
 
 
 def _splitmix_pair_u64(a: NodeId, b: NodeId) -> int:
     return _splitmix64(_splitmix64(a) ^ ((b << 1) & _MASK64) ^ _SM64_PAIR_SALT)
 
 
-_ALGORITHMS_U64: Dict[str, Callable[[NodeId, NodeId], int]] = {
-    "md5": _md5_pair_u64,
-    "sha1": _sha1_pair_u64,
-    "blake2b": _blake2b_pair_u64,
-    "splitmix64": _splitmix_pair_u64,
+def _splitmix_scan_targets(fixed, ids, packed, start, stop, bound, emit) -> int:
+    mixed_fixed = _splitmix64(fixed) ^ _SM64_PAIR_SALT
+    row = ids[start:stop]
+    count = len(row)
+    for v in row:
+        if v == fixed:
+            count -= 1
+            continue
+        x = ((mixed_fixed ^ ((v << 1) & _MASK64)) + _SM64_GAMMA) & _MASK64
+        x = ((x ^ (x >> 30)) * _SM64_MIX1) & _MASK64
+        x = ((x ^ (x >> 27)) * _SM64_MIX2) & _MASK64
+        if (x ^ (x >> 31)) <= bound:
+            emit(v)
+    return count
+
+
+def _blake2b_8(data: bytes):
+    return hashlib.blake2b(data, digest_size=8)
+
+
+_ALGORITHMS = {
+    "md5": _digest_algorithm(_md5),
+    "sha1": _digest_algorithm(_sha1),
+    "blake2b": _digest_algorithm(_blake2b_8),
+    "splitmix64": (_splitmix_pair_u64, _splitmix_scan_targets),
 }
 
 
@@ -176,120 +213,22 @@ def unit_threshold_bound(threshold: float) -> int:
     return lo
 
 
-def hash_pair_u64(a: NodeId, b: NodeId, algorithm: str = "md5") -> int:
-    """``H(a, b)`` as the raw 64-bit integer the float value derives from.
-
-    ``hash_pair(a, b, alg) == hash_pair_u64(a, b, alg) / 2**64`` exactly.
-    """
+def _algorithm(algorithm: str) -> tuple:
     try:
-        fn = _ALGORITHMS_U64[algorithm]
+        return _ALGORITHMS[algorithm]
     except KeyError:
         raise ValueError(
             f"unknown hash algorithm {algorithm!r}; "
             f"available: {', '.join(available_algorithms())}"
         ) from None
-    return fn(a, b)
 
 
-# -- chunked scan kernels ---------------------------------------------------
-#
-# One universe scan evaluates the condition for a fixed node against every
-# known id (repro.core.relation).  Doing that through per-pair function
-# calls costs more in interpreter overhead than in hashing, so each
-# algorithm provides two tight-loop kernels — the fixed node as monitor
-# (scan for targets) and as target (scan for monitors) — that walk
-# preconverted id/endpoint arrays in slices of _SCAN_CHUNK and emit matching
-# ids through an ``emit`` callable (typically ``set.add``).  Kernels return
-# the number of pairs hashed so callers can maintain evaluation counters.
+def hash_pair_u64(a: NodeId, b: NodeId, algorithm: str = "md5") -> int:
+    """``H(a, b)`` as the raw 64-bit integer the float value derives from.
 
-_SCAN_CHUNK = 4096
-
-
-def _digest_scan_kernels(new_digest):
-    """Kernels for digest algorithms; *new_digest* maps bytes -> hash object.
-
-    The fixed node's endpoint is packed once; candidates come from the
-    caller's preconverted ``packed`` array, so the inner loop is one digest,
-    one slice and one integer compare per pair.
+    ``hash_pair(a, b, alg) == hash_pair_u64(a, b, alg) / 2**64`` exactly.
     """
-
-    def scan_targets(fixed, ids, packed, start, stop, bound, emit):
-        prefix = pack_endpoint(fixed)
-        from_bytes = int.from_bytes
-        count = 0
-        for base in range(start, stop, _SCAN_CHUNK):
-            limit = min(base + _SCAN_CHUNK, stop)
-            for v, pv in zip(ids[base:limit], packed[base:limit]):
-                if v == fixed:
-                    continue
-                count += 1
-                if from_bytes(new_digest(prefix + pv).digest()[:8], "big") <= bound:
-                    emit(v)
-        return count
-
-    def scan_monitors(fixed, ids, packed, start, stop, bound, emit):
-        suffix = pack_endpoint(fixed)
-        from_bytes = int.from_bytes
-        count = 0
-        for base in range(start, stop, _SCAN_CHUNK):
-            limit = min(base + _SCAN_CHUNK, stop)
-            for v, pv in zip(ids[base:limit], packed[base:limit]):
-                if v == fixed:
-                    continue
-                count += 1
-                if from_bytes(new_digest(pv + suffix).digest()[:8], "big") <= bound:
-                    emit(v)
-        return count
-
-    return scan_targets, scan_monitors
-
-
-def _blake2b_8(data: bytes):
-    return hashlib.blake2b(data, digest_size=8)
-
-
-def _splitmix_scan_targets(fixed, ids, packed, start, stop, bound, emit):
-    mixed_fixed = _splitmix64(fixed) ^ _SM64_PAIR_SALT
-    count = 0
-    for base in range(start, stop, _SCAN_CHUNK):
-        for v in ids[base : min(base + _SCAN_CHUNK, stop)]:
-            if v == fixed:
-                continue
-            count += 1
-            x = ((mixed_fixed ^ ((v << 1) & _MASK64)) + _SM64_GAMMA) & _MASK64
-            x = ((x ^ (x >> 30)) * _SM64_MIX1) & _MASK64
-            x = ((x ^ (x >> 27)) * _SM64_MIX2) & _MASK64
-            if (x ^ (x >> 31)) <= bound:
-                emit(v)
-    return count
-
-
-def _splitmix_scan_monitors(fixed, ids, packed, start, stop, bound, emit):
-    suffix = ((fixed << 1) & _MASK64) ^ _SM64_PAIR_SALT
-    count = 0
-    for base in range(start, stop, _SCAN_CHUNK):
-        for v in ids[base : min(base + _SCAN_CHUNK, stop)]:
-            if v == fixed:
-                continue
-            count += 1
-            x = (v + _SM64_GAMMA) & _MASK64
-            x = ((x ^ (x >> 30)) * _SM64_MIX1) & _MASK64
-            x = ((x ^ (x >> 27)) * _SM64_MIX2) & _MASK64
-            x = (x ^ (x >> 31)) ^ suffix
-            x = (x + _SM64_GAMMA) & _MASK64
-            x = ((x ^ (x >> 30)) * _SM64_MIX1) & _MASK64
-            x = ((x ^ (x >> 27)) * _SM64_MIX2) & _MASK64
-            if (x ^ (x >> 31)) <= bound:
-                emit(v)
-    return count
-
-
-_SCAN_KERNELS = {
-    "md5": _digest_scan_kernels(hashlib.md5),
-    "sha1": _digest_scan_kernels(hashlib.sha1),
-    "blake2b": _digest_scan_kernels(_blake2b_8),
-    "splitmix64": (_splitmix_scan_targets, _splitmix_scan_monitors),
-}
+    return _algorithm(algorithm)[0](a, b)
 
 
 def available_algorithms() -> tuple:
@@ -304,14 +243,7 @@ def hash_pair(a: NodeId, b: NodeId, algorithm: str = "md5") -> float:
     third party, and behaves like a uniform random value over ``[0, 1)`` —
     the three properties Section 3.1 requires of the selection scheme.
     """
-    try:
-        fn = _ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown hash algorithm {algorithm!r}; "
-            f"available: {', '.join(available_algorithms())}"
-        ) from None
-    return fn(a, b)
+    return _algorithm(algorithm)[0](a, b) / _TWO_64
 
 
 class PairHasher:
@@ -320,26 +252,19 @@ class PairHasher:
     The counter lets callers measure how many *actual* hash evaluations an
     algorithm performed, which the analysis in Section 4.1 cares about.
     Both the float view (``hasher(a, b)``) and the integer view
-    (:meth:`pair_u64`, the scan kernels) count into the same total.
+    (:meth:`pair_u64`, :meth:`scan_targets`) count into the same total.
     """
 
-    __slots__ = ("algorithm", "_fn", "_fn_u64", "_scan_kernels", "evaluations")
+    __slots__ = ("algorithm", "_fn_u64", "_scan_targets", "evaluations")
 
     def __init__(self, algorithm: str = "md5") -> None:
-        if algorithm not in _ALGORITHMS:
-            raise ValueError(
-                f"unknown hash algorithm {algorithm!r}; "
-                f"available: {', '.join(available_algorithms())}"
-            )
+        self._fn_u64, self._scan_targets = _algorithm(algorithm)
         self.algorithm = algorithm
-        self._fn = _ALGORITHMS[algorithm]
-        self._fn_u64 = _ALGORITHMS_U64[algorithm]
-        self._scan_kernels = _SCAN_KERNELS[algorithm]
         self.evaluations = 0
 
     def __call__(self, a: NodeId, b: NodeId) -> float:
         self.evaluations += 1
-        return self._fn(a, b)
+        return self._fn_u64(a, b) / _TWO_64
 
     def pair_u64(self, a: NodeId, b: NodeId) -> int:
         """``H(a, b)`` as the raw 64-bit integer (see :func:`hash_pair_u64`)."""
@@ -350,16 +275,11 @@ class PairHasher:
         """Emit every ``v`` in ``ids[start:stop]`` with ``H(fixed, v) <= bound``.
 
         ``packed`` must hold ``pack_endpoint(ids[i])`` at matching indexes
-        (digest algorithms read it; SplitMix64 ignores it).  Self pairs are
-        skipped without hashing, exactly as in single-pair evaluation.
+        (digest algorithms read it; SplitMix64 ignores it).  Matches are
+        emitted in ``ids`` order; the self pair is skipped without hashing,
+        exactly as in single-pair evaluation.
         """
-        self.evaluations += self._scan_kernels[0](
-            fixed, ids, packed, start, stop, bound, emit
-        )
-
-    def scan_monitors(self, fixed, ids, packed, start, stop, bound, emit) -> None:
-        """Emit every ``v`` in ``ids[start:stop]`` with ``H(v, fixed) <= bound``."""
-        self.evaluations += self._scan_kernels[1](
+        self.evaluations += self._scan_targets(
             fixed, ids, packed, start, stop, bound, emit
         )
 

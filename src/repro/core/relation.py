@@ -5,20 +5,21 @@ condition over the cross product of two views — up to ``2·(cvs+2)²`` ordered
 pairs, once per node per protocol period.  A naive simulation of a multi-hour
 run therefore evaluates tens of millions of hashes.  Because the condition
 for a fixed pair never changes, the simulator instead maintains, for every
-node ``u`` in the id universe, the *sets*
+node ``u`` in the id universe, the set
 
-* ``TS_universe(u) = {v : H(u, v) <= K/N}``  (everyone ``u`` would monitor),
-* ``PS_universe(u) = {v : H(v, u) <= K/N}``  (everyone who would monitor ``u``),
+    ``TS_universe(u) = {v : H(u, v) <= K/N}``  (everyone ``u`` would monitor),
 
 built lazily and extended incrementally as new ids are born.  A cross-product
-check then reduces to a handful of small set intersections.
+check then reduces to a handful of small set intersections: ``u`` monitors
+``v`` iff ``v ∈ TS_universe(u)``, so one direction answers both ends of the
+relation (``PS(v)`` is ``TS`` transposed, and a caller wanting it checks
+:meth:`~repro.core.condition.ConsistencyCondition.holds` directly).
 
 The universe is kept as parallel arrays of ids and preconverted endpoint
-bytes, and each set extension is one chunked tight-loop scan
-(:meth:`~repro.core.condition.ConsistencyCondition.scan_targets` /
-``scan_monitors``) over an array slice rather than a per-pair ``holds()``
-call — at N=10,000 the difference between a scan being hash-bound and being
-interpreter-bound.
+bytes, and each set extension is one tight-loop scan
+(:meth:`~repro.core.condition.ConsistencyCondition.scan_targets`) over an
+array slice rather than a per-pair ``holds()`` call — at N=10,000 the
+difference between a scan being hash-bound and being interpreter-bound.
 
 Faithful cost accounting: the *protocol-level* number of condition
 evaluations a real node performs in an exchange is computed in closed form by
@@ -55,7 +56,7 @@ def count_cross_pairs(view_a: Set[NodeId], view_b: Set[NodeId]) -> int:
 
 
 class MonitorRelation:
-    """Lazily materialised PS/TS indexes over a growing id universe."""
+    """Lazily materialised TS indexes over a growing id universe."""
 
     def __init__(self, condition: ConsistencyCondition) -> None:
         self.condition = condition
@@ -67,7 +68,6 @@ class MonitorRelation:
         # pairs; one dict probe answers both "what is known" and "is it
         # current".
         self._ts: Dict[NodeId, list] = {}
-        self._ps: Dict[NodeId, list] = {}
         # Opt-in observability: ``(scans counter, pairs counter, timer)`` or
         # None.  The guard is one identity check per *extension call* (not
         # per pair), so the disabled hot path pays ~nothing.
@@ -111,10 +111,8 @@ class MonitorRelation:
         return len(self._universe)
 
     def index_entries(self) -> int:
-        """Total materialised TS/PS set entries (memory diagnostics)."""
-        return sum(len(entry[0]) for entry in self._ts.values()) + sum(
-            len(entry[0]) for entry in self._ps.values()
-        )
+        """Total materialised TS set entries (memory diagnostics)."""
+        return sum(len(entry[0]) for entry in self._ts.values())
 
     # -- directed set queries -------------------------------------------------
 
@@ -150,35 +148,6 @@ class MonitorRelation:
             obs[2].observe(perf_counter() - started)
         entry[1] = total
         return targets
-
-    def monitors_of(self, target: NodeId) -> Set[NodeId]:
-        """``PS_universe(target)``: every known id that would watch *target*."""
-        entry = self._ps.get(target)
-        if entry is not None and entry[1] == len(self._universe):
-            return entry[0]
-        return self._extend_monitors(target, entry)
-
-    def _extend_monitors(self, target: NodeId, entry) -> Set[NodeId]:
-        if entry is None:
-            self._require_known(target)
-            entry = self._ps[target] = [set(), 0]
-        monitors = entry[0]
-        total = len(self._universe)
-        obs = self._obs
-        if obs is None:
-            self.condition.scan_monitors(
-                target, self._universe, self._packed, entry[1], total, monitors.add
-            )
-        else:
-            started = perf_counter()
-            self.condition.scan_monitors(
-                target, self._universe, self._packed, entry[1], total, monitors.add
-            )
-            obs[0].inc()
-            obs[1].inc(total - entry[1])
-            obs[2].observe(perf_counter() - started)
-        entry[1] = total
-        return monitors
 
     def find_matches(self, view_a: Set[NodeId], view_b: Set[NodeId]):
         """All ordered pairs ``(u, v)`` with ``u ∈ PS(v)`` found by one exchange.

@@ -21,7 +21,6 @@ from ..baselines.central import CentralMonitorScheme
 from ..baselines.dht import DhtMonitorScheme
 from ..baselines.self_report import SelfReportScheme
 from ..core.condition import ConsistencyCondition
-from ..core.relation import MonitorRelation
 from .report import format_kv
 
 __all__ = ["compute", "render"]
@@ -53,16 +52,16 @@ def compute(n: int = 300, k: int = 8, churn_events: int = 100, seed: int = 11) -
 
     # --- AVMON: same churn cannot change any PS (consistency by construction) --
     condition = ConsistencyCondition(k, n)
-    relation = MonitorRelation(condition)
-    relation.add_nodes(range(next_id))
-    before = {node: frozenset(relation.monitors_of(node)) for node in monitored}
+    before = {node: _pinging_set(condition, node, next_id) for node in monitored}
     # Births extend the universe; existing membership never flips.
-    relation.add_nodes(range(next_id, next_id + churn_events))
-    after = {node: frozenset(relation.monitors_of(node)) for node in monitored}
+    after = {
+        node: _pinging_set(condition, node, next_id + churn_events)
+        for node in monitored
+    }
     avmon_removed = sum(
         1 for node in monitored if not before[node] <= after[node]
     )
-    avmon_cooccurrence = _max_cooccurrence(relation, monitored)
+    avmon_cooccurrence = _max_cooccurrence(after.values())
 
     # --- Broadcast vs AVMON join cost -------------------------------------------
     from ..core import optimal
@@ -97,12 +96,17 @@ def compute(n: int = 300, k: int = 8, churn_events: int = 100, seed: int = 11) -
     }
 
 
-def _max_cooccurrence(relation: MonitorRelation, monitored) -> int:
+def _pinging_set(condition: ConsistencyCondition, target: int, universe: int) -> frozenset:
+    """``PS(target)`` over the ids ``0 .. universe-1``."""
+    return frozenset(m for m in range(universe) if condition.holds(m, target))
+
+
+def _max_cooccurrence(pinging_sets) -> int:
     from collections import defaultdict
 
     counts = defaultdict(int)
-    for node in monitored:
-        monitors = sorted(relation.monitors_of(node))
+    for ps in pinging_sets:
+        monitors = sorted(ps)
         for i, first in enumerate(monitors):
             for second in monitors[i + 1 :]:
                 counts[(first, second)] += 1

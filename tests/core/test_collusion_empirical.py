@@ -9,17 +9,15 @@ measurements on the actual hash-based selection scheme.
 import random
 
 import pytest
+from relation_oracle import monitors_of
 
 from repro.core import optimal
 from repro.core.condition import ConsistencyCondition
-from repro.core.relation import MonitorRelation
 
 
 def measure_pollution(n: int, k: int, colluders_per_node: int, trials: int, seed: int):
     """Fraction of trials where a colluder landed in the node's PS."""
     condition = ConsistencyCondition(k=k, n=n)
-    relation = MonitorRelation(condition)
-    relation.add_nodes(range(n))
     rng = random.Random(seed)
     polluted = 0
     for _ in range(trials):
@@ -29,7 +27,7 @@ def measure_pollution(n: int, k: int, colluders_per_node: int, trials: int, seed
             friend = rng.randrange(n)
             if friend != target:
                 friends.add(friend)
-        if friends & relation.monitors_of(target):
+        if monitors_of(condition, target, friends):  # friends ∩ PS(target)
             polluted += 1
     return polluted / trials
 

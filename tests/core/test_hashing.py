@@ -1,9 +1,12 @@
 """Unit tests for the consistent pair-hash (Section 3.1's H)."""
 
+import hashlib
+
 import pytest
 
 from repro.core.hashing import (
     ENDPOINT_BYTES,
+    _digest_ceiling,
     PairHasher,
     available_algorithms,
     hash_pair,
@@ -74,8 +77,6 @@ class TestHashPair:
 
     def test_md5_matches_reference(self):
         # Pin the value so accidental changes to packing/truncation show up.
-        import hashlib
-
         digest = hashlib.md5(pack_endpoint(1) + pack_endpoint(2)).digest()
         expected = int.from_bytes(digest[:8], "big") / 2.0**64
         assert hash_pair(1, 2, "md5") == expected
@@ -101,3 +102,41 @@ class TestPairHasher:
         algorithms = available_algorithms()
         assert list(algorithms) == sorted(algorithms)
         assert "md5" in algorithms and "splitmix64" in algorithms
+
+
+class TestDigestCeiling:
+    """The scan kernels compare digest bytes against ``_digest_ceiling``;
+    that must decide exactly ``from_bytes(digest[:8]) <= bound``."""
+
+    MASK = (1 << 64) - 1
+    BOUNDS = (0, 1, 2**63 - 1, 2**63, 0x0123456789ABCDEF, MASK - 1, MASK)
+    TAILS = (b"", b"\x00" * 8, b"\xff" * 8, bytes(range(12)), b"\xff" * 24, b"\x00" * 24)
+
+    def test_edges_of_every_bound(self):
+        for bound in self.BOUNDS:
+            ceiling = _digest_ceiling(bound)
+            for value in (bound - 1, bound, bound + 1, 0, self.MASK):
+                if not 0 <= value <= self.MASK:
+                    continue
+                for tail in self.TAILS:
+                    digest = value.to_bytes(8, "big") + tail
+                    assert (digest <= ceiling) == (value <= bound), (bound, value, tail)
+
+    def test_full_bound_admits_every_digest(self):
+        ceiling = _digest_ceiling(self.MASK)
+        for tail in self.TAILS:
+            assert b"\xff" * 8 + tail <= ceiling
+
+    def test_negative_bound_admits_nothing(self):
+        ceiling = _digest_ceiling(-1)
+        for tail in self.TAILS:
+            assert not (b"\x00" * 8 + tail <= ceiling)
+
+    def test_real_digests_agree_with_integer_compare(self):
+        for bound in self.BOUNDS:
+            ceiling = _digest_ceiling(bound)
+            for a, b in ((0, 1), (1, 2), (77, 5), (123456, 654321)):
+                for name in ("md5", "sha1"):
+                    digest = hashlib.new(name, pack_endpoint(a) + pack_endpoint(b)).digest()
+                    value = int.from_bytes(digest[:8], "big")
+                    assert (digest <= ceiling) == (value <= bound)

@@ -8,6 +8,9 @@ around K with an O(log N) maximum.
 """
 
 from collections import Counter
+from functools import lru_cache
+
+from relation_oracle import monitors_of
 
 from repro.core.condition import ConsistencyCondition
 from repro.core.relation import MonitorRelation
@@ -23,16 +26,21 @@ def build_relation():
     return relation
 
 
+@lru_cache(maxsize=None)
+def pinging_sets():
+    """``PS(x)`` for every ``x`` in the universe, by brute force."""
+    condition = ConsistencyCondition(k=K, n=N)
+    return {x: monitors_of(condition, x, range(N)) for x in range(N)}
+
+
 class TestUniformity:
     def test_ps_sizes_concentrate_around_k(self):
-        relation = build_relation()
-        sizes = [len(relation.monitors_of(x)) for x in range(N)]
+        sizes = [len(pinging_sets()[x]) for x in range(N)]
         mean = sum(sizes) / len(sizes)
         assert 0.8 * K < mean < 1.2 * K
 
     def test_ps_max_is_logarithmic(self):
-        relation = build_relation()
-        sizes = [len(relation.monitors_of(x)) for x in range(N)]
+        sizes = [len(pinging_sets()[x]) for x in range(N)]
         import math
 
         # Balls & bins: max is O(log N) w.h.p.; allow a wide constant.
@@ -47,10 +55,9 @@ class TestUniformity:
         assert 0.8 * K < mean < 1.2 * K
 
     def test_every_node_appears_as_monitor_roughly_equally(self):
-        relation = build_relation()
         appearances = Counter()
         for x in range(N):
-            for monitor in relation.monitors_of(x):
+            for monitor in pinging_sets()[x]:
                 appearances[monitor] += 1
         # No node is monitor in dramatically more sets than average.
         counts = [appearances.get(u, 0) for u in range(N)]
@@ -65,10 +72,9 @@ class TestNonCorrelation:
         the max over all ~80k pairs stays in Poisson-tail territory, far
         below the DHT baseline where ring-adjacent nodes co-occur in up to
         K-1 = 8 sets."""
-        relation = build_relation()
         cooccur = Counter()
         for x in range(N):
-            monitors = sorted(relation.monitors_of(x))
+            monitors = sorted(pinging_sets()[x])
             for i, first in enumerate(monitors):
                 for second in monitors[i + 1 :]:
                     cooccur[(first, second)] += 1
@@ -76,16 +82,14 @@ class TestNonCorrelation:
 
     def test_conditional_membership_independent(self):
         """P(z in PS(x) | y in PS(x)) ~ P(z in PS(x)) empirically."""
-        relation = build_relation()
+        ps = pinging_sets()
         y, z = 7, 13
-        with_y = [x for x in range(N) if x not in (y, z) and y in relation.monitors_of(x)]
+        with_y = [x for x in range(N) if x not in (y, z) and y in ps[x]]
         base_rate = sum(
-            1 for x in range(N) if x not in (y, z) and z in relation.monitors_of(x)
+            1 for x in range(N) if x not in (y, z) and z in ps[x]
         ) / (N - 2)
         if with_y:
-            conditional = sum(
-                1 for x in with_y if z in relation.monitors_of(x)
-            ) / len(with_y)
+            conditional = sum(1 for x in with_y if z in ps[x]) / len(with_y)
             # Loose: conditional rate within a few multiples of base rate
             # (both are small probabilities around K/N ~ 0.02).
             assert conditional <= 5 * base_rate + 0.25

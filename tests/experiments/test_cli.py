@@ -211,6 +211,17 @@ class TestCliRegistration:
             "error: --attach needs a store daemon URL (http://host:port)\n"
         )
 
+    def test_unknown_backend_param_exits_2_with_one_error_line(self, capsys):
+        for backend in ("serial", "pool"):
+            argv = ["sweep", "--n", "16", "--scale", "test", "--backend", backend]
+            assert main(argv + ["--backend-param", "bogus=1"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"error: bad --backend-param for backend {backend!r}: "
+            )
+            assert "bogus" in err or "takes no arguments" in err
+            assert err.count("\n") == 1
+
     def test_unreachable_daemon_exits_1(self, capsys):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))

@@ -9,6 +9,7 @@
 """
 
 import pytest
+from relation_oracle import monitors_of
 
 from repro.core.reporting import verify_monitor_report
 from repro.experiments.runner import SimulationConfig, run_simulation
@@ -34,7 +35,7 @@ class TestTheorem1EventualDiscovery:
         missing = []
         for target in initial:
             node = cluster.nodes[target]
-            for monitor in relation.monitors_of(target):
+            for monitor in monitors_of(relation.condition, target, initial):
                 if monitor in initial and monitor not in node.ps:
                     missing.append((monitor, target))
         assert not missing, f"undiscovered stable pairs: {missing[:5]}"

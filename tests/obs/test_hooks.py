@@ -75,7 +75,7 @@ class TestObserveRelation:
         relation.add_nodes(range(50))
         observe_relation(registry, relation)
         relation.targets_of(1)
-        relation.monitors_of(2)
+        relation.targets_of(2)
         det = registry.deterministic_snapshot()
         assert det["sim.relation.scans"] == 2
         assert det["sim.relation.pairs_scanned"] > 0
@@ -97,4 +97,4 @@ class TestObserveRelation:
             relation.add_nodes(range(40))
         observed.observe(MetricsRegistry())
         assert plain.targets_of(7) == observed.targets_of(7)
-        assert plain.monitors_of(9) == observed.monitors_of(9)
+        assert plain.targets_of(9) == observed.targets_of(9)
