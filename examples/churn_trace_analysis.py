@@ -52,7 +52,7 @@ def main() -> None:
         trace=overnet,
     )
     result = run_simulation(config)
-    delays = result.first_monitor_delays()
+    delays = result.summary().first_monitor_delays()
     print(f"\nAVMON over the Overnet-like trace:")
     print(f"  {len(delays)} born nodes discovered their first monitor; "
           f"mean delay {stats.mean(delays):.0f}s")

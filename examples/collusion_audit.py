@@ -43,7 +43,7 @@ def main() -> None:
           f"policy satisfied: {verdict.satisfied}")
 
     # --- 2. colluding monitors get averaged away -------------------------
-    affected = result.fraction_affected(threshold=0.2)
+    affected = result.summary().fraction_affected(threshold=0.2)
     audits = result.availability_audit(control_only=False, alive_only=True)
     print(f"\noverreporting attack (Figure 20's metric):")
     print(f"  {len(audits)} live nodes audited; fraction with availability "

@@ -40,7 +40,7 @@ def main() -> None:
         )
         result = run_simulation(config)
         predicted = optimal.expected_discovery_time(avmon.cvs, n) * 60.0
-        delays = result.first_monitor_delays()
+        delays = result.summary().first_monitor_delays()
         memory = stats.mean(result.memory_values(control_only=True))
         comps = stats.mean(result.computation_rates(control_only=True))
         print(

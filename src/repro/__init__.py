@@ -29,13 +29,14 @@ name every component — churn model, latency model, trace generator — by
 its :mod:`repro.registry` key, and accept third-party components
 registered with ``@register("churn", "MY-MODEL")``.
 
-The original imperative API still works unchanged (legacy shim)::
+The imperative API returns the raw run; its figure metrics live on the
+run's summary::
 
     from repro import SimulationConfig, run_simulation
 
     result = run_simulation(SimulationConfig(model="SYNTH", n=100,
                                              duration=3600, warmup=600))
-    print(result.average_discovery_time())
+    print(result.summary().average_discovery_time())
 
 Packages:
 

@@ -67,10 +67,6 @@ class ConsistencyCondition:
         """Number of pair hashes computed so far (single-pair and scans)."""
         return self._hasher.evaluations
 
-    def hash_value(self, monitor: NodeId, target: NodeId) -> float:
-        """Raw ``H(monitor, target)`` value in ``[0, 1)``."""
-        return self._hasher(monitor, target)
-
     def holds(self, monitor: NodeId, target: NodeId) -> bool:
         """True iff ``monitor ∈ PS(target)``, i.e. *monitor* monitors *target*.
 
@@ -94,16 +90,9 @@ class ConsistencyCondition:
         """
         self._hasher.scan_targets(monitor, ids, packed, start, stop, self.bound, emit)
 
-    # The two directed views of the same relation, named for readability at
-    # call sites that think in terms of pinging sets and target sets.
-
     def is_monitor_of(self, candidate: NodeId, target: NodeId) -> bool:
         """Alias of :meth:`holds`: is *candidate* in ``PS(target)``?"""
         return self.holds(candidate, target)
-
-    def is_target_of(self, candidate: NodeId, monitor: NodeId) -> bool:
-        """Is *candidate* in ``TS(monitor)``, i.e. does *monitor* watch it?"""
-        return self.holds(monitor, candidate)
 
     def verify_report(self, target: NodeId, reported_monitors) -> bool:
         """Third-party verification used by the "l out of K" policy.
@@ -115,10 +104,6 @@ class ConsistencyCondition:
         check.
         """
         return all(self.holds(monitor, target) for monitor in reported_monitors)
-
-    def expected_ps_size(self) -> float:
-        """Expected ``|PS(x)|`` over a population of exactly ``N`` nodes."""
-        return self.threshold * (self.n - 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

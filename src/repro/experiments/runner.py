@@ -9,8 +9,9 @@
    group (10 % of N joining simultaneously for STAT/SYNTH; implicit for the
    birth/death models, where nodes born after warm-up are tracked), and
    optionally flip a fraction of nodes into overreporting colluders;
-4. run the measurement window and return a :class:`SimulationResult` with
-   every series the paper's figures need.
+4. run the measurement window and return a :class:`SimulationResult`,
+   whose :meth:`~SimulationResult.summary` carries every series the
+   paper's figures need.
 
 :class:`Cluster` implements the churn-driver interface and owns node
 lifecycles and true-uptime bookkeeping.
@@ -268,7 +269,9 @@ class Cluster:
 
 @dataclass
 class SimulationResult:
-    """Everything measured by one run, plus helpers for the figures."""
+    """Everything measured by one run: the raw state :func:`summarize`
+    reads.  The figure-facing accessors (discovery delays and CDF,
+    availability ratios, fraction affected) live on the summary only."""
 
     config: SimulationConfig
     avmon_config: AvmonConfig
@@ -284,20 +287,6 @@ class SimulationResult:
     final_alive: int
     events_processed: int = 0
     wall_seconds: float = 0.0
-
-    # -- discovery (Figures 3-6, 13, 15) ---------------------------------------
-
-    def first_monitor_delays(self) -> List[float]:
-        return self.metrics.discovery.first_monitor_delays()
-
-    def nth_monitor_delays(self, nth: int) -> List[float]:
-        return self.metrics.discovery.nth_monitor_delays(nth)
-
-    def average_discovery_time(self, drop_top: int = 1) -> float:
-        return self.metrics.discovery.average_first_delay(drop_top=drop_top)
-
-    def discovery_cdf(self) -> List[Tuple[float, float]]:
-        return stats.cdf_points(self.first_monitor_delays())
 
     # -- node selections -----------------------------------------------------------
 
@@ -404,25 +393,6 @@ class SimulationResult:
             truth = self.cluster.true_availability(node, first_join, end)
             audits[node] = (stats.mean(estimates), truth)
         return audits
-
-    def availability_ratio_series(self, control_only: bool = True) -> Dict[NodeId, float]:
-        """Figure 17's series: estimated / true availability per node."""
-        series = {}
-        for node, (estimate, truth) in self.availability_audit(control_only).items():
-            if truth > 0:
-                series[node] = estimate / truth
-        return series
-
-    def fraction_affected(self, threshold: float = 0.2) -> float:
-        """Figure 20's metric: fraction of nodes with |estimate − truth| >
-        *threshold*, over the live population."""
-        audits = self.availability_audit(control_only=False, alive_only=True)
-        if not audits:
-            return 0.0
-        affected = sum(
-            1 for estimate, truth in audits.values() if abs(estimate - truth) > threshold
-        )
-        return affected / len(audits)
 
     # -- summary extraction ----------------------------------------------------
 

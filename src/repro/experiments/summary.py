@@ -4,8 +4,9 @@
 object graph along (cluster, network, event queue) and therefore cannot
 cross a process boundary or be cached to disk.  :class:`SimulationSummary`
 is the flat extraction — plain lists and dicts of floats — carrying exactly
-the series the paper's figures read, with the same accessor names, so
-figure code runs unchanged against either object.
+the series the paper's figures read, and it is the only home of their
+accessors (discovery delays, the drop-top mean, the CDF, availability
+ratios, fraction affected): a raw run goes through ``result.summary()``.
 
 Summaries are JSON-serialisable and deterministic: the same configuration
 always produces byte-identical :meth:`SimulationSummary.to_json` output,

@@ -13,7 +13,6 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Set
 
 from ..core.hashing import NodeId
-from . import stats
 
 __all__ = [
     "DiscoveryTimeCollector",
@@ -48,26 +47,13 @@ class DiscoveryTimeCollector:
         if ps_size not in delays:
             delays[ps_size] = max(0.0, time - joined)
 
-    def first_monitor_delays(self) -> List[float]:
-        """Delay to the first monitor for every tracked node that found one."""
-        return self.nth_monitor_delays(1)
-
-    def nth_monitor_delays(self, nth: int) -> List[float]:
-        """Delays to the *nth* monitor across tracked nodes that reached it."""
-        if nth < 1:
-            raise ValueError(f"nth must be >= 1, got {nth}")
-        out = []
-        for delays in self._nth_delay.values():
-            value = delays.get(nth)
-            if value is not None:
-                out.append(value)
-        return out
-
     def delays_by_rank(self) -> Dict[int, List[float]]:
         """All delays grouped by monitor rank: ``{nth: [delay, ...]}``.
 
-        Per-rank list order matches :meth:`nth_monitor_delays` (tracked-node
-        insertion order), so summaries built from this are reproducible.
+        Per-rank lists are in tracked-node insertion order, so summaries
+        built from this are reproducible.  The figure accessors over these
+        delays (first/nth delays, the drop-top mean, the CDF) live on
+        :class:`~repro.experiments.summary.SimulationSummary`.
         """
         out: Dict[int, List[float]] = {}
         for delays in self._nth_delay.values():
@@ -78,17 +64,6 @@ class DiscoveryTimeCollector:
     def undiscovered_count(self) -> int:
         """Tracked nodes that never discovered any monitor."""
         return sum(1 for delays in self._nth_delay.values() if 1 not in delays)
-
-    def average_first_delay(self, *, drop_top: int = 0) -> float:
-        """Mean first-monitor delay, optionally dropping the worst outliers.
-
-        The paper's Figure 3 drops the single highest measurement per
-        setting (their footnote 8); ``drop_top=1`` reproduces that.
-        """
-        delays = sorted(self.first_monitor_delays())
-        if drop_top > 0 and len(delays) > drop_top:
-            delays = delays[:-drop_top]
-        return stats.mean(delays)
 
 
 class ComputationCollector:

@@ -20,7 +20,7 @@ from .journal import (
     summarize_events,
     tail_events,
 )
-from .hooks import observe_condition, observe_relation, observe_simulator
+from .hooks import observe_condition, observe_simulator
 from .registry import (
     DETERMINISTIC,
     WALL,
@@ -50,5 +50,4 @@ __all__ = [
     "render_event",
     "observe_simulator",
     "observe_condition",
-    "observe_relation",
 ]

@@ -2,17 +2,17 @@
 
 Everything here is callback-gauge based: attaching an observer stores a
 bound method in the registry and the observed object's hot path is
-untouched — the values are read only when a snapshot is taken.  The one
-exception is the relation scan timer, which the relation itself guards
-behind a single ``is None`` check per extension call
-(:meth:`repro.core.relation.MonitorRelation.observe`).
+untouched — the values are read only when a snapshot is taken.  The
+relation's scan counters and timer attach through
+:meth:`repro.core.relation.MonitorRelation.observe`, which guards its hot
+path behind a single ``is None`` check per extension call.
 """
 
 from __future__ import annotations
 
 from .registry import MetricsRegistry
 
-__all__ = ["observe_simulator", "observe_condition", "observe_relation"]
+__all__ = ["observe_simulator", "observe_condition"]
 
 
 def observe_simulator(registry: MetricsRegistry, sim, prefix: str = "sim.engine"):
@@ -31,10 +31,3 @@ def observe_condition(
     registry.gauge(f"{prefix}.hash_evaluations", fn=lambda: condition.hash_evaluations)
     return registry
 
-
-def observe_relation(
-    registry: MetricsRegistry, relation, prefix: str = "sim.relation"
-):
-    """Attach relation scan instrumentation (counters + wall timer + gauges)."""
-    relation.observe(registry, prefix)
-    return registry

@@ -220,19 +220,6 @@ class MetricsRegistry:
             name, kind, Histogram, lambda: Histogram(name, kind, window)
         )
 
-    def register(self, metric: Metric) -> Metric:
-        """Adopt an externally built metric (e.g. a latency tracker)."""
-        if metric.kind not in _KINDS:
-            raise ValueError(f"unknown metric kind {metric.kind!r}")
-        with self._lock:
-            existing = self._metrics.get(metric.name)
-            if existing is None:
-                self._metrics[metric.name] = metric
-                return metric
-        if existing is not metric:
-            raise ValueError(f"metric {metric.name!r} already registered")
-        return metric
-
     # -- introspection --------------------------------------------------
     def names(self) -> List[str]:
         return sorted(self._metrics)

@@ -1,146 +1,47 @@
-"""Per-endpoint serving metrics: counters and latency percentiles.
+"""Per-endpoint serving metrics, recorded straight into the obs registry.
 
-Backed by the shared :mod:`repro.obs` registry: every counter here is a
-``repro.obs`` :class:`~repro.obs.registry.Counter` (kind *deterministic*)
-and every latency tracker a :class:`~repro.obs.registry.Histogram` (kind
-*wall*), so the serving tier reports through the same surface as the
-simulator, the fleet and the store daemon — and ``/metrics`` can also be
-rendered as Prometheus text straight from the registry.
+Every route gets five deterministic :class:`~repro.obs.registry.Counter`
+series (``serve.endpoint.<route>.requests``, ``.ok``, ``.client_errors``,
+``.server_errors``, ``.rate_limited``) and one wall-kind latency
+:class:`~repro.obs.registry.Histogram` (``.latency_seconds``), created on
+the route's first request.  ``/metrics`` renders them as JSON (latency
+summaries in milliseconds, the serving tier's historical unit) or, via
+``registry.render_prometheus()``, as Prometheus text.
 
-The JSON shape of ``to_dict()`` (what ``/metrics`` returns) is unchanged
-from the pre-registry implementation.  Counters are deterministic given a
-deterministic request schedule; latency percentiles come from a bounded
-ring of recent samples measured on an injectable clock — the virtual
-clock on the memory fabric.  That is what lets CI assert byte-identical
-``/metrics`` counters across two identical seeded runs.
+Counters are deterministic given a deterministic request schedule;
+latencies are measured on an injectable clock — the virtual clock on the
+memory fabric — which is what lets CI assert byte-identical ``/metrics``
+across two identical seeded runs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..obs.registry import WALL, Histogram, MetricsRegistry
+from ..obs.registry import MetricsRegistry
 
-__all__ = ["LatencyTracker", "EndpointMetrics", "ServeMetrics"]
+__all__ = ["ServeMetrics"]
 
-
-class LatencyTracker(Histogram):
-    """Latency percentiles over a bounded window of recent samples.
-
-    A wall-kind obs histogram that renders its summary in milliseconds —
-    the serving tier's historical ``/metrics`` unit.
-    """
-
-    def __init__(
-        self,
-        window: int = 2048,
-        *,
-        name: str = "serve.latency_seconds",
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        super().__init__(name, kind=WALL, window=window)
-        if registry is not None:
-            registry.register(self)
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "p50_ms": round(self.percentile(50) * 1000.0, 3),
-            "p95_ms": round(self.percentile(95) * 1000.0, 3),
-            "p99_ms": round(self.percentile(99) * 1000.0, 3),
-            "mean_ms": round(
-                (self.total / self.count) * 1000.0 if self.count else 0.0, 3
-            ),
-        }
-
-
-class EndpointMetrics:
-    """Counters for one endpoint (one instance per route)."""
-
-    def __init__(
-        self,
-        route: str = "",
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        base = f"serve.endpoint.{route}" if route else "serve.endpoint"
-        self._requests = registry.counter(f"{base}.requests")
-        self._ok = registry.counter(f"{base}.ok")
-        self._client_errors = registry.counter(f"{base}.client_errors")  # 4xx
-        self._server_errors = registry.counter(f"{base}.server_errors")  # 5xx
-        #: 429 subset of client_errors.
-        self._rate_limited = registry.counter(f"{base}.rate_limited")
-        self.latency = LatencyTracker(
-            name=f"{base}.latency_seconds", registry=registry
-        )
-
-    @property
-    def requests(self) -> int:
-        return self._requests.value
-
-    @property
-    def ok(self) -> int:
-        return self._ok.value
-
-    @property
-    def client_errors(self) -> int:
-        return self._client_errors.value
-
-    @property
-    def server_errors(self) -> int:
-        return self._server_errors.value
-
-    @property
-    def rate_limited(self) -> int:
-        return self._rate_limited.value
-
-    def record(self, status: int, seconds: float) -> None:
-        self._requests.inc()
-        if status >= 500:
-            self._server_errors.inc()
-        elif status == 429:
-            self._rate_limited.inc()
-            self._client_errors.inc()
-        elif status >= 400:
-            self._client_errors.inc()
-        else:
-            self._ok.inc()
-        self.latency.observe(seconds)
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "requests": self.requests,
-            "ok": self.ok,
-            "client_errors": self.client_errors,
-            "server_errors": self.server_errors,
-            "rate_limited": self.rate_limited,
-        }
-        out.update(self.latency.summary())
-        return out
+#: Per-route outcome counters, in ``/metrics`` key order.
+OUTCOMES = ("requests", "ok", "client_errors", "server_errors", "rate_limited")
 
 
 class ServeMetrics:
     """The service's whole metrics surface (rendered by ``/metrics``)."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        #: The obs registry everything below lives in; ``/metrics`` can
-        #: render it as Prometheus text directly.
+        #: The obs registry every series below lives in.
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._endpoints: Dict[str, EndpointMetrics] = {}
+        #: route -> its five outcome counters (OUTCOMES order) + latency.
+        self._routes: Dict[str, tuple] = {}
+        counter = self.registry.counter
         #: §3.3 verification outcomes across all served queries.
-        self._monitors_verified = self.registry.counter(
-            "serve.query.monitors_verified"
-        )
-        self._monitors_rejected = self.registry.counter(
-            "serve.query.monitors_rejected"
-        )
+        self._monitors_verified = counter("serve.query.monitors_verified")
+        self._monitors_rejected = counter("serve.query.monitors_rejected")
         #: Queries whose overlay deadline fired with answers missing.
-        self._queries_timed_out = self.registry.counter(
-            "serve.query.timed_out"
-        )
+        self._queries_timed_out = counter("serve.query.timed_out")
         #: Requests rejected by admission control (concurrency bound).
-        self._shed_overload = self.registry.counter("serve.shed_overload")
+        self._shed_overload = counter("serve.shed_overload")
 
     # The four query counters read as plain ints (avbench and tests do).
     @property
@@ -159,13 +60,26 @@ class ServeMetrics:
     def shed_overload(self) -> int:
         return self._shed_overload.value
 
-    def endpoint(self, route: str) -> EndpointMetrics:
-        metrics = self._endpoints.get(route)
-        if metrics is None:
-            metrics = self._endpoints[route] = EndpointMetrics(
-                route, self.registry
+    def record(self, route: str, status: int, seconds: float) -> None:
+        """One served request: its outcome counters and its latency."""
+        series = self._routes.get(route)
+        if series is None:
+            base = f"serve.endpoint.{route}"
+            series = self._routes[route] = (
+                *(self.registry.counter(f"{base}.{name}") for name in OUTCOMES),
+                self.registry.histogram(f"{base}.latency_seconds"),
             )
-        return metrics
+        requests, ok, client_errors, server_errors, rate_limited, latency = series
+        requests.inc()
+        if status >= 500:
+            server_errors.inc()
+        elif status >= 400:
+            client_errors.inc()
+            if status == 429:
+                rate_limited.inc()
+        else:
+            ok.inc()
+        latency.observe(seconds)
 
     def record_query_result(self, result) -> None:
         """Fold one QueryResult's verification outcome into the counters."""
@@ -180,25 +94,27 @@ class ServeMetrics:
 
     def totals(self) -> Dict[str, int]:
         return {
-            "requests": sum(m.requests for m in self._endpoints.values()),
-            "ok": sum(m.ok for m in self._endpoints.values()),
-            "client_errors": sum(
-                m.client_errors for m in self._endpoints.values()
-            ),
-            "server_errors": sum(
-                m.server_errors for m in self._endpoints.values()
-            ),
-            "rate_limited": sum(
-                m.rate_limited for m in self._endpoints.values()
-            ),
+            name: sum(series[index].value for series in self._routes.values())
+            for index, name in enumerate(OUTCOMES)
         }
+
+    @staticmethod
+    def _endpoint(series: tuple) -> Dict[str, object]:
+        *counters, latency = series
+        out: Dict[str, object] = {
+            name: counter.value for name, counter in zip(OUTCOMES, counters)
+        }
+        for q in (50, 95, 99):
+            out[f"p{q}_ms"] = round(latency.percentile(q) * 1000.0, 3)
+        out["mean_ms"] = round(latency.mean * 1000.0, 3)
+        return out
 
     def to_dict(self, *, cache_stats: Optional[Dict[str, int]] = None) -> Dict:
         body: Dict[str, object] = {
             "totals": self.totals(),
             "endpoints": {
-                route: self._endpoints[route].to_dict()
-                for route in sorted(self._endpoints)
+                route: self._endpoint(self._routes[route])
+                for route in sorted(self._routes)
             },
             "query": {
                 "monitors_verified": self.monitors_verified,
@@ -210,7 +126,3 @@ class ServeMetrics:
         if cache_stats is not None:
             body["cache"] = cache_stats
         return body
-
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition of the whole serving registry."""
-        return self.registry.render_prometheus()

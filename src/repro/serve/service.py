@@ -12,7 +12,7 @@ and owns everything between the HTTP layer and the overlay backend —
   in-flight overlay queries, requests are shed with 429 (``overloaded``)
   rather than queued — overload must surface as backpressure, never as
   5xx or unbounded latency;
-* per-endpoint counters and latency percentiles
+* per-route counters and latency percentiles in the obs registry
   (:mod:`repro.serve.metrics`), rendered by ``GET /metrics`` and
   projected onto the control plane as
   :class:`~repro.live.control.ServeStatusReply`.
@@ -38,7 +38,11 @@ from .cache import TtlCache
 from .metrics import ServeMetrics
 from .ratelimit import RateLimiter
 
-__all__ = ["ServeConfig", "AvailabilityService", "result_json"]
+__all__ = ["UNMATCHED_ROUTE", "ServeConfig", "AvailabilityService", "result_json"]
+
+#: The one metrics label every request that matches no route counts under
+#: (routes all start with "/", so none can take it).
+UNMATCHED_ROUTE = "unmatched"
 
 
 @dataclass
@@ -156,11 +160,10 @@ class AvailabilityService:
                     finally:
                         self._active -= 1
         finally:
-            # The endpoint label aggregates path parameters away so the
-            # metrics cardinality is the route table's, not the id space's.
-            self.metrics.endpoint(route).record(
-                status, self._now() - started
-            )
+            # The route label aggregates path parameters away and every
+            # unmatched request shares UNMATCHED_ROUTE, so the metrics
+            # cardinality is the route table's, not the clients'.
+            self.metrics.record(route, status, self._now() - started)
         return status, payload, headers
 
     def _route(self, method: str, path: str):
@@ -180,7 +183,7 @@ class AvailabilityService:
                 return "/predict", self._predict
             if path == "/replicate":
                 return "/replicate", self._replicate
-        return path, None
+        return UNMATCHED_ROUTE, None
 
     # -- parameter parsing -------------------------------------------------
 
@@ -233,7 +236,7 @@ class AvailabilityService:
 
     async def _metrics(self, path, params, body):
         if params.get("format", [""])[-1] == "prometheus":
-            return 200, self.metrics.render_prometheus()
+            return 200, self.metrics.registry.render_prometheus()
         return 200, self.metrics.to_dict(
             cache_stats=self.cache.stats.to_dict()
         )

@@ -78,13 +78,15 @@ class TestAuditSelection:
 
 class TestDiscoveryAccessors:
     def test_cdf_matches_delays(self, churned_result):
-        delays = churned_result.first_monitor_delays()
-        cdf = churned_result.discovery_cdf()
+        summary = churned_result.summary()
+        delays = summary.first_monitor_delays()
+        cdf = summary.discovery_cdf()
         if delays:
             assert cdf[-1][1] == 1.0
             assert cdf[0][0] == min(delays)
 
     def test_nth_subset_of_first(self, churned_result):
-        first = churned_result.nth_monitor_delays(1)
-        second = churned_result.nth_monitor_delays(2)
+        summary = churned_result.summary()
+        first = summary.nth_monitor_delays(1)
+        second = summary.nth_monitor_delays(2)
         assert len(second) <= len(first)

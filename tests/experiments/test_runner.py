@@ -51,7 +51,7 @@ class TestStatRun(object):
 
     def test_discovery_below_one_period(self, stat_result):
         # N=60 with cvs~11: E[D] ~ N/cvs^2 ~ 0.5 periods; generous bound.
-        assert stat_result.average_discovery_time() < 60.0
+        assert stat_result.summary().average_discovery_time() < 60.0
 
     def test_memory_near_expectation(self, stat_result):
         expected = stat_result.avmon_config.expected_memory_entries
@@ -137,14 +137,20 @@ class TestChurnedRuns:
         config_b = SimulationConfig(model="STAT", n=30, duration=1500.0, warmup=300.0, seed=9)
         first = run_simulation(config_a)
         second = run_simulation(config_b)
-        assert first.first_monitor_delays() == second.first_monitor_delays()
+        assert (
+            first.summary().first_monitor_delays()
+            == second.summary().first_monitor_delays()
+        )
         assert first.window_bytes == second.window_bytes
 
     def test_seed_changes_outcome(self):
         base = dict(model="STAT", n=30, duration=1500.0, warmup=300.0)
         first = run_simulation(SimulationConfig(seed=1, **base))
         second = run_simulation(SimulationConfig(seed=2, **base))
-        assert first.first_monitor_delays() != second.first_monitor_delays()
+        assert (
+            first.summary().first_monitor_delays()
+            != second.summary().first_monitor_delays()
+        )
 
     def test_custom_avmon_config_respected(self):
         avmon = AvmonConfig(n_expected=40, k=4, cvs=5, enable_pr2=True)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.summary import SimulationSummary
 from repro.metrics.collectors import (
     ComputationCollector,
     DiscoveryTimeCollector,
@@ -10,17 +11,22 @@ from repro.metrics.collectors import (
 )
 
 
+def summary_of(collector):
+    """The figure accessors read the collector through a summary."""
+    return SimulationSummary(monitor_delays=collector.delays_by_rank())
+
+
 class TestDiscoveryTimeCollector:
     def test_first_monitor_delay(self):
         collector = DiscoveryTimeCollector()
         collector.track(1, join_time=100.0)
         collector.on_monitor_discovered(1, time=130.0, ps_size=1)
-        assert collector.first_monitor_delays() == [30.0]
+        assert summary_of(collector).first_monitor_delays() == [30.0]
 
     def test_untracked_ignored(self):
         collector = DiscoveryTimeCollector()
         collector.on_monitor_discovered(1, time=130.0, ps_size=1)
-        assert collector.first_monitor_delays() == []
+        assert summary_of(collector).first_monitor_delays() == []
 
     def test_nth_delays(self):
         collector = DiscoveryTimeCollector()
@@ -28,19 +34,19 @@ class TestDiscoveryTimeCollector:
         collector.on_monitor_discovered(1, 10.0, 1)
         collector.on_monitor_discovered(1, 25.0, 2)
         collector.on_monitor_discovered(1, 60.0, 3)
-        assert collector.nth_monitor_delays(2) == [25.0]
-        assert collector.nth_monitor_delays(3) == [60.0]
+        assert summary_of(collector).nth_monitor_delays(2) == [25.0]
+        assert summary_of(collector).nth_monitor_delays(3) == [60.0]
 
     def test_nth_only_first_occurrence(self):
         collector = DiscoveryTimeCollector()
         collector.track(1, 0.0)
         collector.on_monitor_discovered(1, 10.0, 1)
         collector.on_monitor_discovered(1, 50.0, 1)
-        assert collector.first_monitor_delays() == [10.0]
+        assert summary_of(collector).first_monitor_delays() == [10.0]
 
     def test_invalid_nth(self):
         with pytest.raises(ValueError):
-            DiscoveryTimeCollector().nth_monitor_delays(0)
+            summary_of(DiscoveryTimeCollector()).nth_monitor_delays(0)
 
     def test_undiscovered_count(self):
         collector = DiscoveryTimeCollector()
@@ -54,15 +60,17 @@ class TestDiscoveryTimeCollector:
         for node, delay in ((1, 10.0), (2, 20.0), (3, 6000.0)):
             collector.track(node, 0.0)
             collector.on_monitor_discovered(node, delay, 1)
-        assert collector.average_first_delay(drop_top=1) == 15.0
-        assert collector.average_first_delay(drop_top=0) == pytest.approx(2010.0)
+        assert summary_of(collector).average_discovery_time(drop_top=1) == 15.0
+        assert summary_of(collector).average_discovery_time(drop_top=0) == pytest.approx(
+            2010.0
+        )
 
     def test_track_idempotent(self):
         collector = DiscoveryTimeCollector()
         collector.track(1, 0.0)
         collector.on_monitor_discovered(1, 10.0, 1)
         collector.track(1, 500.0)  # must not reset
-        assert collector.first_monitor_delays() == [10.0]
+        assert summary_of(collector).first_monitor_delays() == [10.0]
 
 
 class TestComputationCollector:
@@ -106,7 +114,7 @@ class TestMetricsHub:
         hub = MetricsHub()
         hub.discovery.track(1, 0.0)
         hub.on_monitor_discovered(1, 5, time=30.0, ps_size=1)
-        assert hub.discovery.first_monitor_delays() == [30.0]
+        assert summary_of(hub.discovery).first_monitor_delays() == [30.0]
 
     def test_monitor_targets_recorded(self):
         hub = MetricsHub()

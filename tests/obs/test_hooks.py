@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core.condition import ConsistencyCondition
 from repro.core.relation import MonitorRelation
-from repro.obs import MetricsRegistry, observe_condition, observe_relation, observe_simulator
+from repro.obs import MetricsRegistry, observe_condition, observe_simulator
 from repro.obs.registry import WALL
 from repro.sim.engine import Simulator
 
@@ -73,7 +73,7 @@ class TestObserveRelation:
         condition = ConsistencyCondition(k=4, n=64)
         relation = MonitorRelation(condition)
         relation.add_nodes(range(50))
-        observe_relation(registry, relation)
+        relation.observe(registry)
         relation.targets_of(1)
         relation.targets_of(2)
         det = registry.deterministic_snapshot()

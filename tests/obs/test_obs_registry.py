@@ -106,17 +106,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.counter("a", "bogus")
 
-    def test_register_adopts_external_metric(self):
-        registry = MetricsRegistry()
-        hist = Histogram("external", kind=WALL)
-        assert registry.register(hist) is hist
-        assert registry.get("external") is hist
-        # Re-registering the same object is idempotent; a different one
-        # under the same name is an error.
-        registry.register(hist)
-        with pytest.raises(ValueError):
-            registry.register(Histogram("external"))
-
     def test_deterministic_snapshot_excludes_wall(self):
         registry = MetricsRegistry()
         registry.counter("det").inc(3)

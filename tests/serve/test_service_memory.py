@@ -10,6 +10,7 @@ sockets, deterministic for a fixed seed.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 
 import pytest
@@ -18,7 +19,7 @@ from repro.live.memory_transport import MemoryOverlay
 from repro.live.supervisor import LiveConfig
 from repro.serve.backend import memory_backend
 from repro.serve.http import MemoryHttpClient
-from repro.serve.service import AvailabilityService, ServeConfig
+from repro.serve.service import UNMATCHED_ROUTE, AvailabilityService, ServeConfig
 
 
 def run_serve(body, *, nodes=12, duration=20.0, seed=7, settle=10.0,
@@ -381,6 +382,62 @@ class TestDeterminism:
         second = run_serve(body, seed=11)
         assert first == second
 
+    def test_metrics_surface_pinned_across_commits(self):
+        """SHA-256 of the ``/metrics`` JSON (``sort_keys``) and Prometheus
+        text for a fixed seeded WAN schedule. Run-to-run equality (above)
+        misses a change that moves every run the same way; these digests
+        catch it. Python 3.11 and 3.12 give the same bytes. A deliberate
+        change to the serving metrics regenerates them by printing the two
+        ``hashlib.sha256(...).hexdigest()`` values from this body."""
+
+        async def body(overlay, service, http):
+            clients = iter(range(100))
+
+            async def call(method, target, **kwargs):
+                # One client id per call keeps the per-client limiter out
+                # of the way; the "greedy" burst below is the 429 case.
+                headers = {"X-Client-Id": f"c{next(clients)}"}
+                status, _, _ = await http.request(
+                    method, target, headers=headers, **kwargs
+                )
+                return status
+
+            codes = [
+                await call("GET", f"/availability/{n}?l=1")
+                for n in (1, 2, 1, 3, 2, 5)
+            ]
+            codes.append(await call("GET", "/availability/abc"))
+            codes += [await call("GET", f"/monitors/{n}") for n in (4, 6, 4)]
+            codes.append(await call("GET", "/nodes"))
+            codes.append(await call("POST", "/predict", body={
+                "predictor": "counter",
+                "samples": [[0.0, True], [3600.0, False], [7200.0, True]],
+            }))
+            for _ in range(4):
+                status, _, _ = await http.get(
+                    "/nodes", headers={"X-Client-Id": "greedy"}
+                )
+                codes.append(status)
+            _, payload, _ = await http.get("/metrics")
+            _, text, _ = await http.get("/metrics?format=prometheus")
+            return codes, json.dumps(payload, sort_keys=True), text
+
+        codes, metrics_json, prometheus = run_serve(
+            body,
+            seed=5,
+            fault="WAN",
+            serve_config=ServeConfig(client_rate=0.5, client_burst=2.0),
+        )
+        assert codes == [200] * 6 + [400] + [200] * 7 + [429, 429]
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (metrics_json, prometheus)
+        )
+        assert digests == (
+            "563cf36dde6569c951af195afe40692af1b41a7036488d7221d8baa796bc7337",
+            "15f8e9cd71bfdf1aa1c8850b546ae3a84f782a2d134f2cb5892f2a735fcf2b41",
+        )
+
 
 class TestRequestValidation:
     def test_bad_inputs_are_4xx_never_5xx(self):
@@ -421,6 +478,27 @@ class TestRequestValidation:
             assert status == expected, (name, status, payload)
             assert "error" in payload
         assert metrics["totals"]["server_errors"] == 0
+
+    def test_unmatched_paths_do_not_mint_metrics(self):
+        """Client-chosen paths must not set the metrics cardinality: every
+        request that matches no route counts under one fixed label."""
+
+        async def body(overlay, service, http):
+            await http.get("/nodes")
+            await http.get("/metrics")
+            before = len(service.metrics.registry.names())
+            for index in range(100):
+                await http.get(f"/scan/{index}")
+                await http.post(f"/availability/{index}")
+            _, metrics, _ = await http.get("/metrics")
+            return before, len(service.metrics.registry.names()), metrics
+
+        before, after, metrics = run_serve(body)
+        # One label's five counters and one latency histogram, at most.
+        assert after - before <= 6
+        assert set(metrics["endpoints"]) == {"/nodes", "/metrics", UNMATCHED_ROUTE}
+        unmatched = metrics["endpoints"][UNMATCHED_ROUTE]
+        assert unmatched["requests"] == unmatched["client_errors"] == 200
 
     def test_predict_periodic(self):
         async def body(overlay, service, http):
