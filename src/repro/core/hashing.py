@@ -251,8 +251,7 @@ class PairHasher:
 
     The counter lets callers measure how many *actual* hash evaluations an
     algorithm performed, which the analysis in Section 4.1 cares about.
-    Both the float view (``hasher(a, b)``) and the integer view
-    (:meth:`pair_u64`, :meth:`scan_targets`) count into the same total.
+    :meth:`pair_u64` and :meth:`scan_targets` count into the same total.
     """
 
     __slots__ = ("algorithm", "_fn_u64", "_scan_targets", "evaluations")
@@ -261,10 +260,6 @@ class PairHasher:
         self._fn_u64, self._scan_targets = _algorithm(algorithm)
         self.algorithm = algorithm
         self.evaluations = 0
-
-    def __call__(self, a: NodeId, b: NodeId) -> float:
-        self.evaluations += 1
-        return self._fn_u64(a, b) / _TWO_64
 
     def pair_u64(self, a: NodeId, b: NodeId) -> int:
         """``H(a, b)`` as the raw 64-bit integer (see :func:`hash_pair_u64`)."""

@@ -8,7 +8,7 @@ name      strategy                                            extra params
 SERIAL    in this process, input order                        —
 POOL      ``multiprocessing.Pool`` fan-out                    ``jobs``
 REMOTE    network-attached workers leasing cells from the     ``lease_ttl``,
-          store daemon (``avmon fleet worker --attach``)      ``claim_ttl``, ...
+          store daemon (``avmon fleet worker --attach``)      ``owner``, ...
 FLEET     local launcher of the same lease protocol: spawns   ``workers``,
           the workers itself against an in-process daemon     ``lease_timeout``, ...
           (survives SIGKILL of any worker mid-sweep)

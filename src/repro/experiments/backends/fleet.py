@@ -12,10 +12,13 @@ read, not a recompute.
 
 What is genuinely local rides the loop's per-iteration hook.  A child
 that disappears (SIGKILL, OOM, crash) is noticed by polling process
-liveness — no waiting out its lease — and its cell retried with backoff;
-a child alive but silent past ``lease_timeout`` has its lease expired by
-the board like any remote worker's, and is then SIGKILLed.  Either way a
-fresh child takes its place.
+liveness — no waiting out its lease.  The board's listing names the
+task it held; a task's id is its cell's store key, and the cell is
+retried with backoff by republishing that key at the next attempt, which
+re-queues the task over the dead child's lease.  A child alive but
+silent past ``lease_timeout`` has its lease expired by the board like
+any remote worker's, and is then SIGKILLed.  Either way a fresh child
+takes its place.
 """
 
 from __future__ import annotations
@@ -163,8 +166,9 @@ class WorkerFleetBackend(RemoteWorkerBackend):
                     exitcode=child.exitcode,
                 )
                 if task:
+                    run.lapsed[task["id"]] = task["publisher"]
                     run.retry_or_fail(
-                        index,
+                        task["id"],
                         attempt,
                         f"fleet worker {name} died while running the cell "
                         f"(exitcode {child.exitcode})",

@@ -15,21 +15,25 @@ daemon workers on *any host* have attached to:
 the same workers as local children.
 
 The parent never talks to workers directly.  It publishes one task per
-cell (the config pickled into the payload), drains the board's event log
-by cursor, and decides from what it sees: ``expired`` is a worker death
+cell, named by the cell's *store key* (its object name) and carrying the
+config pickled into the payload.  It drains the board's event log by
+cursor and decides from what it sees: ``expired`` is a worker death
 (retry with backoff until the policy is exhausted), ``failed`` is a
 deterministic bug (fail fast, no retry), ``done`` is recorded once per
 cell no matter how many stragglers report.
 
-Cross-parent coordination rides the same daemon.  Before publishing, the
-parent claims each cell's *store address* (its object name) with a TTL.
-A granted claim means "I publish this cell"; a denied claim means some
-other parent sweeping an overlapping grid already owns it, so this
-parent just watches the store and adopts the summary when it appears.
-A parent that dies stops renewing; its claims lapse, the survivor's next
-claim attempt is granted (the daemon cancels the dead parent's orphaned
-tasks), and the sweep completes anyway.  ``fleet.cell_done`` is emitted
-only for cells this parent's own tasks computed and always carries the
+Because the task id is the store key, the task is the one record of who
+is computing a cell.  A second parent sweeping an overlapping grid
+publishes the same key, finds the task live, and follows its events
+instead of publishing a second one.  A parent that dies leaves its tasks
+on the board: workers still finish them, and when a lease lapses any
+parent following the task re-queues it at the next attempt (the board's
+compare-and-set on the attempt makes that happen once).  A restarted
+daemon answers with a new board epoch, and the parent republishes its
+outstanding cells.  ``fleet.cell_done`` is emitted only for a cell that
+a worker computed for an attempt this parent published (a store hit
+right after a lost lease counts for the lost attempt, whose worker wrote
+it late); every other outcome is ``fleet.cell_adopted``.  ``cell_done`` always carries the
 store key, so concatenating every parent's journal and counting
 duplicate keys verifies that no cell was computed twice.
 
@@ -50,7 +54,6 @@ import time
 import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-from urllib.parse import quote
 
 from .base import ExecutionBackend, Payload, RecordFn, sorted_payloads
 
@@ -116,7 +119,7 @@ class RemoteWorkerBackend(ExecutionBackend):
     Requires a shared store (``--cache-dir http://host:port``): the same
     daemon that holds the summaries is the coordinator, so there is no
     second service to deploy and the durable truth (the store) and the
-    soft state (leases, claims) cannot point at different places.
+    soft state (leases) cannot point at different places.
     """
 
     name = "REMOTE"
@@ -124,7 +127,7 @@ class RemoteWorkerBackend(ExecutionBackend):
     #: Event names whose counts depend on wall-clock timing; they land in
     #: the registry as wall-kind so deterministic snapshots stay
     #: byte-equal.  Every remote lifecycle count depends on such races —
-    #: which worker polls first, whether a sibling parent wins a claim.
+    #: which worker polls first, which sibling parent publishes a cell.
     WALL_EVENTS: FrozenSet[str] = frozenset(
         {
             "fleet.remote_attach",
@@ -134,10 +137,6 @@ class RemoteWorkerBackend(ExecutionBackend):
             "fleet.cell_done",
             "fleet.cell_failed",
             "fleet.cell_adopted",
-            "fleet.claim_granted",
-            "fleet.claim_denied",
-            "fleet.claim_expired",
-            "fleet.claim_lost",
         }
     )
 
@@ -152,9 +151,7 @@ class RemoteWorkerBackend(ExecutionBackend):
         max_attempts: int = 3,
         retry_backoff: float = 0.25,
         lease_ttl: float = 30.0,
-        claim_ttl: Optional[float] = None,
         poll_interval: float = 0.2,
-        adopt_interval: Optional[float] = None,
     ) -> None:
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
@@ -163,17 +160,7 @@ class RemoteWorkerBackend(ExecutionBackend):
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
         self.lease_ttl = lease_ttl
-        #: Claims must outlive the renewal cadence comfortably; twice the
-        #: task lease is a sane default for both knobs to scale together.
-        self.claim_ttl = claim_ttl if claim_ttl is not None else 2.0 * lease_ttl
         self.poll_interval = poll_interval
-        #: How often watched (other-parent-owned) cells are checked for
-        #: adoption or claim takeover.
-        self.adopt_interval = (
-            adopt_interval
-            if adopt_interval is not None
-            else max(1.0, 5.0 * poll_interval)
-        )
         #: Per-execute lifecycle event counts: the one source of truth
         #: for :attr:`stats` and :meth:`stats_line`, so the stderr tally,
         #: the programmatic tallies and the journal cannot disagree.
@@ -264,6 +251,8 @@ class _SweepRun:
     *fleet* supplies the knobs (owner, TTLs, retry policy) and the
     ``_emit`` sink; *coordinator* is a :class:`~repro.experiments.
     store_backends.SharedStoreBackend` on the daemon holding the board.
+    Cells are tracked by store key: a grid that lists one config twice
+    has two indexes behind one key, one task, and one settlement.
     """
 
     def __init__(self, fleet, coordinator, payloads, record: RecordFn) -> None:
@@ -274,271 +263,229 @@ class _SweepRun:
         self.coordinator = coordinator
         self.record = record
         self.owner = fleet.owner
-        self.configs = dict(payloads)
-        self.keys = {
-            index: SummaryStore.name_for(config_key(config))
-            for index, config in payloads
-        }
-        self.outstanding: Set[int] = set(self.configs)
-        self.mine: Set[int] = set()
-        self.watched: Set[int] = set()
-        self.attempts: Dict[int, int] = {}
-        self.retry_heap: List[Tuple[float, int, int]] = []  # (ready, index, attempt)
+        #: store key -> the grid indexes behind it, in input order.
+        self.cells: Dict[str, List[int]] = {}
+        self.configs: Dict[str, object] = {}
+        for index, config in payloads:
+            key = SummaryStore.name_for(config_key(config))
+            self.cells.setdefault(key, []).append(index)
+            self.configs[key] = config
+        self.outstanding: Set[str] = set(self.cells)
+        #: key -> the task's attempt as last seen on the board.
+        self.attempts: Dict[str, int] = {}
+        self.retry_heap: List[Tuple[float, str, int]] = []  # (ready, key, attempt)
+        #: key -> publisher of the latest attempt whose worker was lost.
+        self.lapsed: Dict[str, str] = {}
         self.workers_seen: Set[str] = set()
         self.cursor = 0
-        self.events_path = (
-            f"/tasks/events?prefix={quote(self.owner + ':', safe='')}&since="
-        )
+        self.epoch: Optional[str] = None
 
     # -- daemon calls ------------------------------------------------------
 
-    def publish(self, index: int, attempt: int) -> None:
-        self.attempts[index] = attempt
-        self.coordinator.call(
+    def publish(self, key: str, attempt: int) -> None:
+        """Publish *key* at *attempt*, or learn the live task to follow."""
+        _, response = self.coordinator.call(
             "POST",
             "/tasks",
             {
-                "id": f"{self.owner}:{index}",
-                "payload": _encode_config(self.configs[index]),
-                "key": self.keys[index],
+                "id": key,
+                "payload": _encode_config(self.configs[key]),
+                "key": key,
                 "lease_ttl": self.fleet.lease_ttl,
                 "attempt": attempt,
+                "publisher": self.owner,
             },
         )
+        task = response.get("published") or {}
+        self.attempts[key] = int(task.get("attempt", attempt))
+        if task.get("state") == "expired":
+            # Another parent's task lapsed before we joined it (its
+            # ``expired`` event predates our cursor): retry it ourselves.
+            self.handle_event({**task, "kind": "expired", "task": key})
 
-    def claim(self, index: int, *, takeover: bool) -> Optional[str]:
-        """Try to own *index*: publish it if granted (None returned), else
-        watch it (the holder's name returned)."""
-        key = self.keys[index]
-        _, response = self.coordinator.call(
-            "POST",
-            "/claims/claim",
-            {"key": key, "owner": self.owner, "ttl": self.fleet.claim_ttl},
-        )
-        if not response.get("granted"):
-            self.watched.add(index)
-            return str(response.get("owner", ""))
-        if takeover:
-            # The owner's claim lapsed (it died or hung): the daemon
-            # granted us the takeover and cancelled its orphaned tasks.
-            self.emit("fleet.claim_expired", cell=index, key=key)
-        self.emit("fleet.claim_granted", cell=index, key=key, takeover=takeover)
-        self.watched.discard(index)
-        self.mine.add(index)
-        self.publish(index, 1)
-        return None
+    def publish_outstanding(self) -> None:
+        """(Re)publish every unsettled cell at its current attempt, in
+        grid order (workers lease FIFO)."""
+        for key in self.cells:
+            if key in self.outstanding:
+                self.publish(key, self.attempts.get(key, 1))
 
-    def fetch_summary(self, index: int):
+    def fetch_summary(self, key: str):
         """Read the cell's summary straight off the store (no counters)."""
-        return _parse_summary(self.coordinator.get(self.keys[index]))
+        return _parse_summary(self.coordinator.get(key))
 
     # -- decisions ---------------------------------------------------------
 
-    def finish(self, index: int) -> None:
-        self.outstanding.discard(index)
-        self.mine.discard(index)
-        self.watched.discard(index)
+    def cell_of(self, key: str) -> int:
+        """The first grid index behind *key* (what journals call a cell)."""
+        return self.cells[key][0]
 
-    def retry_pending(self, index: int) -> bool:
-        """Whether a failure of *index* is already waiting out its backoff."""
-        return any(entry[1] == index for entry in self.retry_heap)
+    def settle(self, key: str, summary, error: Optional[str], **fields) -> None:
+        """Record one outcome for every grid index behind *key*."""
+        for index in self.cells[key]:
+            self.record(index, summary, error, **fields)
+        self.outstanding.discard(key)
 
-    def retry_or_fail(self, index: int, attempt: int, reason: str) -> None:
+    def retry_pending(self, key: str) -> bool:
+        """Whether a failure of *key* is already waiting out its backoff."""
+        return any(entry[1] == key for entry in self.retry_heap)
+
+    def retry_or_fail(self, key: str, attempt: int, reason: str) -> None:
         policy = self.fleet.policy
+        cell = self.cell_of(key)
         if policy.exhausted(attempt):
             error = f"{reason}; gave up after {attempt} attempts"
-            self.record(index, None, error, attempts=attempt)
-            self.emit("fleet.cell_failed", cell=index, attempts=attempt)
-            self.finish(index)
+            self.settle(key, None, error, attempts=attempt)
+            self.emit("fleet.cell_failed", cell=cell, attempts=attempt)
             return
         delay = policy.delay(attempt)
         heapq.heappush(
-            self.retry_heap, (time.monotonic() + delay, index, attempt + 1)
+            self.retry_heap, (time.monotonic() + delay, key, attempt + 1)
         )
         self.emit(
-            "fleet.retry", cell=index, attempt=attempt + 1, delay_s=round(delay, 6)
+            "fleet.retry", cell=cell, attempt=attempt + 1, delay_s=round(delay, 6)
         )
 
-    @staticmethod
-    def cell_of(task_id) -> Optional[int]:
-        """The cell index behind a board task id (None = not one of ours)."""
-        try:
-            return int(str(task_id).rsplit(":", 1)[1])
-        except (IndexError, ValueError):
-            return None
-
     def handle_event(self, event: dict) -> None:
-        index = self.cell_of(event.get("task"))
-        if index not in self.outstanding:
-            return  # straggler for a settled cell: at-least-once dedup
+        key = event.get("task")
+        if key not in self.outstanding:
+            return  # not ours, or a straggler for a settled cell
         kind = event.get("kind")
-        attempt = int(event.get("attempt", self.attempts.get(index, 1)))
+        attempt = int(event.get("attempt", 1))
         worker = str(event.get("worker", ""))
+        cell = self.cell_of(key)
         if kind == "claimed":
             if worker and worker not in self.workers_seen:
                 self.workers_seen.add(worker)
                 self.emit("fleet.remote_attach", worker=worker)
             self.emit(
-                "fleet.lease_granted", worker=worker, cell=index, attempt=attempt
+                "fleet.lease_granted", worker=worker, cell=cell, attempt=attempt
             )
             return
-        if index not in self.mine:
-            return  # we lost this cell's claim; the watcher owns it now
-        if attempt < self.attempts.get(index, 1):
+        if attempt < self.attempts.get(key, 1):
             return  # stale event from a superseded attempt
+        self.attempts[key] = attempt
         if kind == "done":
             summary = _parse_summary(event.get("summary"))
             persisted = bool(event.get("persisted"))
             if summary is None:
                 # Whatever the event said, a summary served straight
                 # off the store is by definition persisted.
-                summary = self.fetch_summary(index)
+                summary = self.fetch_summary(key)
                 persisted = summary is not None
             if summary is None:
                 # The worker said done but neither the event nor the
                 # store has the summary (e.g. its write-through failed
                 # and the inline copy was mangled): treat like a death.
                 self.retry_or_fail(
-                    index,
+                    key,
                     attempt,
                     f"fleet worker {worker} reported an unfetchable "
-                    f"result for cell {index}",
+                    f"result for cell {cell}",
                 )
                 return
-            self.emit(
-                "fleet.cell_done",
-                worker=worker,
-                cell=index,
-                attempt=attempt,
-                persisted=persisted,
-                key=self.keys[index],
-            )
-            self.record(index, summary, None, persisted=persisted, attempts=attempt)
-            self.finish(index)
+            # Only the parent whose attempt a worker computed reports
+            # ``cell_done``; a followed task is adopted, so duplicate
+            # keys across journals mean duplicate computation.  A store
+            # hit after a lost lease is the lost worker's late write:
+            # the publisher of that attempt reports it.
+            if event.get("computed", True):
+                mine = event.get("publisher") == self.owner
+            else:
+                mine = self.lapsed.get(key) == self.owner
+            if mine:
+                self.emit(
+                    "fleet.cell_done",
+                    worker=worker,
+                    cell=cell,
+                    attempt=attempt,
+                    persisted=persisted,
+                    key=key,
+                )
+            else:
+                self.emit("fleet.cell_adopted", cell=cell, key=key)
+            self.settle(key, summary, None, persisted=persisted, attempts=attempt)
         elif kind == "failed":
             # Deterministic failure: identical code on identical input
             # raises identically — no retry, keep the traceback.
             error = str(event.get("error", "")) or "fleet worker failure"
-            self.record(index, None, error, attempts=attempt)
-            self.emit("fleet.cell_failed", cell=index, attempts=attempt)
-            self.finish(index)
-        elif kind == "expired" and not self.retry_pending(index):
+            self.settle(key, None, error, attempts=attempt)
+            self.emit("fleet.cell_failed", cell=cell, attempts=attempt)
+        elif kind == "expired":
             # The worker went silent past its lease: suspicion is enough
             # (unreliable failure detector), a late completion is deduped
             # as a straggler.  With a retry already pending, this is the
             # lease of a local worker whose death was noticed first.
+            self.lapsed[key] = str(event.get("publisher", ""))
+            if self.retry_pending(key):
+                return
             self.emit(
-                "fleet.lease_expired", worker=worker, cell=index, attempt=attempt
+                "fleet.lease_expired", worker=worker, cell=cell, attempt=attempt
             )
             self.retry_or_fail(
-                index,
+                key,
                 attempt,
-                f"fleet worker {worker} lost its lease on cell {index} "
+                f"fleet worker {worker} lost its lease on cell {cell} "
                 f"(no heartbeat)",
             )
-        elif kind == "cancelled":
-            # Another parent took the claim over (it judged us dead —
-            # e.g. we stalled past the claim TTL).  It owns the cell
-            # now; demote ourselves to watching its result.
-            self.mine.discard(index)
-            self.watched.add(index)
-            self.emit("fleet.claim_lost", cell=index, key=self.keys[index])
 
     def drain_events(self) -> List[dict]:
-        """Apply every board event since the cursor; returns them."""
+        """Apply every board event since the cursor; returns them.
+
+        A new board epoch means the daemon restarted and forgot every
+        task: start its log from the top and republish what is still
+        outstanding at its current attempt.  The first drain only learns
+        the epoch and skips the history before this sweep.
+        """
         _, response = self.coordinator.call(
-            "GET", self.events_path + str(self.cursor)
+            "GET", f"/tasks/events?since={self.cursor}"
         )
-        self.cursor = int(response.get("cursor", self.cursor))
+        cursor = int(response.get("cursor", self.cursor))
+        epoch = response.get("epoch")
+        if epoch != self.epoch:
+            restarted = self.epoch is not None
+            self.epoch = epoch
+            self.cursor = 0 if restarted else cursor
+            if restarted:
+                self.publish_outstanding()
+            return []
+        self.cursor = cursor
         events = list(response.get("events", ()))
         for event in events:
             self.handle_event(event)
         return events
 
-    def renew_claims(self) -> None:
-        held = sorted(self.keys[index] for index in self.mine)
-        if not held:
-            return
-        _, response = self.coordinator.call(
-            "POST",
-            "/claims/renew",
-            {"keys": held, "owner": self.owner, "ttl": self.fleet.claim_ttl},
-        )
-        renewed = set(response.get("renewed", ()))
-        for index in sorted(self.mine):
-            if self.keys[index] not in renewed:
-                self.mine.discard(index)
-                self.watched.add(index)
-                self.emit("fleet.claim_lost", cell=index, key=self.keys[index])
+    def publish_due_retries(self) -> None:
+        """Re-queue every cell whose backoff has run out.
 
-    def poll_watched(self) -> None:
-        for index in sorted(self.watched & self.outstanding):
-            summary = self.fetch_summary(index)
-            if summary is None:
-                self.claim(index, takeover=True)
-                continue
-            # The owning parent's worker computed it; adopt the stored
-            # bytes.  Deliberately NOT a ``cell_done``: only the
-            # computing parent emits that, so duplicate keys across
-            # journals mean duplicate computation.
-            self.emit("fleet.cell_adopted", cell=index, key=self.keys[index])
-            self.record(index, summary, None, persisted=True)
-            self.finish(index)
+        A retry re-queues even a finished task, so it goes out right
+        after a drain: a cell that settled meanwhile is no longer
+        outstanding and is skipped.
+        """
+        now = time.monotonic()
+        while self.retry_heap and self.retry_heap[0][0] <= now:
+            _, key, attempt = heapq.heappop(self.retry_heap)
+            if key in self.outstanding:
+                self.publish(key, attempt)
 
     # -- the loop ----------------------------------------------------------
 
     def run(self, tick: Optional[Callable[[List[dict]], None]] = None) -> None:
-        """Claim, publish, and poll until every cell is settled.
+        """Publish every cell, then drain and retry until all are settled.
 
         *tick* is called once per iteration with the board events that
         iteration applied — the seam for what only a launcher of *local*
         workers can do (reap and respawn its children).
         """
-        fleet = self.fleet
-        # Claim every cell up front: winners publish, losers watch.
-        for index in sorted(self.configs):
-            holder = self.claim(index, takeover=False)
-            if holder is not None:
-                self.emit(
-                    "fleet.claim_denied",
-                    cell=index,
-                    key=self.keys[index],
-                    owner=holder,
-                )
-        last_renew = time.monotonic()
-        last_adopt = 0.0
-        renew_every = max(fleet.claim_ttl / 3.0, 0.05)
-        try:
-            while self.outstanding:
-                events = self.drain_events()
-                if tick is not None:
-                    tick(events)
-                now = time.monotonic()
-                while self.retry_heap and self.retry_heap[0][0] <= now:
-                    _, index, attempt = heapq.heappop(self.retry_heap)
-                    if index in self.mine and index in self.outstanding:
-                        self.publish(index, attempt)
-                if now - last_renew >= renew_every:
-                    self.renew_claims()
-                    last_renew = now
-                if (
-                    self.watched & self.outstanding
-                    and now - last_adopt >= fleet.adopt_interval
-                ):
-                    self.poll_watched()
-                    last_adopt = now
-                if self.outstanding:
-                    time.sleep(fleet.poll_interval)
-        finally:
-            # Best-effort claim release so a sibling parent can finish
-            # cells we abandoned (e.g. the sweep was interrupted).
-            for key in sorted(self.keys[index] for index in self.mine):
-                try:
-                    self.coordinator.call(
-                        "POST", "/claims/release", {"key": key, "owner": self.owner}
-                    )
-                except OSError:
-                    break
+        self.drain_events()
+        self.publish_outstanding()
+        while self.outstanding:
+            events = self.drain_events()
+            self.publish_due_retries()
+            if tick is not None:
+                tick(events)
+            if self.outstanding:
+                time.sleep(self.fleet.poll_interval)
 
 
 # -- the worker side -------------------------------------------------------
@@ -582,8 +529,9 @@ def _run_task(backend, task: dict, name: str) -> None:
     try:
         config = _decode_config(str(task["payload"]))
         summary = _parse_summary(backend.get(key)) if key else None
-        persisted = summary is not None
-        if summary is None:
+        computed = summary is None
+        persisted = not computed
+        if computed:
             summary = summarize(run_simulation(config))
             if key:
                 try:
@@ -591,7 +539,7 @@ def _run_task(backend, task: dict, name: str) -> None:
                     persisted = True
                 except OSError:
                     persisted = False
-        body = {"worker": name, "persisted": persisted}
+        body = {"worker": name, "persisted": persisted, "computed": computed}
         if not persisted:
             body["summary"] = summary.to_json()
         backend.call("POST", f"/tasks/{task_id}/done", body)

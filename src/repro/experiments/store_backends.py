@@ -383,9 +383,9 @@ class SharedStoreBackend(StoreBackend):
     ) -> Tuple[int, dict]:
         """One JSON round trip to an arbitrary daemon endpoint.
 
-        The coordination clients (task board, cell claims) speak through
-        this so they inherit the keep-alive connection, retry schedule
-        and bearer auth without re-growing a transport.
+        The task board's clients speak through this so they inherit
+        the keep-alive connection, retry schedule and bearer auth
+        without re-growing a transport.
         """
         return self._request(method, path, payload)
 

@@ -21,23 +21,20 @@ POST      /compact              sweep stale tmp/corrupt files (see below)
 
 Beyond objects, the daemon is the sweep fabric's coordinator: a
 task-lease protocol lets workers on any host lease cells and heartbeat
-over HTTP (:class:`~repro.experiments.taskboard.TaskBoard`), and cell
-claims keyed by store address let two parents share one grid without
-computing a cell twice (:class:`~repro.experiments.taskboard.CellClaims`):
+over HTTP (:class:`~repro.experiments.taskboard.TaskBoard`).  A sweep
+names each task by its cell's store key, so two parents sharing one grid
+share one task per cell:
 
 ========  ====================  ===========================================
-POST      /tasks                publish ``{id, payload, key, lease_ttl, attempt}``
+POST      /tasks                publish ``{id, payload, key, lease_ttl, attempt,
+                                publisher}``; a live id is left as it is
 POST      /tasks/claim          ``{worker}`` -> ``{task}`` or ``{task: null}``
 POST      /tasks/{id}/beat      ``{worker}``; 409 when the lease was lost
-POST      /tasks/{id}/done      ``{worker, persisted, summary?}``; 409 dup
+POST      /tasks/{id}/done      ``{worker, persisted, computed, summary?}``;
+                                409 dup
 POST      /tasks/{id}/failed    ``{worker, error}``
-POST      /tasks/{id}/cancel    withdraw a published task
-GET       /tasks/events         ``?since=N&prefix=P`` -> ``{cursor, events}``
+GET       /tasks/events         ``?since=N`` -> ``{cursor, epoch, events}``
 GET       /tasks                board listing + per-state counts
-POST      /claims/claim         ``{key, owner, ttl}`` -> ``{granted, owner}``
-POST      /claims/renew         ``{keys, owner, ttl}`` -> ``{renewed}``
-POST      /claims/release       ``{key, owner}`` -> ``{released}``
-GET       /claims               live claims listing
 ========  ====================  ===========================================
 
 With ``auth_token`` set (``--auth-token`` / ``AVMON_STORE_TOKEN``),
@@ -54,14 +51,16 @@ the in-memory HTTP client drives it socket-free in tests.
 
 The protocol is deliberately cache-shaped, not database-shaped: objects
 are immutable values under content addresses, PUT is idempotent, and a
-lost write is at worst a future recomputation.  The coordination state
-(board, claims) is soft by design — losing the daemon loses leases, not
-results.
+lost write is at worst a future recomputation.  The task board is soft
+state by design — losing the daemon loses leases, not results; the
+board's ``epoch`` tells parents that a restarted daemon has forgotten
+their tasks.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import socket
 import sys
 import threading
@@ -71,7 +70,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..obs.registry import MetricsRegistry
 from .store_backends import FilesystemBackend, StoreBackend, valid_object_name
-from .taskboard import CellClaims, TaskBoard
+from .taskboard import TaskBoard
 
 __all__ = ["StoreService", "StoreDaemonThread", "serve_store", "run_store_server"]
 
@@ -118,7 +117,6 @@ class StoreService:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.auth_token = auth_token or None
         self.board = TaskBoard(clock)
-        self.claims = CellClaims(clock)
         self._counters = {
             name: self.registry.counter(f"store.{name}")
             for name in _STAT_COUNTERS
@@ -126,8 +124,6 @@ class StoreService:
         self._bytes_in = self.registry.counter("store.bytes_in")
         self._bytes_out = self.registry.counter("store.bytes_out")
         self._auth_rejects = self.registry.counter("store.auth_rejects")
-        self._claims_granted = self.registry.counter("store.claims_granted")
-        self._claims_denied = self.registry.counter("store.claims_denied")
         self._tasks_published = self.registry.counter("store.tasks_published")
         self._tasks_claimed = self.registry.counter("store.tasks_claimed")
         self._tasks_done = self.registry.counter("store.tasks_done")
@@ -142,9 +138,6 @@ class StoreService:
         self.registry.gauge(
             "store.object_bytes",
             fn=lambda: sum(e.size for e in self._entries()),
-        )
-        self.registry.gauge(
-            "store.claims_expired", fn=lambda: self.claims.expired_total
         )
 
     # -- cached directory view --------------------------------------------
@@ -248,8 +241,6 @@ class StoreService:
             return self._route_object(method, path[len("/objects/"):], body)
         if path == "/tasks" or path.startswith("/tasks/"):
             return self._route_tasks(method, path, split.query, body)
-        if path == "/claims" or path.startswith("/claims/"):
-            return self._route_claims(method, path, body)
         return 404, {"error": f"no route for {path}"}
 
     def _route_object(
@@ -301,12 +292,23 @@ class StoreService:
                 payload = body.get("payload")
                 if not isinstance(task_id, str) or not isinstance(payload, str):
                     return 400, {"error": "publish needs string id and payload"}
+                try:
+                    lease_ttl = float(body.get("lease_ttl", 30.0))
+                except (TypeError, ValueError, OverflowError):
+                    lease_ttl = math.nan
+                # A NaN or infinite TTL would be a lease that never lapses.
+                if not 0.0 < lease_ttl < math.inf:
+                    return 400, {"error": "lease_ttl must be a finite number > 0"}
+                attempt = body.get("attempt", 1)
+                if type(attempt) is not int or attempt < 1:
+                    return 400, {"error": "attempt must be an integer >= 1"}
                 task = self.board.publish(
                     task_id,
                     payload,
                     key=str(body.get("key", "") or ""),
-                    lease_ttl=float(body.get("lease_ttl", 30.0)),
-                    attempt=int(body.get("attempt", 1)),
+                    lease_ttl=lease_ttl,
+                    attempt=attempt,
+                    publisher=str(body.get("publisher", "") or ""),
                 )
                 self._tasks_published.inc()
                 return 200, {"published": task.public()}
@@ -319,9 +321,10 @@ class StoreService:
                 since = int(params.get("since", ["0"])[-1])
             except ValueError:
                 return 400, {"error": "since must be an integer"}
-            prefix = params.get("prefix", [""])[-1]
-            cursor, events = self.board.events_since(since, prefix=prefix)
-            return 200, {"cursor": cursor, "events": events}
+            cursor, events = self.board.events_since(since)
+            return 200, {
+                "cursor": cursor, "epoch": self.board.epoch, "events": events,
+            }
         if path == "/tasks/claim":
             if method != "POST":
                 return 405, {"error": "claim is POST-only"}
@@ -348,6 +351,7 @@ class StoreService:
         if verb == "done":
             result = {
                 "persisted": bool(body.get("persisted", False)),
+                "computed": bool(body.get("computed", True)),
             }
             if isinstance(body.get("summary"), str):
                 result["summary"] = body["summary"]
@@ -360,53 +364,7 @@ class StoreService:
             if self.board.failed(task_id, worker, error):
                 return 200, {"failed": True}
             return 409, {"error": "task already settled", "failed": False}
-        if verb == "cancel":
-            return 200, {"cancelled": self.board.cancel(task_id)}
         return 404, {"error": f"unknown task verb {verb!r}"}
-
-    # -- cross-parent cell claims ------------------------------------------
-
-    def _route_claims(
-        self, method: str, path: str, body: Optional[dict]
-    ) -> Tuple[int, Union[dict, str]]:
-        body = body if isinstance(body, dict) else {}
-        if path == "/claims":
-            if method != "GET":
-                return 405, {"error": "claims listing is GET-only"}
-            return 200, {"claims": self.claims.claims()}
-        if method != "POST":
-            return 405, {"error": "claim verbs are POST-only"}
-        owner = body.get("owner")
-        if not isinstance(owner, str) or not owner:
-            return 400, {"error": "claims need an owner name"}
-        if path == "/claims/claim":
-            key = body.get("key")
-            if not isinstance(key, str) or not key:
-                return 400, {"error": "claim needs a key"}
-            ttl = float(body.get("ttl", 30.0))
-            lapsed_owner = self.claims.take_expired_owner(key)
-            granted, current = self.claims.claim(key, owner, ttl)
-            if granted:
-                self._claims_granted.inc()
-                if lapsed_owner and lapsed_owner != owner:
-                    # A *different* owner's claim lapsed here (it died or
-                    # hung): cancel its orphaned tasks for this cell so
-                    # they cannot race the new owner's republication.
-                    self.board.cancel_for_key(key)
-            else:
-                self._claims_denied.inc()
-            return 200, {"granted": granted, "owner": current}
-        if path == "/claims/renew":
-            keys = body.get("keys")
-            if not isinstance(keys, list):
-                return 400, {"error": "renew needs a key list"}
-            ttl = float(body.get("ttl", 30.0))
-            renewed = self.claims.renew([str(k) for k in keys], owner, ttl)
-            return 200, {"renewed": renewed}
-        if path == "/claims/release":
-            key = str(body.get("key", ""))
-            return 200, {"released": self.claims.release(key, owner)}
-        return 404, {"error": f"no route for {path}"}
 
 
 async def serve_store(
@@ -433,7 +391,7 @@ class StoreDaemonThread:
     local fleet's private coordinator and the socket tests.
     ``port=0`` binds an ephemeral port (read it back from ``port`` /
     ``url`` after :meth:`start`); ``service`` is the in-process
-    :class:`StoreService`, board and claims included.
+    :class:`StoreService`, task board included.
     """
 
     def __init__(

@@ -1,51 +1,51 @@
 """Soft-state sweep coordination for the store daemon.
 
-Two small in-memory structures turn ``avmon store serve`` into a
-multi-host sweep coordinator (and, started in-process, into the local
-worker fleet's), with an at-least-once, lease-based design that takes
-the unreliable-failure-detector stance the paper borrows from Duarte et
-al.: suspicion after a missed deadline is enough, late completions are
+:class:`TaskBoard` turns ``avmon store serve`` into a multi-host sweep
+coordinator (and, started in-process, into the local worker fleet's):
+a lease queue of sweep cells with an at-least-once design that takes the
+unreliable-failure-detector stance the paper borrows from Duarte et al.
+Suspicion after a missed deadline is enough, late completions are
 ignored as duplicates, and losing the daemon loses only soft state —
 every durable result lives in the content-addressed store.
 
-:class:`TaskBoard`
-    A lease queue of sweep cells.  Parents publish tasks; any worker on
-    any host claims one, heartbeats while computing, and reports done or
-    failed.  A claimed task whose beats stop past its lease TTL is
-    expired back onto the queue (the parent decides whether to retry).
-    Every transition is appended to a bounded event log that parents
-    drain by cursor.
+Parents publish tasks; any worker on any host claims one, heartbeats
+while computing, and reports done or failed.  A claimed task whose beats
+stop past its lease TTL is expired, not re-queued: a parent decides
+whether to retry.  Every transition is appended to a bounded event log
+that parents drain by cursor.
 
-:class:`CellClaims`
-    TTL ownership registry keyed by a cell's store address (its object
-    name), so two parents sweeping the same grid through one daemon
-    never compute the same cell: the claim winner publishes the task,
-    the loser watches the store for the result.  A parent that dies
-    simply stops renewing; its claims expire and a surviving parent
-    takes the cells over.
+A sweep names each task by its cell's store key, so the task is the one
+record of who is computing a cell, with one deadline.  Publishing is
+idempotent: a second parent that publishes a live key follows the task
+already there, and a parent's death needs no takeover because its task
+outlives it on the board.  Retries are compare-and-set on the attempt,
+so two parents that see one expiry re-queue it once.  Each attempt
+remembers its publisher and every event names it, which is how exactly
+one parent reports a computed cell as its own.
 
-Both take an injectable clock for deterministic tests.  Neither touches
-disk: the board and claims are exactly as durable as the daemon, which
-is the right durability — a restarted daemon means parents re-claim and
-republish, and already-persisted cells are store hits.
+The board takes an injectable clock for deterministic tests.  It never
+touches disk: it is exactly as durable as the daemon.  A restarted
+daemon boots a board with a new :attr:`TaskBoard.epoch`, parents that
+see the epoch change republish their outstanding cells, and cells
+already persisted are store hits.
 """
 
 from __future__ import annotations
 
 import collections
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-__all__ = ["Task", "TaskBoard", "CellClaims"]
+__all__ = ["Task", "TaskBoard"]
 
 #: Task lifecycle states.
 QUEUED = "queued"
 LEASED = "leased"
-EXPIRED = "expired"  #: lease lapsed; waits for the parent to republish
+EXPIRED = "expired"  #: lease lapsed; waits for a retry at a higher attempt
 DONE = "done"
 FAILED = "failed"
-CANCELLED = "cancelled"
 
 #: Event-log ceiling: old events fall off the front; a parent that
 #: drains slower than this window loses events and must resync from the
@@ -62,6 +62,7 @@ class Task:
     key: str = ""  #: the cell's store object name ("" = unkeyed)
     lease_ttl: float = 30.0
     attempt: int = 1
+    publisher: str = ""  #: who published the current attempt
     state: str = QUEUED
     worker: str = ""
     lease_deadline: float = 0.0
@@ -72,6 +73,7 @@ class Task:
             "id": self.id,
             "key": self.key,
             "attempt": self.attempt,
+            "publisher": self.publisher,
             "state": self.state,
             "worker": self.worker,
             "lease_ttl": self.lease_ttl,
@@ -84,7 +86,7 @@ class Task:
 @dataclass
 class _Event:
     seq: int
-    kind: str  #: claimed | done | failed | expired | cancelled
+    kind: str  #: claimed | done | failed | expired
     task_id: str
     fields: dict = field(default_factory=dict)
 
@@ -102,6 +104,9 @@ class TaskBoard:
         self._queue: Deque[str] = collections.deque()
         self._events: Deque[_Event] = collections.deque(maxlen=MAX_EVENTS)
         self._next_seq = 0
+        #: Names this board's life: a restarted daemon starts a new board
+        #: whose event numbering starts over and which knows no tasks.
+        self.epoch = os.urandom(8).hex()
 
     # -- internals ---------------------------------------------------------
 
@@ -110,7 +115,8 @@ class TaskBoard:
         self._events.append(
             _Event(self._next_seq, kind, task.id,
                    {"key": task.key, "attempt": task.attempt,
-                    "worker": task.worker, **fields})
+                    "publisher": task.publisher, "worker": task.worker,
+                    **fields})
         )
 
     def expire(self) -> int:
@@ -119,8 +125,8 @@ class TaskBoard:
         expired = 0
         for task in self._tasks.values():
             if task.state == LEASED and now > task.lease_deadline:
-                # Not auto-requeued: the publishing parent sees the
-                # ``expired`` event and owns the retry/backoff decision.
+                # Not auto-requeued: a parent following the task sees
+                # the ``expired`` event and owns the retry/backoff decision.
                 task.state = EXPIRED
                 self._emit("expired", task)
                 expired += 1
@@ -129,53 +135,33 @@ class TaskBoard:
     # -- parent side -------------------------------------------------------
 
     def publish(self, task_id: str, payload: str, *, key: str = "",
-                lease_ttl: float = 30.0, attempt: int = 1) -> Task:
-        """Enqueue a task (idempotent: republishing an id re-queues it)."""
+                lease_ttl: float = 30.0, attempt: int = 1,
+                publisher: str = "") -> Task:
+        """Queue *task_id* under *publisher*, or return the task to follow.
+
+        A new or settled (done, failed) id is queued afresh, and so is a
+        retry: a publish whose *attempt* is above the task's own.  That
+        is how a parent re-leases an expired task, or a leased one whose
+        local worker it saw die.  Any other publish — a live id, or an
+        expired one at the same attempt — leaves the task as it is and
+        returns it, current attempt and publisher included.
+        """
         task = self._tasks.get(task_id)
-        if task is None:
-            task = Task(task_id, payload, key=key, lease_ttl=lease_ttl,
-                        attempt=attempt)
-            self._tasks[task_id] = task
-        else:
-            task.payload = payload
-            task.lease_ttl = lease_ttl
-            task.attempt = attempt
-            task.state = QUEUED
-            task.worker = ""
-        if task_id not in self._queue:
+        if (task is not None and task.state not in (DONE, FAILED)
+                and attempt <= task.attempt):
+            return task
+        if task is None or task.state != QUEUED:
             self._queue.append(task_id)
+        task = self._tasks[task_id] = Task(
+            task_id, payload, key=key, lease_ttl=lease_ttl, attempt=attempt,
+            publisher=publisher,
+        )
         return task
 
-    def cancel(self, task_id: str) -> bool:
-        task = self._tasks.get(task_id)
-        if task is None or task.state in (DONE, FAILED, CANCELLED):
-            return False
-        task.state = CANCELLED
-        self._emit("cancelled", task)
-        return True
-
-    def cancel_for_key(self, key: str) -> int:
-        """Withdraw every live task for a cell (a parent took the claim
-        over from a dead one; the dead parent's tasks must not race it)."""
-        cancelled = 0
-        if not key:
-            return 0
-        for task in self._tasks.values():
-            if task.key == key and task.state in (QUEUED, LEASED):
-                task.state = CANCELLED
-                self._emit("cancelled", task)
-                cancelled += 1
-        return cancelled
-
-    def events_since(self, cursor: int, *, prefix: str = "") -> Tuple[int, List[dict]]:
-        """Events after *cursor*, optionally filtered to task-id prefix."""
+    def events_since(self, cursor: int) -> Tuple[int, List[dict]]:
+        """Every event after *cursor*, and the cursor to pass next."""
         self.expire()
-        out = [
-            event.public()
-            for event in self._events
-            if event.seq > cursor
-            and (not prefix or event.task_id.startswith(prefix))
-        ]
+        out = [event.public() for event in self._events if event.seq > cursor]
         return self._next_seq, out
 
     # -- worker side -------------------------------------------------------
@@ -208,7 +194,7 @@ class TaskBoard:
         """Report completion; False = the report cannot be accepted.
 
         A straggler whose lease expired but who finished anyway is still
-        accepted (at-least-once: the parent dedups by cell index, and
+        accepted (at-least-once: the parent dedups by store key, and
         the store write is idempotent) — only a report from the *wrong*
         worker on a live lease, or on a settled task, is refused.
         """
@@ -248,83 +234,3 @@ class TaskBoard:
         for task in self._tasks.values():
             counts[task.state] = counts.get(task.state, 0) + 1
         return counts
-
-
-@dataclass
-class _Claim:
-    owner: str
-    deadline: float
-
-
-class CellClaims:
-    """TTL ownership of cells, keyed by store object name."""
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self._clock = clock
-        self._claims: Dict[str, _Claim] = {}
-        #: key -> owner whose claim lapsed there (consumed on re-claim,
-        #: so the daemon can tell a takeover from a fresh claim).
-        self._expired_owner: Dict[str, str] = {}
-        #: How often an expiry has been observed (scraped as a counter).
-        self.expired_total = 0
-
-    def _live(self, key: str) -> Optional[_Claim]:
-        claim = self._claims.get(key)
-        if claim is None:
-            return None
-        if self._clock() > claim.deadline:
-            del self._claims[key]
-            self._expired_owner[key] = claim.owner
-            self.expired_total += 1
-            return None
-        return claim
-
-    def take_expired_owner(self, key: str) -> str:
-        """The owner whose claim on *key* lapsed, consumed ("" = none)."""
-        self._live(key)  # fold in a just-now expiry
-        return self._expired_owner.pop(key, "")
-
-    def claim(self, key: str, owner: str, ttl: float) -> Tuple[bool, str]:
-        """Try to own *key*; returns ``(granted, current_owner)``.
-
-        Re-claiming a key you already own renews it (idempotent).
-        """
-        current = self._live(key)
-        if current is not None and current.owner != owner:
-            return False, current.owner
-        self._claims[key] = _Claim(owner, self._clock() + ttl)
-        return True, owner
-
-    def renew(self, keys: List[str], owner: str, ttl: float) -> List[str]:
-        """Extend every still-owned key; returns the keys actually renewed."""
-        renewed = []
-        deadline = self._clock() + ttl
-        for key in keys:
-            current = self._live(key)
-            if current is not None and current.owner == owner:
-                current.deadline = deadline
-                renewed.append(key)
-        return renewed
-
-    def release(self, key: str, owner: str) -> bool:
-        current = self._live(key)
-        if current is None or current.owner != owner:
-            return False
-        del self._claims[key]
-        return True
-
-    def owner_of(self, key: str) -> str:
-        current = self._live(key)
-        return current.owner if current else ""
-
-    def claims(self) -> List[dict]:
-        now = self._clock()
-        out = []
-        for key in sorted(self._claims):
-            claim = self._live(key)  # folds just-lapsed claims into expiry
-            if claim is not None:
-                out.append(
-                    {"key": key, "owner": claim.owner,
-                     "ttl_left": round(claim.deadline - now, 3)}
-                )
-        return out

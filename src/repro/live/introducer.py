@@ -201,8 +201,8 @@ class Introducer:
                 continue
             node, host, port, age = entry
             seen = now - max(0.0, float(age))
-            if seen <= now - self.ttl:
-                continue  # already stale at arrival
+            if seen < now - self.ttl:
+                continue  # already stale at arrival (as ``_expire`` judges)
             if now < self._quarantine.get(node, 0.0):
                 continue  # a forced drop outlives a peer's older view
             if seen <= self._last_seen.get(node, -math.inf):

@@ -10,6 +10,7 @@ from repro.core.hashing import (
     PairHasher,
     available_algorithms,
     hash_pair,
+    hash_pair_u64,
     pack_endpoint,
     unpack_endpoint,
 )
@@ -85,14 +86,16 @@ class TestHashPair:
 class TestPairHasher:
     def test_counts_evaluations(self):
         hasher = PairHasher("md5")
-        hasher(1, 2)
-        hasher(1, 2)
-        hasher(3, 4)
+        hasher.pair_u64(1, 2)
+        hasher.pair_u64(1, 2)
+        hasher.pair_u64(3, 4)
         assert hasher.evaluations == 3
 
     def test_matches_module_function(self):
-        hasher = PairHasher("sha1")
-        assert hasher(7, 8) == hash_pair(7, 8, "sha1")
+        for algorithm in available_algorithms():
+            hasher = PairHasher(algorithm)
+            assert hasher.pair_u64(7, 8) == hash_pair_u64(7, 8, algorithm)
+            assert hasher.pair_u64(7, 8) / 2.0**64 == hash_pair(7, 8, algorithm)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,14 @@ socket (marked ``udp`` with the other socket-opening tests); workers run
 as threads so deterministic-failure scenarios can inject registry
 components into their process.  The guarantees under test:
 
-* a remote sweep's summaries are byte-identical to serial;
-* two parents sweeping one grid through one daemon split the cells —
-  ``fleet.cell_done`` keys never collide across their journals;
-* a parent that dies (stops renewing claims) is taken over by the
-  survivor, which completes the whole grid;
+* a remote sweep's summaries are byte-identical to serial, also when
+  the grid lists one config twice (two cells, one store key, one task);
+* two parents sweeping one grid through one daemon publish one task per
+  store key — ``fleet.cell_done`` keys never collide across journals;
+* a dead parent's tasks outlive it on the board: a worker finishes the
+  queued one and the survivor adopts it, and the survivor re-queues the
+  one whose lease lapsed;
+* a restarted daemon forgets its board, and the parent republishes;
 * a worker that goes silent expires its lease and the parent retries
   per the shared RetryPolicy schedule, while a worker raising
   deterministically fails the cell immediately with no retry.
@@ -25,7 +28,7 @@ import time
 import pytest
 
 from repro.experiments.backends import RemoteWorkerBackend, run_fleet_worker
-from repro.experiments.backends.remote import _worker_loop
+from repro.experiments.backends.remote import _encode_config, _worker_loop
 from repro.experiments.orchestrator import SweepError, run_configs
 from repro.experiments.runner import SimulationConfig
 from repro.experiments.store import SummaryStore, config_key
@@ -60,9 +63,7 @@ def _start_worker(url: str, name: str, max_idle: float = 20.0):
 
 
 def _parent(owner: str, **overrides) -> RemoteWorkerBackend:
-    params = dict(
-        lease_ttl=5.0, poll_interval=0.05, adopt_interval=0.2, retry_backoff=0.05
-    )
+    params = dict(lease_ttl=5.0, poll_interval=0.05, retry_backoff=0.05)
     params.update(overrides)
     return RemoteWorkerBackend(owner=owner, **params)
 
@@ -82,6 +83,22 @@ class TestRemoteBackend:
         assert counts.get("fleet.remote_attach") == 1
         assert counts.get("fleet.cell_done") == 3
         assert backend.stats_line().startswith("remote: workers=1 done=3")
+
+    def test_one_config_listed_twice_matches_serial(self, daemon):
+        url, _ = daemon
+        _start_worker(url, "w0")
+        configs = _configs(2)
+        grid = [configs[0], configs[1], configs[0]]
+        backend = _parent("twice")
+        summaries = run_configs(grid, store=SummaryStore.open(url), backend=backend)
+        baseline = [s.to_json() for s in run_configs(grid)]
+        assert [s.to_json() for s in summaries] == baseline
+        # Two store keys, two tasks, two computations for three cells.
+        assert backend._event_counts.get("fleet.cell_done") == 2
+        coordinator = SharedStoreBackend(url)
+        _, listing = coordinator.call("GET", "/tasks")
+        coordinator.close()
+        assert listing["states"] == {"done": 2}
 
     def test_requires_a_shared_store(self, tmp_path):
         backend = _parent("nostore")
@@ -152,38 +169,64 @@ class TestRemoteBackend:
         configs = _configs(2)
         store = SummaryStore.open(url)
         keys = [SummaryStore.name_for(config_key(config)) for config in configs]
-        # "deadparent" claims every cell with a short TTL and publishes
-        # one task, then crashes (never renews, never drains events).
+        # "deadparent" publishes both cells, each task named by its store
+        # key with the honest payload for that key, and a zombie worker of
+        # its leases the second and dies; then the parent crashes too.
         coordinator = SharedStoreBackend(url)
-        for key in keys:
-            status, payload = coordinator.call(
+
+        def dead_publish(index):
+            coordinator.call(
                 "POST",
-                "/claims/claim",
-                {"key": key, "owner": "deadparent", "ttl": 0.5},
+                "/tasks",
+                {"id": keys[index], "payload": _encode_config(configs[index]),
+                 "key": keys[index], "lease_ttl": 0.3,
+                 "publisher": "deadparent"},
             )
-            assert payload["granted"] is True
-        coordinator.call(
-            "POST",
-            "/tasks",
-            {"id": "deadparent:0", "payload": "orphaned", "key": keys[0]},
+
+        dead_publish(1)
+        _, leased = coordinator.call("POST", "/tasks/claim", {"worker": "zombie"})
+        assert leased["task"]["id"] == keys[1]
+        dead_publish(0)
+        backend = _parent("survivor")
+        results = {}
+        survivor = threading.Thread(
+            target=lambda: results.setdefault(
+                "summaries", run_configs(configs, store=store, backend=backend)
+            ),
+            daemon=True,
         )
+        survivor.start()
+        # The survivor's two publishes find the live keys and follow them;
+        # only then does a real worker attach.
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            _, metrics = coordinator.call("GET", "/metrics")
+            if metrics["deterministic"].get("store.tasks_published", 0) >= 4:
+                break
+            time.sleep(0.02)
+        else:
+            raise AssertionError("survivor never published its cells")
         _start_worker(url, "w0")
-        time.sleep(0.6)  # let the claims lapse
-        backend = _parent("survivor", adopt_interval=0.1)
-        summaries = run_configs(configs, store=store, backend=backend)
-        assert len(summaries) == 2
+        survivor.join(timeout=60.0)
+        assert not survivor.is_alive(), "survivor never finished the grid"
+        baseline = [s.to_json() for s in run_configs(configs)]
+        assert [s.to_json() for s in results["summaries"]] == baseline
         counts = backend._event_counts
-        # The survivor either won the claims outright (they had lapsed by
-        # its first attempt) or took them over via the watch loop; either
-        # way it computed both cells itself.
-        assert counts.get("fleet.cell_done") == 2
-        # The dead parent's orphaned task must not still be queued.
+        # The worker ran the dead parent's queued task: the survivor
+        # adopts it.  The zombie's lease lapsed: the survivor re-queued
+        # it at attempt 2 under its own name and reports that cell done.
+        assert counts.get("fleet.cell_adopted") == 1
+        assert counts.get("fleet.cell_done") == 1
+        assert counts.get("fleet.lease_expired") == 1
         _, listing = coordinator.call("GET", "/tasks")
-        orphans = [
-            t for t in listing["tasks"]
-            if t["id"] == "deadparent:0" and t["state"] in ("queued", "leased")
-        ]
-        assert orphans == []
+        tasks = {t["id"]: t for t in listing["tasks"]}
+        assert [tasks[key]["state"] for key in keys] == ["done", "done"]
+        assert (tasks[keys[0]]["publisher"], tasks[keys[0]]["attempt"]) == (
+            "deadparent", 1,
+        )
+        assert (tasks[keys[1]]["publisher"], tasks[keys[1]]["attempt"]) == (
+            "survivor", 2,
+        )
         coordinator.close()
 
     def test_silent_worker_expires_and_cell_is_retried(self, daemon):
@@ -287,9 +330,9 @@ class TestRemoteBackend:
 class _RestartableDaemon:
     """The store daemon as a stop/start-able object on one pinned port.
 
-    The coordination state (claims, task board, event log) is in-memory
-    by design — a restart wipes it while the filesystem-backed summaries
-    survive.  That asymmetry is exactly what the restart test exercises.
+    The task board and its event log are in-memory by design — a restart
+    wipes them while the filesystem-backed summaries survive.  That
+    asymmetry is exactly what the restart test exercises.
     """
 
     def __init__(self, root) -> None:
@@ -311,16 +354,18 @@ class _RestartableDaemon:
     def stop(self) -> None:
         self._live.stop()
 
+    @property
+    def service(self):
+        return self._live.service
+
 
 @pytest.mark.udp
 class TestDaemonRestartMidSweep:
     def test_parent_reclaims_and_republishes_after_restart(self, tmp_path):
-        """ROADMAP item 2 leftover: the daemon dies mid-sweep and comes
-        back empty (claims and queued tasks are soft state); the parent's
-        renew fails, it demotes the cells to watched, the watcher's next
-        claim is granted as a takeover and the tasks are republished —
-        the sweep completes with byte-identical summaries and exactly-once
-        compute."""
+        """The daemon dies mid-sweep and comes back empty (the board is
+        soft state); the parent's next drain sees a new board epoch and
+        republishes every outstanding cell — the sweep completes with
+        byte-identical summaries and exactly-once compute."""
         daemon = _RestartableDaemon(tmp_path)
         url = daemon.start()
         configs = _configs(2)
@@ -330,10 +375,7 @@ class TestDaemonRestartMidSweep:
         store = SummaryStore(
             backend=SharedStoreBackend(url, retries=20, retry_backoff=0.1)
         )
-        # claim_ttl well above the pre-restart window (claims must be
-        # lost to the restart, never to a natural lapse) but small enough
-        # that the renew cadence (ttl/3) notices the loss promptly.
-        backend = _parent("phoenix", claim_ttl=6.0, adopt_interval=0.1)
+        backend = _parent("phoenix")
         results = {}
 
         def sweep():
@@ -343,8 +385,8 @@ class TestDaemonRestartMidSweep:
 
         sweeper = threading.Thread(target=sweep, daemon=True)
         sweeper.start()
-        # Mid-sweep = claims held and tasks queued, nothing computed yet
-        # (no worker is attached).
+        # Mid-sweep = tasks queued, nothing computed yet (no worker is
+        # attached).
         probe = SharedStoreBackend(url)
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
@@ -364,13 +406,12 @@ class TestDaemonRestartMidSweep:
         # Byte-identity survived the restart...
         baseline = [s.to_json() for s in run_configs(configs)]
         assert [s.to_json() for s in results["summaries"]] == baseline
-        counts = backend._event_counts
-        # ...the parent noticed its claims were gone (renew came back
-        # empty against the fresh daemon)...
-        assert counts.get("fleet.claim_lost", 0) >= len(configs)
-        # ...re-claimed them as takeovers and republished...
-        assert counts.get("fleet.claim_expired", 0) >= len(configs)
+        # ...the parent republished every cell to the fresh daemon, once...
+        published = daemon.service.registry.deterministic_snapshot()
+        assert published["store.tasks_published"] == len(configs)
+        daemon.stop()
         # ...and every cell was computed exactly once, post-restart.
+        counts = backend._event_counts
         assert counts.get("fleet.cell_done") == len(configs)
         assert counts.get("fleet.cell_adopted", 0) == 0
 

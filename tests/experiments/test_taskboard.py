@@ -1,12 +1,15 @@
-"""Task-lease and cell-claim semantics, on a hand-cranked clock.
+"""Task-lease semantics, on a hand-cranked clock.
 
-The board and the claims registry are the store daemon's coordination
-brain; these tests pin the lifecycle decisions the remote fleet builds
-on: leases expire without auto-requeue (the parent owns retry), settled
-tasks refuse duplicate reports but accept expired stragglers
-(at-least-once), and a lapsed claim is a *takeover* — distinguishable
-from a fresh claim, with the dead owner's tasks cancelled.  The last
-class drives the same logic through the daemon's HTTP routes.
+The board is the store daemon's coordination brain, and a sweep names
+each task by its cell's store key, so the task is the one record of who
+is computing a cell.  These tests pin the lifecycle decisions the remote
+fleet builds on: leases expire without auto-requeue (a parent owns the
+retry), settled tasks refuse duplicate reports but accept expired
+stragglers (at-least-once), publishing a live id is a no-op, a retry is
+compare-and-set on the attempt, and every event names the publisher of
+its attempt.  ``TestSweepRunFollowsOneTask`` drives parents'
+``_SweepRun`` against one in-process daemon, and the last class drives
+the board through the daemon's HTTP routes; both are socket-free.
 """
 
 from __future__ import annotations
@@ -15,9 +18,13 @@ import asyncio
 
 import pytest
 
+from repro.experiments.backends.remote import RemoteWorkerBackend, _SweepRun
+from repro.experiments.runner import SimulationConfig, run_simulation
+from repro.experiments.store import SummaryStore, config_key
 from repro.experiments.store_backends import FilesystemBackend
 from repro.experiments.store_server import StoreService
-from repro.experiments.taskboard import CellClaims, TaskBoard
+from repro.experiments.summary import summarize
+from repro.experiments.taskboard import TaskBoard
 from repro.serve.http import MemoryHttpClient
 
 
@@ -105,28 +112,17 @@ class TestTaskBoard:
         assert events[-1]["kind"] == "failed"
         assert events[-1]["error"] == "boom"
 
-    def test_cancel_for_key_withdraws_live_tasks_only(self):
-        board = TaskBoard(Clock())
-        board.publish("a:0", "x", key="k.json")
-        board.publish("a:1", "y", key="other.json")
-        board.publish("a:2", "z", key="k.json")
-        board.claim("w")  # a:0 leased
-        assert board.done("a:1", "", {})  # settle the other key... no lease
-        assert board.cancel_for_key("k.json") == 2  # leased + queued
-        assert board.cancel_for_key("") == 0
-        states = {t["id"]: t["state"] for t in board.tasks()}
-        assert states == {"a:0": "cancelled", "a:1": "done", "a:2": "cancelled"}
-
-    def test_events_cursor_and_prefix_filter(self):
+    def test_events_drain_by_cursor(self):
         board = TaskBoard(Clock())
         board.publish("a:0", "x")
         board.publish("b:0", "y")
         board.claim("w1")
-        board.claim("w2")
-        cursor, events = board.events_since(0, prefix="a:")
+        cursor, events = board.events_since(0)
         assert [e["task"] for e in events] == ["a:0"]
-        _, later = board.events_since(cursor)
-        assert later == []  # cursor consumed everything
+        board.claim("w2")
+        cursor, later = board.events_since(cursor)
+        assert [e["task"] for e in later] == ["b:0"]
+        assert board.events_since(cursor) == (cursor, [])
 
     def test_republish_same_id_requeues(self):
         board = TaskBoard(Clock())
@@ -136,52 +132,77 @@ class TestTaskBoard:
         task = board.claim("w2")
         assert (task.id, task.attempt) == ("p:0", 2)
 
+    def test_each_board_has_its_own_epoch(self):
+        # A restarted daemon is a new board: parents tell by the epoch.
+        assert TaskBoard(Clock()).epoch != TaskBoard(Clock()).epoch
 
-class TestCellClaims:
-    def test_claim_grant_deny_renew(self):
-        clock = Clock()
-        claims = CellClaims(clock)
-        granted, owner = claims.claim("k.json", "A", ttl=10.0)
-        assert (granted, owner) == (True, "A")
-        granted, owner = claims.claim("k.json", "B", ttl=10.0)
-        assert (granted, owner) == (False, "A")
-        # Same-owner re-claim renews.
-        clock.advance(8.0)
-        assert claims.claim("k.json", "A", ttl=10.0)[0]
-        clock.advance(8.0)
-        assert claims.owner_of("k.json") == "A"
-        assert claims.renew(["k.json", "ghost.json"], "A", ttl=10.0) == [
-            "k.json"
-        ]
 
-    def test_expiry_allows_takeover_and_names_the_dead_owner(self):
+class TestOneTaskPerCell:
+    """The contract that lets one task per store key replace cell claims."""
+
+    def test_publishing_a_live_id_is_a_no_op(self):
+        board = TaskBoard(Clock())
+        board.publish("k.json", "cfg", key="k.json", publisher="A")
+        again = board.publish("k.json", "other", key="k.json", publisher="B")
+        assert (again.state, again.publisher, again.payload) == (
+            "queued", "A", "cfg",
+        )
+        board.claim("w1")
+        again = board.publish("k.json", "cfg", key="k.json", publisher="B")
+        assert (again.state, again.worker, again.publisher) == (
+            "leased", "w1", "A",
+        )
+        assert board.claim("w2") is None  # still one task, still w1's
+        # A joining parent learns the task's attempt, not its own.
+        board.publish("k.json", "cfg", attempt=2, publisher="A")  # retry
+        joined = board.publish("k.json", "cfg", attempt=1, publisher="C")
+        assert (joined.attempt, joined.publisher) == (2, "A")
+
+    def test_retry_of_an_expiry_is_compare_and_set_on_the_attempt(self):
         clock = Clock()
-        claims = CellClaims(clock)
-        claims.claim("k.json", "A", ttl=5.0)
+        board = TaskBoard(clock)
+        board.publish("k.json", "cfg", lease_ttl=5.0, publisher="A")
+        board.claim("w1")
         clock.advance(6.0)
-        assert claims.owner_of("k.json") == ""
-        assert claims.expired_total == 1
-        assert claims.take_expired_owner("k.json") == "A"
-        assert claims.take_expired_owner("k.json") == ""  # consumed
-        granted, owner = claims.claim("k.json", "B", ttl=5.0)
-        assert (granted, owner) == (True, "B")
+        board.expire()
+        # Same attempt: the expiry is not re-queued behind anyone's back.
+        assert board.publish("k.json", "cfg", publisher="B").state == "expired"
+        # Two parents saw the one expiry; both retry at attempt 2.
+        first = board.publish("k.json", "cfg", attempt=2, publisher="B")
+        second = board.publish("k.json", "cfg", attempt=2, publisher="A")
+        assert (first.state, second.publisher) == ("queued", "B")
+        assert board.claim("w2").attempt == 2
+        assert board.claim("w3") is None  # re-queued once, leased once
 
-    def test_release(self):
-        claims = CellClaims(Clock())
-        claims.claim("k.json", "A", ttl=5.0)
-        assert not claims.release("k.json", "B")
-        assert claims.release("k.json", "A")
-        assert claims.claim("k.json", "B", ttl=5.0)[0]
+    def test_settled_ids_still_requeue(self):
+        board = TaskBoard(Clock())
+        board.publish("unit-0", "payload")  # unkeyed, as avbench drives it
+        board.claim("w")
+        board.done("unit-0", "w", {"persisted": True})
+        again = board.publish("unit-0", "payload", publisher="B")
+        assert (again.state, again.attempt, again.publisher) == ("queued", 1, "B")
+        board.claim("w")
+        board.failed("unit-0", "w", "boom")
+        again = board.publish("unit-0", "payload", publisher="C")
+        assert (again.state, again.publisher) == ("queued", "C")
+        assert board.claim("w").id == "unit-0"
 
-    def test_listing_shows_live_claims(self):
+    def test_every_event_names_its_attempts_publisher(self):
         clock = Clock()
-        claims = CellClaims(clock)
-        claims.claim("a.json", "A", ttl=5.0)
-        claims.claim("b.json", "B", ttl=2.0)
-        listing = claims.claims()
-        assert [(c["key"], c["owner"]) for c in listing] == [
-            ("a.json", "A"),
-            ("b.json", "B"),
+        board = TaskBoard(clock)
+        board.publish("k.json", "cfg", lease_ttl=5.0, publisher="A")
+        board.claim("w1")
+        clock.advance(6.0)
+        board.expire()
+        board.publish("k.json", "cfg", lease_ttl=5.0, attempt=2, publisher="B")
+        board.claim("w2")
+        board.done("k.json", "w2", {"persisted": True})
+        _, events = board.events_since(0)
+        assert [(e["kind"], e["attempt"], e["publisher"]) for e in events] == [
+            ("claimed", 1, "A"),
+            ("expired", 1, "A"),
+            ("claimed", 2, "B"),
+            ("done", 2, "B"),
         ]
 
 
@@ -200,6 +221,11 @@ class Daemon:
             self.client.request(method, target, body=body)
         )
         return status, payload
+
+    def get(self, name):
+        """The store read ``_SweepRun`` makes through its coordinator."""
+        status, payload = self.call("GET", f"/objects/{name}")
+        return payload["text"] if status == 200 else None
 
 
 class TestTaskRoutesOverHttp:
@@ -241,16 +267,15 @@ class TestTaskRoutesOverHttp:
         )
         assert (status, payload["leased"]) == (409, False)
 
-    def test_events_drain_by_cursor_with_prefix(self, tmp_path):
+    def test_events_drain_by_cursor_with_epoch(self, tmp_path):
         daemon = Daemon(tmp_path)
         daemon.call("POST", "/tasks", {"id": "a:0", "payload": "x"})
         daemon.call("POST", "/tasks", {"id": "b:0", "payload": "y"})
         daemon.call("POST", "/tasks/claim", {"worker": "w"})
-        status, payload = daemon.call(
-            "GET", "/tasks/events?since=0&prefix=a%3A"
-        )
+        status, payload = daemon.call("GET", "/tasks/events?since=0")
         assert status == 200
         assert [e["task"] for e in payload["events"]] == ["a:0"]
+        assert payload["epoch"] == daemon.service.board.epoch
         cursor = payload["cursor"]
         status, payload = daemon.call("GET", f"/tasks/events?since={cursor}")
         assert payload["events"] == []
@@ -269,91 +294,204 @@ class TestTaskRoutesOverHttp:
         assert status == 400
 
 
-class TestClaimRoutesOverHttp:
-    def test_grant_deny_and_takeover_cancels_orphans(self, tmp_path):
+    def test_bad_lease_fields_are_400(self, tmp_path):
         daemon = Daemon(tmp_path)
-        status, payload = daemon.call(
-            "POST", "/claims/claim",
-            {"key": "k.json", "owner": "A", "ttl": 5.0},
+        for field, value in (
+            ("lease_ttl", "abc"),
+            ("lease_ttl", float("nan")),  # json.loads takes NaN
+            ("lease_ttl", float("inf")),
+            ("lease_ttl", 0),
+            ("lease_ttl", -5.0),
+            ("lease_ttl", None),
+            ("attempt", 0),
+            ("attempt", 1.5),
+            ("attempt", "2"),
+            ("attempt", True),
+        ):
+            status, payload = daemon.call(
+                "POST", "/tasks", {"id": "p:0", "payload": "x", field: value}
+            )
+            assert status == 400, (field, value, payload)
+        assert daemon.service.board.tasks() == []
+        # A NaN lease would never lapse; a sane one still does.
+        daemon.call("POST", "/tasks", {"id": "p:0", "payload": "x", "lease_ttl": 5})
+        daemon.call("POST", "/tasks/claim", {"worker": "w"})
+        daemon.clock.advance(1e9)
+        assert [t["state"] for t in daemon.service.board.tasks()] == ["expired"]
+
+
+def _tiny(seed: int = 1) -> SimulationConfig:
+    return SimulationConfig(
+        model="STAT", n=16, duration=900.0, warmup=300.0, seed=seed
+    )
+
+
+@pytest.fixture(scope="module")
+def tiny_summary_json():
+    return summarize(run_simulation(_tiny())).to_json()
+
+
+class Parent:
+    """One sweep parent's ``_SweepRun`` against an in-process daemon."""
+
+    def __init__(self, daemon: Daemon, owner: str, configs) -> None:
+        self.backend = RemoteWorkerBackend(
+            owner=owner, retry_backoff=0.0, lease_ttl=5.0, poll_interval=0.0
         )
-        assert (status, payload["granted"], payload["owner"]) == (
-            200, True, "A",
+        self.records = {}
+
+        def record(index, summary, error, **fields):
+            self.records[index] = (summary, error)
+
+        self.run = _SweepRun(
+            self.backend, daemon, list(enumerate(configs)), record
         )
-        status, payload = daemon.call(
-            "POST", "/claims/claim",
-            {"key": "k.json", "owner": "B", "ttl": 5.0},
+
+    def start(self) -> None:
+        """What ``run`` does before its loop: learn the epoch, publish."""
+        self.run.drain_events()
+        self.run.publish_outstanding()
+
+    @property
+    def counts(self) -> dict:
+        return self.backend._event_counts
+
+
+def _work_one(daemon: Daemon, summary_json: str, *, computed=True) -> str:
+    """A worker's turn: lease the next task, write through, report done."""
+    _, payload = daemon.call("POST", "/tasks/claim", {"worker": "w"})
+    task = payload["task"]
+    daemon.call("PUT", f"/objects/{task['key']}", {"text": summary_json})
+    daemon.call(
+        "POST",
+        f"/tasks/{task['id']}/done",
+        {"worker": "w", "persisted": True, "computed": computed},
+    )
+    return task["id"]
+
+
+class TestSweepRunFollowsOneTask:
+    """Parents publish one task per store key and follow each other's."""
+
+    def test_only_the_publisher_reports_cell_done(self, tmp_path, tiny_summary_json):
+        daemon = Daemon(tmp_path)
+        first, second = Parent(daemon, "A", [_tiny()]), Parent(daemon, "B", [_tiny()])
+        first.start()
+        second.start()  # the key is live: B follows A's task
+        assert [t["publisher"] for t in daemon.service.board.tasks()] == ["A"]
+        key = _work_one(daemon, tiny_summary_json)
+        assert key == SummaryStore.name_for(config_key(_tiny()))
+        first.run.drain_events()
+        second.run.drain_events()
+        assert first.counts.get("fleet.cell_done") == 1
+        assert "fleet.cell_adopted" not in first.counts
+        assert second.counts.get("fleet.cell_adopted") == 1
+        assert "fleet.cell_done" not in second.counts
+        for parent in (first, second):
+            summary, error = parent.records[0]
+            assert (summary.to_json(), error) == (tiny_summary_json, None)
+            assert not parent.run.outstanding
+
+    def test_a_store_hit_is_adopted_not_done(self, tmp_path, tiny_summary_json):
+        daemon = Daemon(tmp_path)
+        parent = Parent(daemon, "A", [_tiny()])
+        parent.start()
+        _work_one(daemon, tiny_summary_json, computed=False)
+        parent.run.drain_events()
+        assert parent.counts.get("fleet.cell_adopted") == 1
+        assert "fleet.cell_done" not in parent.counts
+
+    def test_one_config_listed_twice_is_one_task(self, tmp_path, tiny_summary_json):
+        daemon = Daemon(tmp_path)
+        parent = Parent(daemon, "A", [_tiny(), _tiny()])
+        parent.start()
+        assert len(daemon.service.board.tasks()) == 1
+        _work_one(daemon, tiny_summary_json)
+        parent.run.drain_events()
+        assert sorted(parent.records) == [0, 1]
+        assert parent.records[0][0].to_json() == parent.records[1][0].to_json()
+        assert not parent.run.outstanding
+        assert parent.counts.get("fleet.cell_done") == 1
+
+    def test_a_lost_workers_late_write_is_done_by_its_publisher(
+        self, tmp_path, tiny_summary_json
+    ):
+        daemon = Daemon(tmp_path)
+        first, second = Parent(daemon, "A", [_tiny()]), Parent(daemon, "B", [_tiny()])
+        first.start()
+        second.start()
+        _, payload = daemon.call("POST", "/tasks/claim", {"worker": "w1"})
+        key = payload["task"]["id"]
+        daemon.clock.advance(6.0)  # w1 stalls past its lease
+        first.run.drain_events()
+        second.run.drain_events()
+        second.run.publish_due_retries()  # B's retry wins the attempt
+        first.run.publish_due_retries()
+        daemon.call("POST", "/tasks/claim", {"worker": "w2"})
+        # w1 finishes anyway: its write lands, its report is refused.
+        daemon.call("PUT", f"/objects/{key}", {"text": tiny_summary_json})
+        status, _ = daemon.call(
+            "POST", f"/tasks/{key}/done", {"worker": "w1", "persisted": True}
         )
-        assert (payload["granted"], payload["owner"]) == (False, "A")
-        # A publishes its task, then dies (stops renewing).
+        assert status == 409
+        # w2 finds the store hit.
         daemon.call(
-            "POST", "/tasks", {"id": "A:0", "payload": "x", "key": "k.json"}
+            "POST",
+            f"/tasks/{key}/done",
+            {"worker": "w2", "persisted": True, "computed": False},
         )
+        first.run.drain_events()
+        second.run.drain_events()
+        # w1 computed it for A's attempt: A reports it, B adopts.
+        assert first.counts.get("fleet.cell_done") == 1
+        assert "fleet.cell_adopted" not in first.counts
+        assert second.counts.get("fleet.cell_adopted") == 1
+        assert "fleet.cell_done" not in second.counts
+
+    def test_a_retry_skips_a_cell_settled_since_the_last_drain(
+        self, tmp_path, tiny_summary_json
+    ):
+        daemon = Daemon(tmp_path)
+        first, second = Parent(daemon, "A", [_tiny()]), Parent(daemon, "B", [_tiny()])
+        first.start()
+        second.start()
+        daemon.call("POST", "/tasks/claim", {"worker": "w1"})
         daemon.clock.advance(6.0)
-        status, payload = daemon.call(
-            "POST", "/claims/claim",
-            {"key": "k.json", "owner": "B", "ttl": 5.0},
-        )
-        assert payload["granted"] is True
-        # The takeover cancelled A's orphaned task so it cannot race B's.
-        _, listing = daemon.call("GET", "/tasks")
-        assert listing["tasks"][0] == {
-            "id": "A:0", "key": "k.json", "attempt": 1, "state": "cancelled",
-            "worker": "", "lease_ttl": 30.0,
-        }
+        first.run.drain_events()
+        second.run.drain_events()  # both parents schedule one retry
 
-    def test_same_owner_reclaim_after_lapse_is_not_a_takeover(self, tmp_path):
-        daemon = Daemon(tmp_path)
-        daemon.call(
-            "POST", "/claims/claim", {"key": "k.json", "owner": "A", "ttl": 5.0}
-        )
-        daemon.call(
-            "POST", "/tasks", {"id": "A:0", "payload": "x", "key": "k.json"}
-        )
-        daemon.clock.advance(6.0)  # A's claim lapses but A is alive
-        status, payload = daemon.call(
-            "POST", "/claims/claim", {"key": "k.json", "owner": "A", "ttl": 5.0}
-        )
-        assert payload["granted"] is True
-        # A's own task survives: re-claiming your own lapsed key must not
-        # cancel your live work.
-        _, listing = daemon.call("GET", "/tasks")
-        assert listing["tasks"][0]["state"] == "queued"
+        ticks = []
 
-    def test_renew_and_release_routes(self, tmp_path):
-        daemon = Daemon(tmp_path)
-        daemon.call(
-            "POST", "/claims/claim", {"key": "k.json", "owner": "A", "ttl": 5.0}
-        )
-        status, payload = daemon.call(
-            "POST", "/claims/renew",
-            {"keys": ["k.json", "ghost.json"], "owner": "A", "ttl": 5.0},
-        )
-        assert payload["renewed"] == ["k.json"]
-        status, payload = daemon.call(
-            "POST", "/claims/release", {"key": "k.json", "owner": "A"}
-        )
-        assert payload["released"] is True
-        _, listing = daemon.call("GET", "/claims")
-        assert listing["claims"] == []
+        def tick(events):
+            # A's retry goes out, and a worker finishes it, while B is
+            # between its drain and its next loop step.
+            if not ticks:
+                first.run.publish_due_retries()
+                _work_one(daemon, tiny_summary_json)
+            ticks.append(events)
 
-    def test_claims_counters(self, tmp_path):
+        second.run.run(tick)
+        first.run.drain_events()
+        assert not first.run.outstanding and not second.run.outstanding
+        states = [t["state"] for t in daemon.service.board.tasks()]
+        assert states == ["done"]  # the finished task was not re-queued
+        done = first.counts.get("fleet.cell_done", 0) + second.counts.get(
+            "fleet.cell_done", 0
+        )
+        assert done == 1
+
+    def test_a_restarted_daemon_gets_every_outstanding_cell_back(self, tmp_path):
         daemon = Daemon(tmp_path)
-        daemon.call(
-            "POST", "/claims/claim", {"key": "k.json", "owner": "A", "ttl": 5.0}
-        )
-        daemon.call(
-            "POST", "/claims/claim", {"key": "k.json", "owner": "B", "ttl": 5.0}
-        )
-        daemon.clock.advance(6.0)
-        daemon.call("GET", "/claims")  # folds the expiry in
+        parent = Parent(daemon, "A", [_tiny(1), _tiny(2)])
+        parent.start()
+        before = daemon.service.board.epoch
+        # The daemon restarts: same store directory, empty board.
+        daemon.service = StoreService(FilesystemBackend(tmp_path), clock=daemon.clock)
+        daemon.client = MemoryHttpClient(daemon.service)
+        assert daemon.service.board.epoch != before
+        parent.run.drain_events()
+        tasks = daemon.service.board.tasks()
+        assert sorted(t["id"] for t in tasks) == sorted(parent.run.cells)
+        assert {(t["state"], t["publisher"]) for t in tasks} == {("queued", "A")}
         snapshot = daemon.service.registry.deterministic_snapshot()
-        assert snapshot["store.claims_granted"] == 1
-        assert snapshot["store.claims_denied"] == 1
-        assert snapshot["store.claims_expired"] == 1
-
-
-def test_bad_claim_bodies_are_400(tmp_path):
-    daemon = Daemon(tmp_path)
-    assert daemon.call("POST", "/claims/claim", {"owner": "A"})[0] == 400
-    assert daemon.call("POST", "/claims/claim", {"key": "k"})[0] == 400
-    assert daemon.call("POST", "/claims/renew", {"owner": "A"})[0] == 400
+        assert snapshot["store.tasks_published"] == 2

@@ -313,6 +313,28 @@ def test_sync_merges_fresher_entries_only():
     assert not intro.is_alive(3)
 
 
+def test_sync_and_expire_agree_at_the_ttl_boundary():
+    """A registration lives through its deadline instant, whether this
+    replica heard the node itself or a peer's sync carried it."""
+    intro, clock = _direct(ttl=5.0)
+    intro._handle(Hello(node=1, port=1001), ("mem", 2))
+    clock.advance(5.0)
+    assert intro.is_alive(1)  # heard exactly one TTL ago
+    intro._handle(
+        IntroducerSync(
+            sender="introducer-1",
+            epoch=intro.epoch,
+            entries=((2, "mem", 2002, 5.0),),  # age == ttl at arrival
+        ),
+        ("mem", 50),
+    )
+    assert intro.is_alive(2)
+    assert intro.synced_in == 1
+    clock.advance(0.001)
+    assert not intro.is_alive(1)
+    assert not intro.is_alive(2)
+
+
 def test_sync_respects_quarantine():
     """A forced drop outlives a peer replica's older view of the corpse."""
     intro, clock = _direct(ttl=2.0)
