@@ -146,23 +146,6 @@ class QueryClient:
             )
         self.runtime.schedule(deadline, self._deadline, subject, state)
 
-    def fetch_monitors(
-        self,
-        subject: NodeId,
-        callback: Callable[[QueryResult], None],
-        *,
-        min_monitors: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> None:
-        """Report-and-verify only: which monitors watch *subject*?"""
-        self.query(
-            subject,
-            callback,
-            min_monitors=min_monitors,
-            timeout=timeout,
-            history=False,
-        )
-
     def pending_subjects(self) -> Tuple[NodeId, ...]:
         return tuple(self._pending)
 

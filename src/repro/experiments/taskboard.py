@@ -66,7 +66,6 @@ class Task:
     state: str = QUEUED
     worker: str = ""
     lease_deadline: float = 0.0
-    result: Optional[dict] = None
 
     def public(self, *, with_payload: bool = False) -> dict:
         view = {
@@ -102,6 +101,8 @@ class TaskBoard:
         self._clock = clock
         self._tasks: Dict[str, Task] = {}
         self._queue: Deque[str] = collections.deque()
+        #: The leased tasks: all :meth:`expire` has to walk.
+        self._leased: Dict[str, Task] = {}
         self._events: Deque[_Event] = collections.deque(maxlen=MAX_EVENTS)
         self._next_seq = 0
         #: Names this board's life: a restarted daemon starts a new board
@@ -122,15 +123,14 @@ class TaskBoard:
     def expire(self) -> int:
         """Lazily expire leases past their deadline (called per request)."""
         now = self._clock()
-        expired = 0
-        for task in self._tasks.values():
-            if task.state == LEASED and now > task.lease_deadline:
-                # Not auto-requeued: a parent following the task sees
-                # the ``expired`` event and owns the retry/backoff decision.
-                task.state = EXPIRED
-                self._emit("expired", task)
-                expired += 1
-        return expired
+        lapsed = [t for t in self._leased.values() if now > t.lease_deadline]
+        for task in lapsed:
+            # Not auto-requeued: a parent following the task sees the
+            # ``expired`` event and owns the retry/backoff decision.
+            del self._leased[task.id]
+            task.state = EXPIRED
+            self._emit("expired", task)
+        return len(lapsed)
 
     # -- parent side -------------------------------------------------------
 
@@ -152,6 +152,7 @@ class TaskBoard:
             return task
         if task is None or task.state != QUEUED:
             self._queue.append(task_id)
+        self._leased.pop(task_id, None)  # a retry replaces a live lease
         task = self._tasks[task_id] = Task(
             task_id, payload, key=key, lease_ttl=lease_ttl, attempt=attempt,
             publisher=publisher,
@@ -177,6 +178,7 @@ class TaskBoard:
             task.state = LEASED
             task.worker = worker
             task.lease_deadline = self._clock() + task.lease_ttl
+            self._leased[task_id] = task
             self._emit("claimed", task)
             return task
         return None
@@ -204,9 +206,9 @@ class TaskBoard:
             return False
         if task.state == LEASED and task.worker != worker:
             return False
+        self._leased.pop(task_id, None)
         task.state = DONE
         task.worker = worker
-        task.result = result
         self._emit("done", task, **(result or {}))
         return True
 
@@ -217,9 +219,9 @@ class TaskBoard:
             return False
         if task.state == LEASED and task.worker != worker:
             return False
+        self._leased.pop(task_id, None)
         task.state = FAILED
         task.worker = worker
-        task.result = {"error": error}
         self._emit("failed", task, error=error)
         return True
 

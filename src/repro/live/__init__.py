@@ -22,11 +22,12 @@ Layers, bottom up:
   transport, timers, periodic ticks, persistent state, status reporting);
 * :mod:`repro.live.node_main` — ``python -m repro.live.node_main``, the
   entry point the supervisor spawns one OS process per node from;
+* :mod:`repro.live.config` — one deployment and its store key;
 * :mod:`repro.live.supervisor` — the one orchestration loop, on either
   fabric: boots an overlay, injects churn through any registered ``churn``
-  component, scrapes per-node metrics into the standard
-  :class:`~repro.experiments.summary.SimulationSummary`, and persists it
-  to a :class:`~repro.experiments.store.SummaryStore`.
+  component, scrapes per-node metrics and persists the summary;
+* :mod:`repro.live.report` — the pair audit, folding the scrape into the
+  standard :class:`~repro.experiments.summary.SimulationSummary`.
 
 * :mod:`repro.live.faults` — declarative, seeded
   :class:`~repro.live.faults.FaultPlan` fault injection (loss, latency,

@@ -37,6 +37,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.hashing import NodeId
+from ..obs.journal import NULL_JOURNAL
 from .codec import encode
 from .control import (
     DirectoryReply,
@@ -75,11 +76,7 @@ class Introducer:
         self.sync_interval = sync_interval
         #: Obs event journal (``repro.obs``); the no-op null journal by
         #: default so the datagram path pays nothing unobserved.
-        if journal is None:
-            from ..obs.journal import NULL_JOURNAL
-
-            journal = NULL_JOURNAL
-        self.journal = journal
+        self.journal = journal if journal is not None else NULL_JOURNAL
         #: Overlay epoch (UNIX time); node clocks report relative to this.
         self.epoch = epoch if epoch is not None else time.time()
         #: TTL timebase; injectable so the in-memory harness can run the

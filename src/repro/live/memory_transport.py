@@ -48,11 +48,14 @@ from typing import Any, Callable, Dict, List, Optional
 from ..core.condition import ConsistencyCondition
 from ..core.hashing import NodeId
 from ..experiments.store import SummaryStore
+from ..obs.journal import NULL_JOURNAL
 from .codec import encode
+from .config import LiveConfig
 from .faults import FaultInjector, FaultPlan, Label
 from .introducer import IntroducerGroup
+from .report import LiveReport
 from .runtime import LiveNode
-from .supervisor import LiveConfig, LiveReport, LiveSupervisor
+from .supervisor import LiveSupervisor
 from .transport import Address, DatagramEndpoint
 
 __all__ = [
@@ -408,11 +411,7 @@ class MemoryOverlay:
         #: Obs event journal; no-op unless the caller provides one (never
         #: $AVMON_JOURNAL).  :meth:`run` rebinds its clock to the virtual
         #: loop, so a seeded run's timestamps are deterministic too.
-        if journal is None:
-            from ..obs.journal import NULL_JOURNAL
-
-            journal = NULL_JOURNAL
-        self.journal = journal
+        self.journal = journal if journal is not None else NULL_JOURNAL
         #: Optional async ``workload(overlay)`` started once every node is
         #: booted and awaited before the final scrape — the only way onto
         #: the virtual loop: avbench's serve workloads and the serve tests

@@ -37,6 +37,7 @@ from ..core.messages import HistoryRequest, Join, Message, ReportRequest
 from ..core.node import AvmonNode, MetricsSink, TimerHandle
 from ..core.relation import MonitorRelation
 from ..ioutils import atomic_write_text
+from ..obs.journal import NULL_JOURNAL
 from .control import (
     DirectoryReply,
     DirectoryRequest,
@@ -130,19 +131,9 @@ class LiveNodeSpec:
     node: NodeId
     introducer_host: str
     introducer_port: int
-    #: Consistent parameters; every node in one overlay must agree on them.
-    n_expected: int
-    k: int
-    cvs: int
-    protocol_period: float = 1.0
-    monitoring_period: float = 1.0
-    ping_timeout: float = 0.25
-    forgetful_tau: float = 2.0
-    forgetful_c: float = 1.0
-    enable_forgetful: bool = True
-    enable_pr2: bool = False
-    hash_algorithm: str = "md5"
-    entry_bytes: int = 8
+    #: The deployment's parameters (``LiveConfig.avmon()``): every node in
+    #: one overlay must agree on them.
+    avmon: AvmonConfig
     seed: int = 1
     host: str = "127.0.0.1"
     #: Overlay epoch (UNIX seconds); 0.0 -> adopt the introducer's.
@@ -162,6 +153,8 @@ class LiveNodeSpec:
     introducers: Tuple[Tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
+        if isinstance(self.avmon, dict):  # from_json
+            self.avmon = AvmonConfig(**self.avmon)
         # JSON round-trips tuples as lists; normalise so address equality
         # (the peer-label lookup, the failover rotation) works either way.
         self.introducers = tuple(
@@ -176,22 +169,6 @@ class LiveNodeSpec:
             if address not in addresses:
                 addresses.append(address)
         return tuple(addresses)
-
-    def avmon_config(self) -> AvmonConfig:
-        return AvmonConfig(
-            n_expected=self.n_expected,
-            k=self.k,
-            cvs=self.cvs,
-            protocol_period=self.protocol_period,
-            monitoring_period=self.monitoring_period,
-            forgetful_tau=self.forgetful_tau,
-            forgetful_c=self.forgetful_c,
-            enable_forgetful=self.enable_forgetful,
-            enable_pr2=self.enable_pr2,
-            ping_timeout=self.ping_timeout,
-            entry_bytes=self.entry_bytes,
-            hash_algorithm=self.hash_algorithm,
-        )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -289,11 +266,7 @@ class LiveNode:
         #: Obs event journal; the no-op null journal by default, the
         #: harness's shared journal on the in-memory fabric (failover and
         #: re-seed events land on the virtual clock, deterministically).
-        if journal is None:
-            from ..obs.journal import NULL_JOURNAL
-
-            journal = NULL_JOURNAL
-        self.journal = journal
+        self.journal = journal if journal is not None else NULL_JOURNAL
         #: Async ``(handler, host, port) -> endpoint``; None -> real UDP.
         self._transport_factory = (
             transport_factory
@@ -302,9 +275,9 @@ class LiveNode:
         )
         self._clock = clock
         self.id = spec.node
-        self.config = spec.avmon_config()
+        self.config = spec.avmon
         self.condition = ConsistencyCondition(
-            spec.k, spec.n_expected, spec.hash_algorithm
+            spec.avmon.k, spec.avmon.n_expected, spec.avmon.hash_algorithm
         )
         self.relation = MonitorRelation(self.condition)
         self.relation.add_node(self.id)

@@ -1,4 +1,4 @@
-"""Boot, churn, scrape and summarise a live AVMON overlay.
+"""Boot, churn, scrape and tear down a live AVMON overlay.
 
 :class:`LiveSupervisor` is the deployment harness and the only
 orchestration loop.  What differs between the worlds an overlay runs in
@@ -19,23 +19,20 @@ introducer, spawns the nodes, waits for the overlay to assemble, and then
   respawn after a configurable downtime — the failure the consistency
   condition exists to survive;
 * **scrapes per-node metrics** over status probes on a sampling
-  cadence, and at teardown folds them into the standard
-  :class:`~repro.experiments.summary.SimulationSummary`, optionally
-  persisting it to a :class:`~repro.experiments.store.SummaryStore` under
-  :func:`live_config_key` — so live runs flow through exactly the same
-  report/figure machinery as simulated ones.
+  cadence, and at teardown hands them to
+  :func:`~repro.live.report.build_live_report`, optionally persisting the
+  summary to a :class:`~repro.experiments.store.SummaryStore` under
+  :func:`~repro.live.config.live_config_key`.
 
-The quality bar is the paper's consistency condition: the report carries
-``discovery_ratio`` — discovered ÷ expected monitor relationships over the
-final alive population — and a violation count (reported PS/TS entries
-that fail the condition; always 0 unless a node misbehaves).
+What a deployment is lives in :mod:`repro.live.config`; what a run
+measured (the pair audit, the summary, the report) in
+:mod:`repro.live.report`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import pathlib
 import random
@@ -45,17 +42,16 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..churn import models as _churn_models  # noqa: F401 — registers STAT/SYNTH*
-from ..core import optimal
 from ..core.condition import ConsistencyCondition
 from ..core.hashing import NodeId
-from ..experiments.store import SummaryStore, stable_key_hash
-from ..experiments.summary import SimulationSummary
-from ..metrics import stats
-from ..registry import canonical_name, create, resolve
+from ..experiments.store import SummaryStore
+from ..obs.journal import journal_from_env
+from ..registry import resolve
+from .config import LiveConfig, live_config_key
 from .control import (
     ChaosReply,
     ChaosRequest,
@@ -73,224 +69,18 @@ from .control import (
     StatusRequest,
 )
 from .faults import SUPERVISOR, FaultPlan, introducer_label
-from .introducer import Introducer, IntroducerGroup  # noqa: F401 — re-export
+from .introducer import IntroducerGroup
+from .report import LiveReport, audit_pairs, build_live_report
 from .runtime import LiveNodeSpec, StateFiles
 from .transport import Address, UdpTransport
 
 __all__ = [
-    "LiveConfig",
-    "LiveReport",
     "LiveSupervisor",
     "ProcessFabric",
     "StatusProber",
-    "audit_pairs",
-    "build_live_report",
     "control_call",
-    "live_config_key",
-    "live_store_filename",
     "run_live",
-    "summarize_statuses",
 ]
-
-
-@dataclass
-class LiveConfig:
-    """One live deployment, declaratively (JSON-portable)."""
-
-    nodes: int = 8
-    duration: float = 20.0
-    seed: int = 1
-    #: Consistent parameters; None -> the paper's defaults for ``nodes``.
-    k: Optional[int] = None
-    cvs: Optional[int] = None
-    #: Live runs compress the paper's 60 s periods to wall-clock seconds.
-    protocol_period: float = 1.0
-    monitoring_period: float = 1.0
-    ping_timeout: float = 0.25
-    forgetful_tau: float = 2.0
-    forgetful_c: float = 1.0
-    enable_forgetful: bool = True
-    #: PR2 (Section 5.4) defaults ON for live deployments: a node whose
-    #: boot-time join tree under-seeded its in-degree (or whose CV entries
-    #: all churned away) refreshes itself back into its neighbours' views —
-    #: the paper's own remedy for exactly the decay real clocks and real
-    #: packet loss produce.
-    enable_pr2: bool = True
-    hash_algorithm: str = "md5"
-    #: Churn component key (the PR-1 registry) driving process churn.
-    churn: str = "STAT"
-    churn_per_hour: float = 0.2
-    birth_death_per_day: float = 0.2
-    #: One-shot chaos: SIGKILL a random node this many seconds in.
-    crash_after: Optional[float] = None
-    crash_downtime: float = 3.0
-    host: str = "127.0.0.1"
-    #: Operator control endpoint; 0 binds an ephemeral port, -1 disables.
-    control_port: int = 0
-    #: HTTP availability-serving port; 0 binds an ephemeral port, None
-    #: (the default) runs the overlay without a serving front end.
-    serve_port: Optional[int] = None
-    sample_interval: float = 2.0
-    heartbeat_interval: float = 0.5
-    introducer_ttl: float = 2.5
-    #: Bootstrap quorum size: introducer replicas to spawn.  Nodes learn
-    #: every replica's address and fail over on silence; replicas
-    #: anti-entropy-sync their directories (``IntroducerSync``).
-    introducers: int = 1
-    #: Replica-to-replica directory sync period, seconds.
-    introducer_sync_interval: float = 1.0
-    #: One-shot HA chaos: kill the primary introducer this many seconds
-    #: in (requires ``introducers`` >= 2; never kills the last replica).
-    kill_introducer_after: Optional[float] = None
-    #: Node state files live here; empty -> a run-scoped temp directory.
-    #: Process fabric only: the memory fabric keeps the same JSON in memory.
-    state_dir: str = ""
-    #: Fault component key (registry kind ``fault``) shaping the network.
-    fault: str = "NONE"
-    #: Overrides for the fault component's factory (e.g. ``loss=0.25``).
-    fault_params: Dict[str, Any] = field(default_factory=dict)
-    label: str = "LIVE"
-
-    def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise ValueError(f"nodes must be >= 2, got {self.nodes}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.crash_after is not None and not (
-            0.0 < self.crash_after < self.duration
-        ):
-            raise ValueError(
-                f"crash_after must fall inside the run "
-                f"(0, {self.duration}), got {self.crash_after}"
-            )
-        if self.introducers < 1:
-            raise ValueError(
-                f"introducers must be >= 1, got {self.introducers}"
-            )
-        if self.kill_introducer_after is not None:
-            if self.introducers < 2:
-                raise ValueError(
-                    "kill_introducer_after needs a bootstrap quorum "
-                    f"(introducers >= 2), got {self.introducers}"
-                )
-            if not 0.0 < self.kill_introducer_after < self.duration:
-                raise ValueError(
-                    f"kill_introducer_after must fall inside the run "
-                    f"(0, {self.duration}), got {self.kill_introducer_after}"
-                )
-
-    def resolved_k(self) -> int:
-        return self.k if self.k is not None else max(
-            1, round(math.log2(self.nodes))
-        )
-
-    def resolved_cvs(self) -> int:
-        return (
-            self.cvs
-            if self.cvs is not None
-            else optimal.cvs_paper_default(self.nodes)
-        )
-
-    def resolved_fault_plan(self) -> FaultPlan:
-        """The :class:`~repro.live.faults.FaultPlan` this deployment runs
-        under, built through the ``fault`` component registry."""
-        params = dict(self.fault_params)
-        params.setdefault("seed", self.seed)
-        return create("fault", self.fault, **params)
-
-    def node_spec(
-        self,
-        node: NodeId,
-        introducer: Address,
-        *,
-        epoch: float,
-        state_file: str,
-        host: str,
-        introducers: Sequence[Address] = (),
-    ) -> LiveNodeSpec:
-        return LiveNodeSpec(
-            node=node,
-            introducer_host=introducer[0],
-            introducer_port=introducer[1],
-            n_expected=self.nodes,
-            k=self.resolved_k(),
-            cvs=self.resolved_cvs(),
-            protocol_period=self.protocol_period,
-            monitoring_period=self.monitoring_period,
-            ping_timeout=self.ping_timeout,
-            forgetful_tau=self.forgetful_tau,
-            forgetful_c=self.forgetful_c,
-            enable_forgetful=self.enable_forgetful,
-            enable_pr2=self.enable_pr2,
-            hash_algorithm=self.hash_algorithm,
-            seed=self.seed,
-            host=host,
-            epoch=epoch,
-            heartbeat_interval=self.heartbeat_interval,
-            directory_interval=max(
-                self.heartbeat_interval, self.protocol_period / 2.0
-            ),
-            snapshot_interval=self.protocol_period,
-            state_file=state_file,
-            introducers=tuple(introducers),
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def live_config_key(
-    config: LiveConfig, *, plan: Optional[FaultPlan] = None
-) -> Tuple:
-    """The structural identity of a live deployment, store-addressable.
-
-    Unlike simulation keys this does not promise byte-identical summaries
-    — wall clocks and real packet loss are not replayable — so the store
-    holds the *latest* run of each distinct deployment (re-running a
-    deployment overwrites its cell, exactly what a monitoring dashboard
-    wants).
-
-    *plan* overrides the config's own fault component — the in-memory
-    harness accepts an explicit :class:`FaultPlan`, and a faulty run must
-    never land in (and clobber) the fault-free deployment's cell.
-    """
-    key = (
-        "LIVE-RUN",
-        config.nodes,
-        config.duration,
-        config.seed,
-        config.resolved_k(),
-        config.resolved_cvs(),
-        config.protocol_period,
-        config.monitoring_period,
-        config.ping_timeout,
-        config.forgetful_tau,
-        config.forgetful_c,
-        config.enable_forgetful,
-        config.enable_pr2,
-        config.hash_algorithm,
-        canonical_name(config.churn),
-        config.churn_per_hour,
-        config.birth_death_per_day,
-        config.crash_after,
-        config.crash_downtime,
-    )
-    if plan is None:
-        plan = config.resolved_fault_plan()
-    if not plan.is_null():
-        # Appended only for faulty deployments, so every pre-fault store
-        # cell keeps its address.
-        key = key + (plan.key(),)
-    if config.introducers != 1 or config.kill_introducer_after is not None:
-        # Same append-only-when-non-default rule: single-introducer
-        # deployments (everything that existed before HA) keep their
-        # store addresses bit-for-bit.
-        key = key + (
-            "INTRODUCERS",
-            config.introducers,
-            config.kill_introducer_after,
-        )
-    return key
 
 
 @dataclass
@@ -341,13 +131,10 @@ class _WallSim:
     def schedule_at(self, when: float, callback, *args) -> asyncio.TimerHandle:
         return self.schedule(when - self.now, callback, *args)
 
-    # Fire-and-forget variants matching the engine's fast lane; churn
-    # models schedule births/deaths and trace replays through these.
-    def schedule_call(self, delay: float, callback, *args) -> None:
-        self.schedule(delay, callback, *args)
-
-    def schedule_call_at(self, when: float, callback, *args) -> None:
-        self.schedule_at(when, callback, *args)
+    # The engine's fast-lane names; churn models schedule births/deaths
+    # and trace replays through these.
+    schedule_call = schedule
+    schedule_call_at = schedule_at
 
     def cancel_all(self) -> None:
         for handle in self._handles:
@@ -518,227 +305,6 @@ class StatusProber:
         return {node: reply for node, reply in results if reply is not None}
 
 
-# ----------------------------------------------------------------------
-# Oracle + summary construction (pure functions of the scraped statuses)
-# ----------------------------------------------------------------------
-
-
-def audit_pairs(
-    condition: ConsistencyCondition,
-    statuses: Mapping[NodeId, StatusReply],
-    victims: Sequence[NodeId] = (),
-) -> Tuple[int, int, int, Optional[float]]:
-    """(discovered, expected, violations, victim_recovery) over the scraped
-    population, in one pass.
-
-    Expected: every ordered pair ``(monitor, target)`` of *scraped* nodes
-    satisfying the consistency condition.  Discovered: the pair's target
-    reports the monitor in its PS.  Violations: reported PS/TS entries
-    that fail the condition — the scheme's verifiability means any party
-    can run this audit.  Victim recovery: the discovered share of the
-    expected pairs with a crash victim at either end (None when there are
-    no victims or no such pairs).
-    """
-    victims = set(victims)
-    population = sorted(statuses)
-    expected = discovered = violations = 0
-    victim_expected = victim_discovered = 0
-    holds = condition.holds
-    for target in population:
-        reported = {m for m, _t in statuses[target].ps}
-        target_is_victim = target in victims
-        for monitor in population:
-            if monitor == target or not holds(monitor, target):
-                continue
-            found = monitor in reported
-            expected += 1
-            discovered += found
-            if target_is_victim or monitor in victims:
-                victim_expected += 1
-                victim_discovered += found
-        violations += sum(1 for m in reported if not holds(m, target))
-        violations += sum(
-            1 for t in statuses[target].ts if not holds(target, t)
-        )
-    recovery = victim_discovered / victim_expected if victim_expected else None
-    return discovered, expected, violations, recovery
-
-
-def summarize_statuses(
-    config: LiveConfig,
-    statuses: Mapping[NodeId, StatusReply],
-    *,
-    join_times: Mapping[NodeId, float],
-    life_seconds: Callable[[NodeId], float],
-    memory_series: Mapping[NodeId, List[float]],
-    n_longterm: int,
-    final_alive: int,
-) -> SimulationSummary:
-    """Fold scraped node states into the standard summary shape.
-
-    Nodes absent from *join_times* are skipped: they answered a probe but
-    were not deployed by this harness (an operator hand-ran them), so
-    there is no spawn/uptime bookkeeping to rate their counters with.
-    """
-    monitor_delays: Dict[int, List[float]] = {}
-    undiscovered = 0
-    comp_rates: List[float] = []
-    memory: List[float] = []
-    bandwidth: List[float] = []
-    useless: List[float] = []
-    datagrams = 0
-    for node in sorted(statuses):
-        status = statuses[node]
-        if node not in join_times:
-            continue
-        join_time = join_times[node]
-        delays = sorted(max(0.0, t - join_time) for _m, t in status.ps)
-        if not delays:
-            undiscovered += 1
-        for rank, delay in enumerate(delays, start=1):
-            monitor_delays.setdefault(rank, []).append(delay)
-        life_s = max(life_seconds(node), 1e-9)
-        comp_rates.append(status.computations / life_s)
-        series = memory_series.get(node, [])
-        memory.append(
-            stats.mean(series) if series else float(status.memory_entries)
-        )
-        bandwidth.append(status.bytes_sent / life_s)
-        useless.append(status.useless_pings / (life_s / 60.0))
-        datagrams += status.datagrams_received
-    return SimulationSummary(
-        model="LIVE",
-        n=config.nodes,
-        seed=config.seed,
-        label=config.label,
-        params={
-            "duration": config.duration,
-            "warmup": 0.0,
-            "control_fraction": 1.0,
-            "churn_per_hour": config.churn_per_hour,
-            "birth_death_per_day": config.birth_death_per_day,
-            "overreport_fraction": 0.0,
-            "sample_interval": config.sample_interval,
-        },
-        avmon={
-            "n_expected": float(config.nodes),
-            "k": float(config.resolved_k()),
-            "cvs": float(config.resolved_cvs()),
-            "protocol_period": config.protocol_period,
-            "monitoring_period": config.monitoring_period,
-            "expected_memory_entries": (
-                config.resolved_cvs() + 2.0 * config.resolved_k()
-            ),
-            "enable_forgetful": config.enable_forgetful,
-            "enable_pr2": config.enable_pr2,
-        },
-        monitor_delays=monitor_delays,
-        control_count=len(memory),
-        undiscovered_count=undiscovered,
-        computation_rates_control=comp_rates,
-        computation_rates_all=list(comp_rates),
-        memory_control=memory,
-        memory_all=list(memory),
-        bandwidth=bandwidth,
-        useless_pings=useless,
-        n_longterm=n_longterm,
-        final_alive=final_alive,
-        events_processed=datagrams,
-        window_seconds=config.duration,
-    )
-
-
-@dataclass
-class LiveReport:
-    """Everything one live run measured, plus the persisted summary."""
-
-    config: LiveConfig
-    summary: SimulationSummary
-    #: Discovered ÷ expected monitor relationships over the final overlay.
-    discovery_ratio: float
-    discovered_pairs: int
-    expected_pairs: int
-    #: Reported PS/TS entries failing the consistency condition (should be 0).
-    violations: int
-    crashes: int
-    crash_victims: Tuple[NodeId, ...]
-    #: Discovered ÷ expected relationships involving crash victims.
-    victim_recovery: Optional[float]
-    final_alive: int
-    elapsed: float
-    store_path: Optional[str] = None
-    statuses: Dict[NodeId, StatusReply] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "summary": self.summary.to_dict(),
-            "discovery_ratio": self.discovery_ratio,
-            "discovered_pairs": self.discovered_pairs,
-            "expected_pairs": self.expected_pairs,
-            "violations": self.violations,
-            "crashes": self.crashes,
-            "crash_victims": list(self.crash_victims),
-            "victim_recovery": self.victim_recovery,
-            "final_alive": self.final_alive,
-            "elapsed": self.elapsed,
-            "store_path": self.store_path,
-        }
-
-
-def build_live_report(
-    config: LiveConfig,
-    condition: ConsistencyCondition,
-    statuses: Mapping[NodeId, StatusReply],
-    *,
-    crash_victims: Sequence[NodeId],
-    final_alive: int,
-    elapsed: float,
-    join_times: Mapping[NodeId, float],
-    life_seconds: Callable[[NodeId], float],
-    memory_series: Mapping[NodeId, List[float]],
-    n_longterm: int,
-) -> LiveReport:
-    """Audit + summarise one overlay run (any fabric) into a report."""
-    discovered, expected, violations, recovery = audit_pairs(
-        condition, statuses, crash_victims
-    )
-    if expected:
-        ratio = discovered / expected
-    elif len(statuses) >= 2:
-        # A real scraped population that genuinely has no expected
-        # pairs (tiny N/K can hash that way): vacuously complete.
-        ratio = 1.0
-    else:
-        # Nothing (or one node) answered the final scrape: report zero,
-        # not a vacuous 100% — the --expect-discovery gate exists to
-        # catch exactly this kind of dead overlay.
-        ratio = 0.0
-    summary = summarize_statuses(
-        config,
-        statuses,
-        join_times=join_times,
-        life_seconds=life_seconds,
-        memory_series=memory_series,
-        n_longterm=n_longterm,
-        final_alive=final_alive,
-    )
-    return LiveReport(
-        config=config,
-        summary=summary,
-        discovery_ratio=ratio,
-        discovered_pairs=discovered,
-        expected_pairs=expected,
-        violations=violations,
-        crashes=len(crash_victims),
-        crash_victims=tuple(crash_victims),
-        victim_recovery=recovery,
-        final_alive=final_alive,
-        elapsed=elapsed,
-        statuses=dict(statuses),
-    )
-
-
 class LiveSupervisor:
     """Owns one overlay's lifecycle; also the live ``ChurnDriver``."""
 
@@ -771,17 +337,13 @@ class LiveSupervisor:
         )
         # Lifecycle event journal (``repro.obs``): in-memory by default,
         # sunk to a JSONL file when $AVMON_JOURNAL (or the caller) says so.
-        if journal is None:
-            from ..obs.journal import journal_from_env
-
-            journal = journal_from_env()
-        self.journal = journal
+        self.journal = journal if journal is not None else journal_from_env()
         self.introducer = IntroducerGroup(
             config.introducers,
             ttl=config.introducer_ttl,
             epoch=self.fabric.clock(),
             clock=self.fabric.monotonic,
-            journal=journal,
+            journal=self.journal,
             sync_interval=config.introducer_sync_interval,
         )
         self.sim: Optional[_WallSim] = None
@@ -1442,11 +1004,6 @@ def run_live(
     """Synchronous front door: deploy, run, summarise, tear down."""
     supervisor = LiveSupervisor(config, store=store, journal=journal)
     return asyncio.run(supervisor.run())
-
-
-def live_store_filename(config: LiveConfig) -> str:
-    """The store-relative filename a live run's summary persists under."""
-    return f"{stable_key_hash(live_config_key(config))}.json"
 
 
 async def _control_call(address: Address, request, timeout: float):

@@ -179,16 +179,6 @@ class OverlayBackend:
             )
             return await future
 
-    async def fetch_monitors(
-        self,
-        subject: NodeId,
-        *,
-        l: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> QueryResult:
-        """Report-and-verify only: *subject*'s verified monitor set."""
-        return await self.query(subject, l=l, timeout=timeout, history=False)
-
     # -- receive path ------------------------------------------------------
 
     def _handle(self, message: Any, addr: Address) -> None:

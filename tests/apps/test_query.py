@@ -246,12 +246,12 @@ class TestDeadlinesAndPartialResults:
         assert partial.monitors_answered == partial.monitors_queried - 1
         assert 0.0 <= partial.availability <= 1.0
 
-    def test_fetch_monitors_skips_history_phase(self, system):
+    def test_query_without_history_skips_history_phase(self, system):
         subject = self._alive_subject(system)
         result, client = system
         sim = result.cluster.sim
         outcome = []
-        client.fetch_monitors(subject, outcome.append)
+        client.query(subject, outcome.append, history=False)
         sim.run_until(sim.now + 30.0)
         assert len(outcome) == 1
         fetched = outcome[0]

@@ -187,6 +187,47 @@ class TestOneTaskPerCell:
         assert (again.state, again.publisher) == ("queued", "C")
         assert board.claim("w").id == "unit-0"
 
+    def test_one_lapsed_lease_among_thousands_of_settled_tasks(self):
+        clock = Clock()
+        board = TaskBoard(clock)
+        for index in range(3000):
+            board.publish(f"s{index}", "cfg", lease_ttl=5.0)
+            board.claim("w")
+            board.done(f"s{index}", "w", {"persisted": True})
+        board.publish("k.json", "cfg", lease_ttl=5.0)
+        board.claim("w1")
+        cursor, _ = board.events_since(0)
+        clock.advance(6.0)
+        assert board.expire() == 1
+        assert board.expire() == 0
+        _, events = board.events_since(cursor)
+        assert [(e["kind"], e["task"]) for e in events] == [
+            ("expired", "k.json"),
+        ]
+        # Settled tasks stay listed after the lapse.
+        assert board.stats() == {"done": 3000, "expired": 1}
+
+    def test_a_retry_moves_the_lease_to_its_new_worker(self):
+        clock = Clock()
+        board = TaskBoard(clock)
+        board.publish("k.json", "cfg", lease_ttl=5.0)
+        board.claim("w1")  # w1's deadline: t=5
+        clock.advance(2.0)
+        board.publish("k.json", "cfg", lease_ttl=5.0, attempt=2)
+        cursor, _ = board.events_since(0)
+        clock.advance(4.0)  # t=6: past w1's deadline, attempt 2 queued
+        assert board.expire() == 0
+        assert not board.beat("k.json", "w1")
+        board.claim("w2")  # w2's deadline: t=11
+        clock.advance(4.5)
+        assert board.expire() == 0
+        clock.advance(1.0)  # t=11.5: past w2's
+        _, events = board.events_since(cursor)
+        assert [(e["kind"], e["attempt"], e["worker"]) for e in events] == [
+            ("claimed", 2, "w2"),
+            ("expired", 2, "w2"),
+        ]
+
     def test_every_event_names_its_attempts_publisher(self):
         clock = Clock()
         board = TaskBoard(clock)

@@ -10,6 +10,7 @@ import pytest
 from repro.api import Scenario, run
 from repro.cli import build_parser, main
 from repro.experiments.store import SummaryStore, config_key
+from repro.live.supervisor import ProcessFabric
 
 
 class TestLiveParser:
@@ -45,17 +46,24 @@ class TestLiveParser:
             assert args.control_port == 7711
             assert args.host == "127.0.0.1"
 
-    def test_live_up_rejects_bad_config(self):
-        out = io.StringIO()
-        assert main(["live", "up", "--nodes", "1"], out=out) == 2
-        assert (
-            main(
-                ["live", "up", "--nodes", "4", "--duration", "5",
-                 "--crash-after", "9"],
-                out=out,
-            )
-            == 2
-        )
+    def test_live_up_rejects_bad_config(self, capsys, monkeypatch):
+        async def spawn(_fabric, spec):
+            raise AssertionError(f"node {spec.node} spawned")
+
+        monkeypatch.setattr(ProcessFabric, "spawn", spawn)
+        for argv in (
+            ["--nodes", "1"],
+            ["--nodes", "4", "--duration", "5", "--crash-after", "9"],
+            # K may not exceed N: checked before anything boots.
+            ["--nodes", "3", "--k", "9"],
+            # Longer than the 1 s periods: checked before nodes spawn.
+            ["--nodes", "3", "--ping-timeout", "2"],
+        ):
+            out = io.StringIO()
+            assert main(["live", "up", *argv], out=out) == 2, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+            assert out.getvalue() == ""
 
     def test_live_up_rejects_unknown_churn(self):
         out = io.StringIO()
@@ -92,7 +100,7 @@ class TestLiveUpEndToEnd:
         assert payload["crashes"] == 1
         assert payload["violations"] == 0
         # Tight run on a tiny overlay: demand progress, not perfection (the
-        # strict >= 0.9 recovery gate lives in test_supervisor.py).
+        # strict >= 0.9 gates over real processes are CI's live-smoke job).
         assert payload["discovery_ratio"] > 0.0
         assert payload["store_path"] is not None
 

@@ -15,6 +15,7 @@ import warnings
 import pytest
 
 from repro.api import Scenario
+from repro.core.config import AvmonConfig
 from repro.experiments.store import config_key, stable_key_hash
 from repro.live.faults import (
     INTRODUCER,
@@ -350,7 +351,10 @@ def test_fault_update_dispatch_forwards_once_and_is_idempotent():
     node = LiveNode(
         LiveNodeSpec(
             node=1, introducer_host="h", introducer_port=1,
-            n_expected=4, k=2, cvs=3,
+            avmon=AvmonConfig(
+                n_expected=4, k=2, cvs=3, protocol_period=1.0,
+                monitoring_period=1.0, ping_timeout=0.25, forgetful_tau=2.0,
+            ),
         )
     )
     node.transport = StubTransport()

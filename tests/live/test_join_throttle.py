@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import collections
 
+from repro.core.config import AvmonConfig
 from repro.core.messages import Join
 from repro.live.introducer import Introducer
 from repro.live.runtime import LiveNode, LiveNodeSpec
@@ -30,13 +31,15 @@ def test_converged_rejoin_join_traffic_is_bounded():
                     node=i,
                     introducer_host=addr[0],
                     introducer_port=addr[1],
-                    n_expected=6,
-                    k=2,
-                    cvs=6,  # >= population: every CV saturates with everyone
-                    protocol_period=0.2,
-                    monitoring_period=0.2,
-                    ping_timeout=0.08,
-                    forgetful_tau=0.5,
+                    avmon=AvmonConfig(
+                        n_expected=6,
+                        k=2,
+                        cvs=6,  # >= population: every CV saturates
+                        protocol_period=0.2,
+                        monitoring_period=0.2,
+                        ping_timeout=0.08,
+                        forgetful_tau=0.5,
+                    ),
                     heartbeat_interval=0.1,
                     directory_interval=0.2,
                     snapshot_interval=0.0,

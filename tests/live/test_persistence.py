@@ -17,6 +17,7 @@ import typing
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.config import AvmonConfig
 from repro.live.codec import wire_types
 from repro.live.introducer import Introducer
 from repro.live.runtime import LiveNode, LiveNodeSpec, StateFiles, referenced_ids
@@ -28,13 +29,15 @@ def _spec(node, addr, state_file="", **overrides):
         node=node,
         introducer_host=addr[0],
         introducer_port=addr[1],
-        n_expected=8,
-        k=3,
-        cvs=7,
-        protocol_period=0.2,
-        monitoring_period=0.2,
-        ping_timeout=0.08,
-        forgetful_tau=0.5,
+        avmon=AvmonConfig(
+            n_expected=8,
+            k=3,
+            cvs=7,
+            protocol_period=0.2,
+            monitoring_period=0.2,
+            ping_timeout=0.08,
+            forgetful_tau=0.5,
+        ),
         heartbeat_interval=0.1,
         directory_interval=0.2,
         snapshot_interval=0.1,

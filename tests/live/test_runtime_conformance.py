@@ -139,13 +139,15 @@ def live_overlay() -> OverlaySnapshot:
                     node=node_id,
                     introducer_host=addr[0],
                     introducer_port=addr[1],
-                    n_expected=N,
-                    k=K,
-                    cvs=CVS,
-                    protocol_period=0.2,
-                    monitoring_period=0.2,
-                    ping_timeout=0.08,
-                    forgetful_tau=0.5,
+                    avmon=AvmonConfig(
+                        n_expected=N,
+                        k=K,
+                        cvs=CVS,
+                        protocol_period=0.2,
+                        monitoring_period=0.2,
+                        ping_timeout=0.08,
+                        forgetful_tau=0.5,
+                    ),
                     heartbeat_interval=0.1,
                     directory_interval=0.2,
                     snapshot_interval=0.0,

@@ -1,9 +1,11 @@
-"""The supervisor end to end: real processes, a real crash, real recovery.
+"""The supervisor end to end: a crash, recovery, the report and the store.
 
-This is the backing test of the CI ``live-smoke`` job: boot a small
-localhost overlay of OS processes, SIGKILL one node mid-run, and assert
-the overlay re-discovers the victim's monitor relationships before
-teardown — with the summary flowing into the standard store.
+The shared run boots an eight-node overlay on the memory fabric, hard
+kills one node mid-run and asserts the overlay re-discovers the victim's
+monitor relationships before teardown, with the summary flowing into the
+standard store.  The same supervisor loop over real processes and UDP is
+covered by ``test_cli_live_cache.py::TestLiveUpEndToEnd`` and by the CI
+``live-smoke`` job.
 """
 
 from __future__ import annotations
@@ -15,39 +17,29 @@ import pytest
 from repro.core.condition import ConsistencyCondition
 from repro.experiments.store import SummaryStore
 from repro.live.control import StatusReply
+from repro.live.memory_transport import MemoryOverlay
+from repro.live.runtime import LiveNodeSpec
 from repro.live.supervisor import (
     LiveConfig,
     LiveSupervisor,
     audit_pairs,
     build_live_report,
     live_config_key,
-    live_store_filename,
-    run_live,
 )
 
 
-#: Looser than the CI smoke job's 0.9: this fixture runs inside the full
-#: pytest suite, often on a loaded single-core runner where scheduler
-#: stalls eat protocol rounds.  The dedicated `live-smoke` CI job gates
-#: the strict >= 0.9 on an uncontended overlay.
-GATE = 0.8
+#: The CI ``live-smoke`` job's gate; the seeded run below clears it on
+#: every Python the suite runs on.
+GATE = 0.9
 
 
 @pytest.fixture(scope="module")
 def crash_report(tmp_path_factory):
-    """One shared overlay run: 8 processes, 20 s, one SIGKILL at t=5.
+    """One shared overlay run: 8 nodes, 20 s, one hard kill at t=5.
 
     Eight nodes, not fewer: tiny overlays with crashes are noisy (one node
-    is a large fraction of the pair space).  Periods and timeouts are
-    chosen for contended machines — 0.8 s rounds with a 0.35 s reply
-    budget survive the scheduling jitter of a busy test runner.
-
-    Wall-clock runs inside a full pytest suite on a loaded (often
-    single-core) runner can still lose most protocol rounds to scheduler
-    stalls, so the run is retried up to three times and the first attempt
-    clearing the gates is used; a systematic regression fails all three.
-    The dedicated CI `live-smoke` job gates a single uncontended run
-    strictly at 0.9.
+    is a large fraction of the pair space).  The virtual clock makes the
+    run deterministic, so one run decides.
     """
     store = SummaryStore(tmp_path_factory.mktemp("live-store"))
     config = LiveConfig(
@@ -65,15 +57,7 @@ def crash_report(tmp_path_factory):
         crash_downtime=1.5,
         control_port=-1,
     )
-    report = None
-    for _attempt in range(3):
-        report = run_live(config, store=store)
-        if (
-            report.discovery_ratio >= GATE
-            and (report.victim_recovery or 0.0) >= GATE
-            and report.final_alive == config.nodes
-        ):
-            break
+    report = MemoryOverlay(config, store=store).run()
     return config, store, report
 
 
@@ -84,7 +68,7 @@ def test_overlay_survives_crash_and_rediscovers(crash_report):
     # The overlay re-discovered the victim's monitors before teardown.
     assert report.victim_recovery is not None
     assert report.victim_recovery >= GATE
-    # All eight processes answered the final scrape (the victim rejoined).
+    # All eight nodes answered the final scrape (the victim rejoined).
     assert report.final_alive == 8
     assert sorted(report.statuses) == list(range(8))
 
@@ -104,7 +88,9 @@ def test_summary_persisted_and_readable(crash_report):
     config, store, report = crash_report
     assert report.store_path is not None
     # The content address is the documented one: hash of live_config_key.
-    assert report.store_path.endswith(live_store_filename(config))
+    assert report.store_path.endswith(
+        SummaryStore.name_for(live_config_key(config))
+    )
     loaded = store.load(live_config_key(config))
     assert loaded is not None
     assert loaded.model == "LIVE"
@@ -132,6 +118,25 @@ def test_crash_after_must_fall_inside_run():
         LiveConfig(nodes=4, duration=5.0, crash_after=9.0)
     with pytest.raises(ValueError):
         LiveConfig(nodes=1, duration=5.0)
+    # The AVMON parameters are checked when the config is built: the ping
+    # timeout must be shorter than both 1 s periods.
+    with pytest.raises(ValueError, match="ping_timeout"):
+        LiveConfig(ping_timeout=2.0)
+
+
+def test_node_spec_carries_the_deployments_avmon_config_through_json():
+    config = LiveConfig(nodes=6, k=2, protocol_period=0.5, ping_timeout=0.2)
+    spec = config.node_spec(
+        4,
+        ("127.0.0.1", 7000),
+        epoch=12.5,
+        state_file="node-4.json",
+        host="127.0.0.1",
+        introducers=[("127.0.0.1", 7000), ("127.0.0.1", 7001)],
+    )
+    assert spec.avmon == config.avmon()
+    assert (spec.avmon.n_expected, spec.avmon.k) == (6, 2)
+    assert LiveNodeSpec.from_json(spec.to_json()) == spec
 
 
 def test_unusable_state_dir_fails_cleanly():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import socket
 
+from repro.core.config import AvmonConfig
 from repro.core.messages import CvPing, Join
 from repro.live.codec import encode
 from repro.live.control import DirectoryReply
@@ -182,7 +183,10 @@ def _directory_node() -> LiveNode:
     node = LiveNode(
         LiveNodeSpec(
             node=1, introducer_host="mem", introducer_port=1,
-            n_expected=4, k=2, cvs=3,
+            avmon=AvmonConfig(
+                n_expected=4, k=2, cvs=3, protocol_period=1.0,
+                monitoring_period=1.0, ping_timeout=0.25, forgetful_tau=2.0,
+            ),
         )
     )
     node._joined = True  # direct drive: no protocol node to begin_join
