@@ -46,8 +46,8 @@ Object text travels inside a JSON string, so stored bytes round-trip
 exactly — the byte-identity contract on summary JSON holds across the
 wire.  The HTTP plumbing is the same stdlib-asyncio layer the
 availability service uses (:mod:`repro.serve.http`): the daemon is just
-another ``service.handle(method, target, body, client)`` behind it, and
-the in-memory HTTP client drives it socket-free in tests.
+another ``service.handle(method, target, body, client, headers)`` behind
+it, and the in-memory HTTP client drives it socket-free in tests.
 
 The protocol is deliberately cache-shaped, not database-shaped: objects
 are immutable values under content addresses, PUT is idempotent, and a
@@ -90,20 +90,16 @@ class StoreService:
     """The object-protocol request handler over one :class:`StoreBackend`.
 
     Compatible with :func:`repro.serve.http.handle_connection`: requests
-    arrive as ``(method, target, parsed_json_body, client)`` — plus the
-    raw header dict, which the connection layer forwards because
-    ``accepts_headers`` is set — and leave as ``(status, payload,
-    extra_headers)``.  Backend I/O failures surface as 500s with the
-    error text — clients treat those as cache misses.
+    arrive as ``(method, target, parsed_json_body, client, headers)`` and
+    leave as ``(status, payload, extra_headers)``.  Backend I/O failures
+    surface as 500s with the error text — clients treat those as cache
+    misses.
 
     All counters live in a :class:`repro.obs.registry.MetricsRegistry`
     (deterministic kind) exposed on ``GET /metrics`` as JSON or, with
     ``?format=prometheus``, Prometheus text; ``/stat`` keeps its legacy
     ``counters`` dict shape.
     """
-
-    #: Tells the HTTP layer to pass request headers into :meth:`handle`.
-    accepts_headers = True
 
     def __init__(
         self,
@@ -164,10 +160,10 @@ class StoreService:
             )
         counter.inc()
 
-    def _authorized(self, method: str, headers: Optional[Dict[str, str]]) -> bool:
+    def _authorized(self, method: str, headers: Dict[str, str]) -> bool:
         if self.auth_token is None or method == "GET":
             return True
-        supplied = (headers or {}).get("authorization", "")
+        supplied = headers.get("authorization", "")
         return supplied == f"Bearer {self.auth_token}"
 
     async def handle(
@@ -176,7 +172,7 @@ class StoreService:
         target: str,
         body: Optional[dict],
         client: str,
-        headers: Optional[Dict[str, str]] = None,
+        headers: Dict[str, str],
     ) -> Tuple[int, Union[dict, str], Dict[str, str]]:
         self._counters["requests"].inc()
         self._count_verb(method)
@@ -430,7 +426,7 @@ class StoreDaemonThread:
         return self
 
     async def _serve(self, listener: socket.socket, up: threading.Event) -> None:
-        from ..serve.http import handle_connection
+        from ..serve.http import MAX_REQUEST_BYTES, handle_connection
 
         connections: dict = {}  # handler task -> its client's writer
 
@@ -442,7 +438,9 @@ class StoreDaemonThread:
             finally:
                 del connections[task]
 
-        server = await asyncio.start_server(on_connection, sock=listener)
+        server = await asyncio.start_server(
+            on_connection, sock=listener, limit=MAX_REQUEST_BYTES
+        )
         halt = asyncio.Event()
         self._halt = (asyncio.get_running_loop(), halt)
         up.set()

@@ -142,6 +142,23 @@ class _WallSim:
         self._handles.clear()
 
 
+def _log_path(spec: LiveNodeSpec) -> pathlib.Path:
+    return pathlib.Path(spec.state_file).with_suffix(".log")
+
+
+def _log_tail(spec: LiveNodeSpec) -> str:
+    """The last 20 lines, within the last 2 KiB, of a node's log, under a
+    header line ("" if it has none: the memory fabric writes no logs)."""
+    try:
+        with open(_log_path(spec), "rb") as log:
+            log.seek(max(0, log.seek(0, os.SEEK_END) - 2048))
+            data = log.read()
+    except OSError:
+        return ""
+    tail = "\n".join(data.decode("utf-8", "replace").splitlines()[-20:])
+    return f"\n--- node {spec.node} log (tail) ---\n{tail}" if tail else ""
+
+
 class ProcessFabric:
     """The production fabric: one OS process per node, UDP, wall clocks.
 
@@ -180,7 +197,7 @@ class ProcessFabric:
         # stderr goes to a per-node log next to the state file (not
         # /dev/null): a node whose ticks raise logs there, and the file is
         # the first place to look when a gate fails.
-        log_path = pathlib.Path(spec.state_file).with_suffix(".log")
+        log_path = _log_path(spec)
         try:
             stderr = open(log_path, "ab")
         except OSError:
@@ -504,13 +521,16 @@ class LiveSupervisor:
             if self.introducer.alive_count() >= self.config.nodes:
                 return
             dead = [
-                h.node
+                h
                 for h in self._handles.values()
                 if h.process is not None and self.fabric.exited(h.process)
             ]
             if dead:
+                # Read now: teardown removes a temp state dir, logs and all.
+                tails = "".join(_log_tail(h.spec) for h in dead)
                 raise RuntimeError(
-                    f"node process(es) {sorted(dead)} exited during boot"
+                    f"node process(es) {sorted(h.node for h in dead)} "
+                    f"exited during boot{tails}"
                 )
             await asyncio.sleep(0.1)
         raise RuntimeError(

@@ -20,10 +20,15 @@ the in-memory fabric (virtual clock) expiry is fully deterministic.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, Hashable, Optional, Tuple
 
-__all__ = ["CacheStats", "TtlCache"]
+__all__ = ["CacheStats", "TtlCache", "loop_time"]
+
+
+def loop_time() -> float:
+    """The running loop's clock: the serving tier's default clock."""
+    return asyncio.get_running_loop().time()
 
 
 @dataclass
@@ -39,35 +44,15 @@ class CacheStats:
     #: Entries that had expired when looked up.
     expirations: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "coalesced": self.coalesced,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-        }
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses + self.coalesced
-
     @property
     def hit_ratio(self) -> float:
-        lookups = self.lookups
+        lookups = self.hits + self.misses + self.coalesced
         if lookups == 0:
             return 0.0
         # Coalesced calls did not hit the overlay either; they count as
         # cache-absorbed for the ratio consumers care about (protocol
         # queries avoided per lookup).
         return (self.hits + self.coalesced) / lookups
-
-
-@dataclass
-class _Entry:
-    value: Any
-    expires_at: float
-    field_order: int = field(default=0, compare=False)
 
 
 class TtlCache:
@@ -86,15 +71,11 @@ class TtlCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.ttl = ttl
         self.max_entries = max_entries
-        self._clock = clock
-        self._entries: Dict[Hashable, _Entry] = {}
+        self._now = clock if clock is not None else loop_time
+        #: key -> (value, expires_at)
+        self._entries: Dict[Hashable, Tuple[Any, float]] = {}
         self._inflight: Dict[Hashable, asyncio.Future] = {}
         self.stats = CacheStats()
-
-    def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        return asyncio.get_running_loop().time()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -103,8 +84,6 @@ class TtlCache:
         self,
         key: Hashable,
         loader: Callable[[], Awaitable[Any]],
-        *,
-        ttl: Optional[float] = None,
     ) -> Any:
         """Return the cached value for *key*, loading it on a miss.
 
@@ -115,9 +94,9 @@ class TtlCache:
         now = self._now()
         entry = self._entries.get(key)
         if entry is not None:
-            if entry.expires_at > now:
+            if entry[1] > now:
                 self.stats.hits += 1
-                return entry.value
+                return entry[0]
             del self._entries[key]
             self.stats.expirations += 1
         inflight = self._inflight.get(key)
@@ -137,22 +116,19 @@ class TtlCache:
             raise
         else:
             future.set_result(value)
-            self._store(key, value, self.ttl if ttl is None else ttl)
+            self._store(key, value)
             return value
         finally:
             del self._inflight[key]
 
-    def _store(self, key: Hashable, value: Any, ttl: float) -> None:
-        if ttl <= 0:
+    def _store(self, key: Hashable, value: Any) -> None:
+        if self.ttl <= 0:
             return  # zero TTL = pass-through (still single-flighted)
         if key not in self._entries and len(self._entries) >= self.max_entries:
             # Evict the entry closest to expiry (oldest data first).
             victim = min(
-                self._entries, key=lambda k: self._entries[k].expires_at
+                self._entries, key=lambda k: self._entries[k][1]
             )
             del self._entries[victim]
             self.stats.evictions += 1
-        self._entries[key] = _Entry(value=value, expires_at=self._now() + ttl)
-
-    def clear(self) -> None:
-        self._entries.clear()
+        self._entries[key] = (value, self._now() + self.ttl)

@@ -13,6 +13,12 @@ One parse/serialize path serves both fabrics:
 The protocol subset is deliberately small — GET/POST, JSON bodies,
 ``Content-Length`` framing, keep-alive — because the service only speaks
 JSON and the point is serving §3.3 queries, not re-growing a web server.
+
+Each request head is read by one ``readuntil(b"\r\n\r\n")``, so a
+keep-alive stream is consumed one head at a time.  Lines end in CRLF only
+(a bare LF is a 400).  The request line may take 8,192 bytes with its
+CRLF (else 400); head and body may each take :data:`MAX_REQUEST_BYTES`,
+the ``limit`` of every stream reader built here (else 413).
 """
 
 from __future__ import annotations
@@ -47,6 +53,11 @@ _REASONS = {
 }
 
 
+#: ``json.dumps(payload, sort_keys=True)`` without building the encoder
+#: on every call: the same bytes.
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+
+
 class _HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -58,31 +69,41 @@ async def _read_request(
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """Parse one request; None on clean EOF before a request line."""
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.IncompleteReadError):
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        head = exc.partial  # the stream ended before the blank line
+    except asyncio.LimitOverrunError:
+        raise _HttpError(413, "headers too large")
+    except ConnectionError:
         return None
-    if not line:
+    if not head:
         return None
-    if len(line) > 8192:
+    text = head.decode("latin-1")
+    if text.count("\n") != text.count("\r\n"):
+        raise _HttpError(400, "line endings must be CRLF")
+    # Each line as sent, less its CRLF; a head cut short by EOF may end in
+    # a line that had none.
+    lines = text.split("\r\n")
+    last = len(lines) - 1
+    if len(lines[0]) + 2 * (last > 0) > 8192:
         raise _HttpError(400, "request line too long")
-    parts = line.decode("latin-1").strip().split()
+    parts = lines[0].strip().split()
     if len(parts) != 3:
         raise _HttpError(400, "malformed request line")
     method, target, version = parts
     if not version.startswith("HTTP/1."):
         raise _HttpError(400, f"unsupported protocol {version!r}")
+    if len(head) > MAX_REQUEST_BYTES:
+        raise _HttpError(413, "headers too large")
     headers: Dict[str, str] = {}
-    total = len(line)
-    while True:
-        line = await reader.readline()
-        total += len(line)
-        if total > MAX_REQUEST_BYTES:
-            raise _HttpError(413, "headers too large")
-        if line in (b"\r\n", b"\n", b""):
+    for index in range(1, last + 1):
+        line = lines[index]
+        if not line:
             break
-        name, sep, value = line.decode("latin-1").partition(":")
+        name, sep, value = line.partition(":")
         if not sep:
-            raise _HttpError(400, f"malformed header line {line!r}")
+            raw = (line + "\r\n" if index < last else line).encode("latin-1")
+            raise _HttpError(400, f"malformed header line {raw!r}")
         headers[name.strip().lower()] = value.strip()
     body = b""
     length_header = headers.get("content-length")
@@ -101,6 +122,10 @@ async def _read_request(
     return method, target, headers, body
 
 
+def _header_lines(headers: Dict[str, str]) -> str:
+    return "".join([f"{name}: {value}\r\n" for name, value in headers.items()])
+
+
 def _render(
     status: int,
     payload,
@@ -114,18 +139,16 @@ def _render(
         body = payload.encode()
         content_type = "text/plain; version=0.0.4"
     else:
-        body = json.dumps(payload, sort_keys=True).encode()
+        body = _encode_json(payload).encode()
         content_type = "application/json"
-    reason = _REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    for name, value in extra_headers.items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+    extra = _header_lines(extra_headers) if extra_headers else ""
+    return (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        f"{extra}\r\n"
+    ).encode() + body
 
 
 async def handle_connection(
@@ -148,45 +171,29 @@ async def handle_connection(
             try:
                 request = await _read_request(reader)
             except _HttpError as exc:
-                writer.write(
-                    _render(
-                        exc.status,
-                        {"error": str(exc)},
-                        {},
-                        keep_alive=False,
-                    )
-                )
-                await writer.drain()
-                break
-            if request is None:
-                break
-            method, target, headers, body_bytes = request
-            # An explicit client identity beats the transport address:
-            # a load driver runs many logical clients over one fabric.
-            identity = headers.get("x-client-id", client)
-            body: Optional[dict] = None
-            if body_bytes:
+                status, payload, extra = exc.status, {"error": str(exc)}, {}
+                keep_alive = False
+            else:
+                if request is None:
+                    break
+                method, target, headers, body_bytes = request
+                # An explicit client identity beats the transport address:
+                # a load driver runs many logical clients over one fabric.
+                identity = headers.get("x-client-id", client)
+                body: Optional[dict] = None
+                if body_bytes:
+                    try:
+                        body = json.loads(body_bytes)
+                    except json.JSONDecodeError:
+                        body = None  # endpoints reject with a 400 body
                 try:
-                    body = json.loads(body_bytes)
-                except json.JSONDecodeError:
-                    body = None  # endpoints reject with a 400 body
-            try:
-                # Services that opt in (``accepts_headers = True``) also
-                # receive the raw header dict — the store daemon checks
-                # its bearer token there; everything else keeps the
-                # four-argument contract untouched.
-                if getattr(service, "accepts_headers", False):
                     status, payload, extra = await service.handle(
                         method, target, body, identity, headers
                     )
-                else:
-                    status, payload, extra = await service.handle(
-                        method, target, body, identity
-                    )
-            except Exception:  # noqa: BLE001 — a service bug is a 500,
-                # counted and visible, never a dropped connection.
-                status, payload, extra = 500, {"error": "internal"}, {}
-            keep_alive = headers.get("connection", "").lower() != "close"
+                except Exception:  # noqa: BLE001 — a service bug is a 500,
+                    # counted and visible, never a dropped connection.
+                    status, payload, extra = 500, {"error": "internal"}, {}
+                keep_alive = headers.get("connection", "").lower() != "close"
             writer.write(
                 _render(status, payload, extra, keep_alive=keep_alive)
             )
@@ -200,12 +207,10 @@ async def handle_connection(
             # The event loop closed under us (daemon shutdown while a
             # client was mid-request); the transport is already gone.
             return
-        wait_closed = getattr(writer, "wait_closed", None)
-        if wait_closed is not None:
-            try:
-                await wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
 
 
 async def serve_http(
@@ -216,7 +221,9 @@ async def serve_http(
     async def on_connection(reader, writer):
         await handle_connection(service, reader, writer)
 
-    return await asyncio.start_server(on_connection, host, port)
+    return await asyncio.start_server(
+        on_connection, host, port, limit=MAX_REQUEST_BYTES
+    )
 
 
 class _MemoryWriter:
@@ -224,7 +231,6 @@ class _MemoryWriter:
 
     def __init__(self) -> None:
         self.buffer = bytearray()
-        self.closed = False
 
     def write(self, data: bytes) -> None:
         self.buffer.extend(data)
@@ -233,7 +239,7 @@ class _MemoryWriter:
         pass
 
     def close(self) -> None:
-        self.closed = True
+        pass
 
     async def wait_closed(self) -> None:
         pass
@@ -264,25 +270,19 @@ class MemoryHttpClient:
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, dict, Dict[str, str]]:
         """One request; returns ``(status, json_body, headers)``."""
-        payload = (
-            json.dumps(body, sort_keys=True).encode()
-            if body is not None
-            else b""
-        )
-        lines = [
-            f"{method} {target} HTTP/1.1",
-            "Host: mem",
-            "Connection: close",
-        ]
-        if headers:
-            for name, value in headers.items():
-                lines.append(f"{name}: {value}")
+        payload = b"" if body is None else _encode_json(body).encode()
+        extra = _header_lines(headers) if headers else ""
         if payload:
-            lines.append("Content-Type: application/json")
-            lines.append(f"Content-Length: {len(payload)}")
-        raw = ("\r\n".join(lines) + "\r\n\r\n").encode() + payload
-        reader = asyncio.StreamReader()
-        reader.feed_data(raw)
+            extra += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(payload)}\r\n"
+            )
+        reader = asyncio.StreamReader(limit=MAX_REQUEST_BYTES)
+        reader.feed_data(
+            f"{method} {target} HTTP/1.1\r\nHost: mem\r\n"
+            f"Connection: close\r\n{extra}\r\n".encode()
+            + payload
+        )
         reader.feed_eof()
         writer = _MemoryWriter()
         await handle_connection(
@@ -300,15 +300,15 @@ class MemoryHttpClient:
     def _parse_response(raw: bytes) -> Tuple[int, dict, Dict[str, str]]:
         head, _, body = raw.partition(b"\r\n\r\n")
         lines = head.decode("latin-1").split("\r\n")
-        status = int(lines[0].split()[1])
         headers: Dict[str, str] = {}
         for line in lines[1:]:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
+        # "HTTP/1.1 NNN ...": the status sits at a fixed offset.
+        status = int(lines[0][9:12])
         if not body:
             return status, {}, headers
+        text = body.decode()
         if headers.get("content-type", "").startswith("application/json"):
-            parsed = json.loads(body)
-        else:
-            parsed = body.decode()
-        return status, parsed, headers
+            return status, json.loads(text), headers
+        return status, text, headers

@@ -16,9 +16,10 @@ refill is computed lazily from elapsed time, never from a timer task.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
+
+from .cache import loop_time
 
 __all__ = ["TokenBucket", "RateLimiter", "RateDecision"]
 
@@ -39,14 +40,9 @@ class TokenBucket:
             raise ValueError(f"burst must be >= 1, got {burst}")
         self.rate = rate
         self.burst = burst
-        self._clock = clock
+        self._now = clock if clock is not None else loop_time
         self._tokens = float(burst)
         self._updated: Optional[float] = None
-
-    def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        return asyncio.get_running_loop().time()
 
     def _refill(self, now: float) -> None:
         if self._updated is None:
@@ -90,6 +86,10 @@ class RateDecision:
     retry_after: float = 0.0
     #: Which bucket said no: "client" or "global" (empty when allowed).
     limited_by: str = ""
+
+
+#: Every admitted request's decision (frozen, so one instance serves all).
+_ALLOWED = RateDecision(allowed=True)
 
 
 class RateLimiter:
@@ -150,7 +150,7 @@ class RateLimiter:
                 limited_by="global",
             )
         self.allowed += 1
-        return RateDecision(allowed=True)
+        return _ALLOWED
 
     def tracked_clients(self) -> int:
         return len(self._clients)

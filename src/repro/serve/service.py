@@ -24,17 +24,16 @@ sockets and the in-memory test client identically.
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Tuple
+from urllib.parse import unquote_plus, urlsplit
 
 from ..apps.prediction import PeriodicPredictor, SaturatingCounterPredictor
 from ..apps.query import QueryResult
 from ..apps.replication import select_replicas_by_availability
 from ..live.control import ServeStatusReply
 from .backend import OverlayBackend
-from .cache import TtlCache
+from .cache import TtlCache, loop_time
 from .metrics import ServeMetrics
 from .ratelimit import RateLimiter
 
@@ -80,7 +79,7 @@ class AvailabilityService:
     ) -> None:
         self.backend = backend
         self.config = config if config is not None else ServeConfig()
-        self._clock = clock
+        self._now = clock if clock is not None else loop_time
         self.metrics = ServeMetrics(registry)
         self.cache = TtlCache(
             ttl=self.config.cache_ttl,
@@ -103,11 +102,6 @@ class AvailabilityService:
         )
         self._active = 0
 
-    def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        return asyncio.get_running_loop().time()
-
     # -- entry point -------------------------------------------------------
 
     async def handle(
@@ -116,19 +110,19 @@ class AvailabilityService:
         target: str,
         body: Optional[dict],
         client: str,
+        headers: Dict[str, str],
     ) -> Tuple[int, dict, Dict[str, str]]:
         """Serve one request; returns ``(status, json_body, headers)``.
 
+        Request *headers* are accepted and unused: no route reads one.
         Never raises for request-shaped problems — those are 4xx bodies.
         An exception escaping here is a genuine service bug, which the
         HTTP layer surfaces as the 5xx it is.
         """
-        split = urlsplit(target)
-        path = split.path.rstrip("/") or "/"
-        params = parse_qs(split.query)
+        path, params = _split_target(target)
         route, handler = self._route(method, path)
         started = self._now()
-        headers: Dict[str, str] = {}
+        extra: Dict[str, str] = {}
         status, payload = 500, {"error": "internal"}
         try:
             if handler is None:
@@ -143,7 +137,7 @@ class AvailabilityService:
                         "limited_by": decision.limited_by,
                         "retry_after": round(decision.retry_after, 3),
                     }
-                    headers["Retry-After"] = str(
+                    extra["Retry-After"] = str(
                         max(1, int(decision.retry_after + 0.999))
                     )
                 elif self._active >= self.config.max_concurrency:
@@ -152,19 +146,21 @@ class AvailabilityService:
                         "error": "overloaded",
                         "retry_after": round(self.config.query_timeout, 3),
                     }
-                    headers["Retry-After"] = "1"
+                    extra["Retry-After"] = "1"
                 else:
                     self._active += 1
                     try:
                         status, payload = await handler(path, params, body)
                     finally:
                         self._active -= 1
+        except _BadRequest as exc:
+            status, payload = 400, {"error": str(exc)}
         finally:
             # The route label aggregates path parameters away and every
             # unmatched request shares UNMATCHED_ROUTE, so the metrics
             # cardinality is the route table's, not the clients'.
             self.metrics.record(route, status, self._now() - started)
-        return status, payload, headers
+        return status, payload, extra
 
     def _route(self, method: str, path: str):
         if method == "GET":
@@ -238,26 +234,20 @@ class AvailabilityService:
         if params.get("format", [""])[-1] == "prometheus":
             return 200, self.metrics.registry.render_prometheus()
         return 200, self.metrics.to_dict(
-            cache_stats=self.cache.stats.to_dict()
+            cache_stats=asdict(self.cache.stats)
         )
 
     async def _nodes(self, path, params, body):
         return 200, {"nodes": sorted(self.backend.nodes())}
 
     async def _availability(self, path, params, body):
-        try:
-            subject = self._parse_node(path)
-            l = self._parse_l(params)
-        except _BadRequest as exc:
-            return 400, {"error": str(exc)}
+        subject = self._parse_node(path)
+        l = self._parse_l(params)
         return 200, await self._cached_query("availability", subject, l)
 
     async def _monitors(self, path, params, body):
-        try:
-            subject = self._parse_node(path)
-            l = self._parse_l(params)
-        except _BadRequest as exc:
-            return 400, {"error": str(exc)}
+        subject = self._parse_node(path)
+        l = self._parse_l(params)
         payload = await self._cached_query("monitors", subject, l)
         return 200, {
             key: payload[key]
@@ -368,6 +358,20 @@ class AvailabilityService:
             monitors_rejected=self.metrics.monitors_rejected,
             queries_timed_out=self.metrics.queries_timed_out,
         )
+
+
+def _split_target(target: str) -> Tuple[str, Dict[str, List[str]]]:
+    """``(path less any trailing "/", params)``, as ``urlsplit`` +
+    ``parse_qs`` give them; the query loop is ``parse_qs``'s own, inline,
+    because the stdlib call's set-up costs more than the parse."""
+    split = urlsplit(target)
+    params: Dict[str, List[str]] = {}
+    for field in split.query.split("&"):
+        name, _, value = field.partition("=")
+        if value:  # parse_qs drops blank values and bare names
+            key = unquote_plus(name)
+            params.setdefault(key, []).append(unquote_plus(value))
+    return split.path.rstrip("/") or "/", params
 
 
 class _BadRequest(Exception):

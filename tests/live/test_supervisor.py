@@ -11,13 +11,18 @@ covered by ``test_cli_live_cache.py::TestLiveUpEndToEnd`` and by the CI
 from __future__ import annotations
 
 import asyncio
+import pathlib
 
 import pytest
 
 from repro.core.condition import ConsistencyCondition
 from repro.experiments.store import SummaryStore
 from repro.live.control import StatusReply
-from repro.live.memory_transport import MemoryOverlay
+from repro.live.memory_transport import (
+    MemoryFabric,
+    MemoryOverlay,
+    VirtualEventLoop,
+)
 from repro.live.runtime import LiveNodeSpec
 from repro.live.supervisor import (
     LiveConfig,
@@ -26,6 +31,7 @@ from repro.live.supervisor import (
     build_live_report,
     live_config_key,
 )
+from repro.obs.journal import NULL_JOURNAL
 
 
 #: The CI ``live-smoke`` job's gate; the seeded run below clears it on
@@ -150,6 +156,39 @@ def test_unusable_state_dir_fails_cleanly():
             await supervisor.run()
 
     asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+
+
+def test_a_node_dead_at_boot_reports_its_log_tail():
+    """The boot error quotes the tail of each dead node's log, read before
+    teardown removes the temp state dir that holds the logs."""
+
+    class DeadOnArrival(MemoryFabric):
+        async def spawn(self, spec):
+            log = pathlib.Path(spec.state_file).with_suffix(".log")
+            noise = "".join(f"noise {i}\n" for i in range(40))
+            early = "x" * 100_000 + "\n"  # past the 2 KiB that is read
+            log.write_text(f"{early}{noise}boom: node {spec.node} cannot bind\n")
+            return spec.node
+
+        def exited(self, process):
+            return True
+
+        async def kill(self, process, *, graceful):
+            pass
+
+    config = LiveConfig(nodes=2, duration=2.0, control_port=-1)
+    with asyncio.Runner(loop_factory=VirtualEventLoop) as runner:
+        fabric = DeadOnArrival(runner.get_loop(), NULL_JOURNAL)
+        supervisor = LiveSupervisor(config, fabric=fabric)
+        with pytest.raises(RuntimeError) as caught:
+            runner.run(supervisor.run())
+    message = str(caught.value)
+    assert message.startswith("node process(es) [0, 1] exited during boot")
+    assert "boom: node 0 cannot bind" in message
+    assert "boom: node 1 cannot bind" in message
+    # Twenty lines per node: "noise 21" .. "noise 39" and the boom line.
+    assert "noise 21" in message and "noise 20" not in message
+    assert not supervisor._state_dir.exists()
 
 
 def test_empty_scrape_reports_zero_discovery():
