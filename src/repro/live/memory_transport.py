@@ -34,7 +34,8 @@ and irreproducible to test.  This module supplies the other fabric:
   :class:`~repro.live.runtime.LiveNode` instances, in one process, no
   sockets, no subprocesses, byte-identical
   :class:`~repro.experiments.summary.SimulationSummary` output for a fixed
-  seed and Python minor version.
+  seed, the same on every supported Python (the live stack's timed waits
+  go through :func:`~repro.live.transport.wait_for`, not the stdlib's).
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from .control import (
     StatusRequest,
 )
 from .faults import FaultInjector, FaultPlan, Label, introducer_label
-from .transport import Address, PeerTable, UdpTransport
+from .transport import Address, PeerTable, UdpTransport, wait_for
 
 __all__ = ["LiveNodeSpec", "LiveRuntime", "LiveNode", "StateFiles", "referenced_ids"]
 
@@ -395,7 +395,7 @@ class LiveNode:
         for attempt in range(50):
             self.transport.send_to(self._introducer, hello)
             try:
-                await asyncio.wait_for(
+                await wait_for(
                     self._hello_acked.wait(), timeout=0.2 * (attempt + 1)
                 )
                 break
@@ -408,7 +408,7 @@ class LiveNode:
             )
         self.transport.send_to(self._introducer, DirectoryRequest(node=self.id))
         try:
-            await asyncio.wait_for(self._directory_seen.wait(), timeout=1.0)
+            await wait_for(self._directory_seen.wait(), timeout=1.0)
         except asyncio.TimeoutError:
             pass  # first node in an empty overlay: join with no bootstrap
 

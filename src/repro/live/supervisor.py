@@ -72,7 +72,7 @@ from .faults import SUPERVISOR, FaultPlan, introducer_label
 from .introducer import IntroducerGroup
 from .report import LiveReport, audit_pairs, build_live_report
 from .runtime import LiveNodeSpec, StateFiles
-from .transport import Address, UdpTransport
+from .transport import Address, UdpTransport, wait_for
 
 __all__ = [
     "LiveSupervisor",
@@ -306,7 +306,7 @@ class StatusProber:
                     try:
                         # shield: wait_for must not cancel the shared
                         # future on a per-attempt timeout.
-                        return node, await asyncio.wait_for(
+                        return node, await wait_for(
                             asyncio.shield(future), per_attempt
                         )
                     except asyncio.TimeoutError:
@@ -1021,9 +1021,20 @@ def run_live(
     store: Optional[SummaryStore] = None,
     journal=None,
 ) -> LiveReport:
-    """Synchronous front door: deploy, run, summarise, tear down."""
+    """Synchronous front door: deploy, run, summarise, tear down.
+
+    SIGTERM ends the run as ``avmon live down`` does: the node processes
+    run in their own sessions, so only the teardown stops them.
+    """
     supervisor = LiveSupervisor(config, store=store, journal=journal)
-    return asyncio.run(supervisor.run())
+
+    async def main() -> LiveReport:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, supervisor._stop_early.set
+        )
+        return await supervisor.run()
+
+    return asyncio.run(main())
 
 
 async def _control_call(address: Address, request, timeout: float):
@@ -1039,7 +1050,7 @@ async def _control_call(address: Address, request, timeout: float):
     transport = await UdpTransport.create(handler, host="0.0.0.0", port=0)
     try:
         transport.send_to(address, request)
-        return await asyncio.wait_for(reply, timeout)
+        return await wait_for(reply, timeout)
     finally:
         transport.close()
 

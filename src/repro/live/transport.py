@@ -26,6 +26,7 @@ directory refresh is in flight.
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -40,6 +41,7 @@ __all__ = [
     "PeerTable",
     "DatagramEndpoint",
     "UdpTransport",
+    "wait_for",
 ]
 
 #: A UDP endpoint address.
@@ -303,3 +305,56 @@ class UdpTransport(DatagramEndpoint):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else f"bound={self.local_address}"
         return f"UdpTransport({state}, sent={self.stats.datagrams_sent})"
+
+
+def _release_waiter(waiter: asyncio.Future, *_args) -> None:
+    if not waiter.done():
+        waiter.set_result(None)
+
+
+async def _cancel_and_wait(fut: asyncio.Future) -> None:
+    """Cancel *fut*; wait on a side future so this wait stays cancellable."""
+    waiter = asyncio.get_running_loop().create_future()
+    callback = functools.partial(_release_waiter, waiter)
+    fut.add_done_callback(callback)
+    try:
+        fut.cancel()
+        await waiter
+    finally:
+        fut.remove_done_callback(callback)
+
+
+async def wait_for(aw, timeout: float):
+    """``asyncio.wait_for`` as Python 3.11 schedules it, on every Python.
+
+    *aw* runs in its own Task, first stepped one ready-queue turn later
+    (3.12's stdlib awaits it inline, which reorders seeded runs), and
+    a timeout or an outer cancel cancels that Task and waits for it.
+    Raises ``TimeoutError``; *timeout* must be positive.
+    """
+    loop = asyncio.get_running_loop()
+    waiter = loop.create_future()
+    timeout_handle = loop.call_later(timeout, _release_waiter, waiter)
+    callback = functools.partial(_release_waiter, waiter)
+    fut = asyncio.ensure_future(aw, loop=loop)
+    fut.add_done_callback(callback)
+    try:
+        try:
+            await waiter
+        except asyncio.CancelledError:
+            if fut.done():
+                return fut.result()
+            fut.remove_done_callback(callback)
+            await _cancel_and_wait(fut)
+            raise
+        if fut.done():
+            return fut.result()
+        fut.remove_done_callback(callback)
+        await _cancel_and_wait(fut)
+        # A task that ignored the cancel, or raised, answers for itself.
+        try:
+            return fut.result()
+        except asyncio.CancelledError as exc:
+            raise TimeoutError() from exc
+    finally:
+        timeout_handle.cancel()

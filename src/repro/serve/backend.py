@@ -30,7 +30,7 @@ from ..live.control import DirectoryReply, DirectoryRequest
 from ..live.faults import SERVE
 from ..live.memory_transport import VIRTUAL_EPOCH
 from ..live.runtime import LiveRuntime
-from ..live.transport import Address, PeerTable, UdpTransport
+from ..live.transport import Address, PeerTable, UdpTransport, wait_for
 
 __all__ = ["DEFAULT_CLIENT_ID", "OverlayBackend", "memory_backend"]
 
@@ -133,7 +133,7 @@ class OverlayBackend:
         self._directory_event.clear()
         self.transport.send_to(self._introducer, DirectoryRequest())
         try:
-            await asyncio.wait_for(self._directory_event.wait(), timeout)
+            await wait_for(self._directory_event.wait(), timeout)
             return True
         except asyncio.TimeoutError:
             return False

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.api import Scenario, run
 from repro.cli import build_parser, main
 from repro.experiments.store import SummaryStore, config_key
@@ -110,6 +117,69 @@ class TestLiveUpEndToEnd:
         entries = json.loads(ls_out.getvalue())["entries"]
         assert len(entries) == 1
         assert entries[0]["model"] == "LIVE"
+
+    @pytest.mark.udp
+    def test_sigterm_tears_the_overlay_down(self, tmp_path):
+        """``kill <pid>`` does what ``avmon live down`` does.  The nodes run
+        in their own sessions: without the supervisor's teardown they, and
+        its temp state dir, outlive it."""
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        journal = tmp_path / "journal.jsonl"
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, TMPDIR=str(temp), PYTHONPATH=path)
+        up = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "live", "up", "--nodes", "3",
+                "--duration", "30", "--protocol-period", "0.5",
+                "--monitoring-period", "0.5", "--ping-timeout", "0.2",
+                "--control-port", "-1", "--journal", str(journal), "--json",
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 20.0
+            while _events(journal).count("introducer.registered") < 3:
+                assert up.poll() is None, "live up exited during boot"
+                assert time.monotonic() < deadline, "overlay did not boot"
+                time.sleep(0.05)
+            up.send_signal(signal.SIGTERM)
+            assert up.wait(timeout=15.0) == 0
+        finally:
+            if up.poll() is None:
+                up.kill()
+                up.wait()
+            leaked = _node_pids(temp)
+            for pid in leaked:
+                os.kill(pid, signal.SIGKILL)
+        assert "live.run.end" in _events(journal)
+        assert leaked == []
+        assert list(temp.iterdir()) == []
+
+
+def _events(journal: pathlib.Path):
+    """Event names of the journal's complete lines (the file may be open)."""
+    if not journal.exists():
+        return []
+    lines = journal.read_text().split("\n")[:-1]
+    return [json.loads(line)["event"] for line in lines]
+
+
+def _node_pids(state_root: pathlib.Path):
+    """Node processes whose spec points under *state_root*."""
+    pids = []
+    for entry in pathlib.Path("/proc").iterdir():
+        try:
+            argv = (entry / "cmdline").read_bytes().split(b"\0")
+        except (OSError, ValueError):
+            continue
+        spec = b" ".join(argv)
+        if b"repro.live.node_main" in argv and str(state_root).encode() in spec:
+            pids.append(int(entry.name))
+    return sorted(pids)
 
 
 class TestCacheCli:

@@ -33,6 +33,7 @@ from repro.live.memory_transport import (
     MemoryOverlay,
     MemoryTransport,
 )
+from repro.live.transport import wait_for
 from repro.obs import Journal
 
 pytestmark = pytest.mark.usefixtures("no_udp_sockets")
@@ -54,7 +55,7 @@ async def _call(overlay, request, timeout: float = 1.0):
     )
     try:
         client.send_to(overlay.supervisor.control_address, request)
-        return await asyncio.wait_for(reply, timeout)
+        return await wait_for(reply, timeout)
     finally:
         client.close()
 

@@ -7,16 +7,23 @@ selector's ``select(timeout)`` became "advance the virtual clock by
 ``call_soon``/``call_later`` (``_ReferenceNetwork``).  Hypothesis draws
 schedules — colliding ``when``s, cancellations across the compaction
 threshold, nested ``call_soon``, ``sleep(0)``, ``wait_for`` timeouts,
-raising callbacks, datagrams with zero and positive delays — and both
-loops must run them in the same order at the same virtual instants and
-report the same exceptions.
+``Event`` waits, outer cancels, shielded retries, raising callbacks,
+datagrams with zero and positive delays — and both loops must run them in
+the same order at the same virtual instants and report the same
+exceptions.
+
+The same schedules check :func:`repro.live.transport.wait_for` against
+Python 3.11's ``asyncio.wait_for``, whose scheduling it reproduces.
 """
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import gc
 import logging
+import pathlib
+import sys
 from collections import defaultdict
 
 import pytest
@@ -33,6 +40,7 @@ from repro.live.memory_transport import (
     VirtualEventLoop,
     run_virtual,
 )
+from repro.live.transport import wait_for
 
 pytestmark = pytest.mark.usefixtures("no_udp_sockets")
 
@@ -117,6 +125,9 @@ STARTS = st.sampled_from([VIRTUAL_EPOCH, 0.0, 0.1])
 #: Short decimal delays whose float sums collide (0.25 + 0.25 == 0.5) and
 #: ones that do not sum exactly (0.1 + 0.2 != 0.3).
 DELAYS = st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0])
+#: The delays without 0: the live stack's ``wait_for`` takes no zero
+#: timeout (no caller passes one), so the helper oracle draws none.
+TIMEOUTS = st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0])
 #: Absolute offsets for ``call_at``: the delays' grid plus instants that
 #: "now + (when - now)" misses from a start of 0 (0.1 + (0.45 - 0.1) is
 #: 0.44999999999999996).
@@ -125,25 +136,36 @@ INSTANTS = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.45, 0.5, 0.75, 0.85, 1.0])
 #: duplicates, and two whose receive path raises (one per branch).
 TARGETS = ("near", "far", "jittery", "broken-now", "broken-later")
 
-STEP = st.one_of(
-    st.tuples(st.just("later"), DELAYS),
-    st.tuples(st.just("at"), INSTANTS),
-    st.tuples(st.just("soon")),
-    st.tuples(st.just("cancel"), st.integers(0, 30)),
-    # 95..160 timers, every 2nd/3rd/4th kept: straddles asyncio's
-    # "more than 100 scheduled, more than half cancelled" compaction.
-    st.tuples(st.just("burst"), st.integers(95, 160), st.integers(2, 4)),
-    st.tuples(st.just("sleep0")),
-    st.tuples(st.just("wait_for"), DELAYS, DELAYS),
-    st.tuples(st.just("raise"), DELAYS),
-    st.tuples(st.just("send"), st.sampled_from(TARGETS)),
-)
-#: ``(step, parent)``: a step runs when its parent fires (from inside that
-#: callback), or from the main coroutine when the parent index is not an
-#: earlier step.
-PROGRAMS = st.lists(
-    st.tuples(STEP, st.integers(-3, 30)), min_size=1, max_size=25
-)
+
+def _programs(timeouts):
+    """Lists of ``(step, parent)``: a step runs when its parent fires (from
+    inside that callback), or from the main coroutine when the parent index
+    is not an earlier step.  *timeouts* feeds every ``wait_for``."""
+    step = st.one_of(
+        st.tuples(st.just("later"), DELAYS),
+        st.tuples(st.just("at"), INSTANTS),
+        st.tuples(st.just("soon")),
+        st.tuples(st.just("cancel"), st.integers(0, 30)),
+        # 95..160 timers, every 2nd/3rd/4th kept: straddles asyncio's
+        # "more than 100 scheduled, more than half cancelled" compaction.
+        st.tuples(st.just("burst"), st.integers(95, 160), st.integers(2, 4)),
+        st.tuples(st.just("sleep0")),
+        st.tuples(st.just("wait_for"), DELAYS, timeouts),
+        # An Event set before, at or after the timeout instant.
+        st.tuples(st.just("event"), DELAYS, timeouts),
+        # wait_for(sleep(inner), timeout), its task cancelled at cancel_at.
+        st.tuples(st.just("outer_cancel"), DELAYS, timeouts, DELAYS),
+        # StatusProber's shape: one future, per-attempt shielded waits.
+        st.tuples(st.just("shield"), DELAYS, timeouts, st.integers(1, 3)),
+        st.tuples(st.just("raise"), DELAYS),
+        st.tuples(st.just("send"), st.sampled_from(TARGETS)),
+    )
+    return st.lists(
+        st.tuples(step, st.integers(-3, 30)), min_size=1, max_size=25
+    )
+
+
+PROGRAMS = _programs(DELAYS)
 
 _PLAN = FaultPlan(
     links=(
@@ -160,9 +182,10 @@ class _BrokenReceiver(MemoryTransport):
         raise RuntimeError(f"receiver bug on {len(data)} bytes")
 
 
-def _program(steps):
-    """A ``main(network_class)`` coroutine function running *steps*; it
-    returns (trace, exception contexts, final time, copies delivered)."""
+def _program(steps, wait_for=asyncio.wait_for):
+    """A ``main(network_class)`` coroutine function running *steps*, its
+    timed waits through *wait_for*; it returns (trace, exception contexts,
+    final time, copies delivered)."""
     children = defaultdict(list)
     for index, (_step, parent) in enumerate(steps):
         children[parent if 0 <= parent < index else None].append(index)
@@ -207,13 +230,47 @@ def _program(steps):
             await asyncio.sleep(0)
             fire(index)
 
+        async def napper(index, seconds):
+            # Traced, so the turn the awaited coroutine first runs in shows.
+            trace.append((index, "inner start", loop.time()))
+            try:
+                await asyncio.sleep(seconds)
+            except asyncio.CancelledError:
+                trace.append((index, "inner cancelled", loop.time()))
+                raise
+
         async def waiter(index, inner, timeout):
             try:
-                await asyncio.wait_for(asyncio.sleep(inner), timeout)
+                await wait_for(napper(index, inner), timeout)
+            except asyncio.TimeoutError:
+                fire(index, "timeout")
+            except asyncio.CancelledError:
+                fire(index, "cancelled")
+            else:
+                fire(index, "done")
+
+        async def event_waiter(index, set_at, timeout):
+            event = asyncio.Event()
+            loop.call_later(set_at, event.set)
+            try:
+                await wait_for(event.wait(), timeout)
             except asyncio.TimeoutError:
                 fire(index, "timeout")
             else:
-                fire(index, "done")
+                fire(index, "set")
+
+        async def prober(index, resolve_at, per_attempt, attempts):
+            future = loop.create_future()
+            loop.call_later(resolve_at, future.set_result, index)
+            for attempt in range(attempts):
+                try:
+                    await wait_for(asyncio.shield(future), per_attempt)
+                except asyncio.TimeoutError:
+                    trace.append((index, f"retry {attempt}", loop.time()))
+                else:
+                    fire(index, "resolved")
+                    return
+            fire(index, "gave up")
 
         def execute(index):
             kind, *args = steps[index][0]
@@ -239,6 +296,15 @@ def _program(steps):
                 tasks.append(loop.create_task(sleeper(index)))
             elif kind == "wait_for":
                 tasks.append(loop.create_task(waiter(index, *args)))
+            elif kind == "event":
+                tasks.append(loop.create_task(event_waiter(index, *args)))
+            elif kind == "outer_cancel":
+                inner, timeout, cancel_at = args
+                task = loop.create_task(waiter(index, inner, timeout))
+                loop.call_later(cancel_at, task.cancel)
+                tasks.append(task)
+            elif kind == "shield":
+                tasks.append(loop.create_task(prober(index, *args)))
             elif kind == "raise":
                 handles[index] = loop.call_later(args[0], explode, index)
             else:
@@ -248,7 +314,8 @@ def _program(steps):
         for index in children.get(None, ()):
             execute(index)
         await asyncio.sleep(100.0)
-        await asyncio.gather(*tasks)
+        # A task cancelled before its first step ends cancelled.
+        await asyncio.gather(*tasks, return_exceptions=True)
         return trace, contexts, loop.time(), network.delivered
 
     return main
@@ -300,6 +367,74 @@ def test_oracle_sees_ties_compaction_and_raising_receivers():
         "Exception in callback _program.<locals>.main.<locals>.explode",
     ]
     assert now == VIRTUAL_EPOCH + 100.0
+
+
+# -- the live stack's wait_for against Python 3.11's ----------------------------
+
+
+async def _inline_wait_for(aw, timeout):
+    """Python 3.12's algorithm: await in place under ``asyncio.timeout()``."""
+    async with asyncio.timeout(timeout):
+        return await aw
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the oracle is Python 3.11's asyncio.wait_for",
+)
+@given(_programs(TIMEOUTS), STARTS)
+# An Event set before, at and after the timeout instant; an outer cancel
+# at once, during the wait and at the timeout instant; a shielded future
+# resolved on the second of three attempts.
+@example(
+    [
+        (("event", 0.2, 0.25), -1),
+        (("event", 0.25, 0.25), -1),
+        (("event", 0.3, 0.25), -1),
+        (("outer_cancel", 1.0, 0.5, 0.0), -1),
+        (("outer_cancel", 1.0, 0.5, 0.25), -1),
+        (("outer_cancel", 1.0, 0.5, 0.5), -1),
+        (("shield", 0.3, 0.2, 3), -1),
+    ],
+    0.0,
+)
+def test_live_wait_for_schedules_like_python_311s(steps, start):
+    helper = _virtual(_program(steps, wait_for), start)
+    assert helper == _virtual(_program(steps, asyncio.wait_for), start)
+
+
+def test_live_wait_for_steps_the_awaited_coroutine_one_turn_later():
+    """The difference that moved seeded bytes under 3.12's stdlib: the
+    awaited coroutine runs in a new Task, after what is already ready."""
+    steps = [(("wait_for", 0.5, 0.25), -1), (("soon",), -1)]
+
+    def first_two(wait):
+        trace = _virtual(_program(steps, wait))[0]
+        return [(index, what) for index, what, _when in trace[:2]]
+
+    assert first_two(wait_for) == [(1, "fire"), (0, "inner start")]
+    assert first_two(_inline_wait_for) == [(0, "inner start"), (1, "fire")]
+
+
+def test_src_has_no_second_wait_for():
+    """Every timed wait in ``src/`` goes through the live stack's helper:
+    ``asyncio.wait_for`` schedules differently from one Python to the next."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "wait_for"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "asyncio"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "asyncio"
+                and any(alias.name == "wait_for" for alias in node.names)
+            ):
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert not offenders, offenders
 
 
 # -- the loop's own contract ----------------------------------------------------

@@ -7,21 +7,21 @@ way — a reordered timer tie, a different float for "now".  These digests
 the monkeypatched stock event loop that :class:`VirtualEventLoop`
 replaced, so the loop is checked against its predecessor, not itself.
 
-They are keyed by Python minor version: the same seeded run already
-produced different bytes under 3.11 and 3.12 before the loop changed
-(every config except the WAN pair).  The cause is not pinned down; the
-likeliest is asyncio's own 3.12 changes (``wait_for`` became a
-``timeout()`` wrapper, which schedules its timers differently).  Other
-versions skip.
+One table holds on every supported Python because every timed wait in the
+live stack goes through :func:`repro.live.transport.wait_for`, which
+schedules as 3.11's ``asyncio.wait_for`` does: the awaited coroutine runs
+in a new Task, first stepped one ready-queue turn later.  3.12's stdlib
+version awaits inline under ``asyncio.timeout()``; that one turn reorders
+a boot ``Hello`` and moves 12 of the 14 configs.
 
 A deliberate byte move regenerates the table — and says so in the
 change log::
 
     PYTHONPATH=src python tests/live/test_virtual_loop_goldens.py
 
-``--check`` instead compares every case against the running version's
-table and exits 1 on any mismatch.  The script path needs no pytest, so
-it also runs under an interpreter that has only the standard library::
+``--check`` instead compares every case against the table and exits 1 on
+any mismatch.  The script path needs no pytest, so it also runs under an
+interpreter that has only the standard library::
 
     PYTHONPATH=src python3.12 tests/live/test_virtual_loop_goldens.py --check
 """
@@ -95,132 +95,69 @@ CASES = [(name, seed) for seed in SEEDS for name in _configs(seed)]
 
 #: ``(summary sha256, journal sha256)`` per ``(config, seed)``.
 GOLDEN = {
-    (3, 11): {
-        ("plain", 1): (
-            "bc20fba1818463351ca0c66d973063fc2b3130de3d0c2f34e3a927619cff2e48",
-            "e5b6d8bde1ebd5907fae49aad37c64cdb530a200b93073d4bab640d6c8a841ac",
-        ),
-        ("lossy", 1): (
-            "fad214e2c8db1d2a6f28eb84fca173e34330fe28b8c5185c91b326f7cd8fd217",
-            "b1ff7dc707424a525a90bb8137f8a5b3717893f19221b1734b11617d8b6dd3ca",
-        ),
-        ("wan", 1): (
-            "ea2c31bf398ef5a4e2af259b4606d799dccdd9b76f2dd80790c63e4a37242c5f",
-            "4c697542c26d3e57a491df9ce8abcdade39ad85f9808035c55f8a3e3fbcb5110",
-        ),
-        ("partition-heal", 1): (
-            "bc02026f9022a01e2b6b30880b21633df8ecf869554c512437a50245697ae344",
-            "f005444d74c279e2604f04e8bb907c52802cf71761280af670e231aef3eb5eb7",
-        ),
-        ("crash", 1): (
-            "267cc0396a3ad213343a78d1cf7b750112f380eca30d074fc067060014de8d9d",
-            "3bca01637a9e2a882046bae7fdcf823bb5f38c9a057d2cdc80982dae2cc41a65",
-        ),
-        ("synth-churn", 1): (
-            "5e02790d9aecb95a68693e0c6ef52484c3f34279ff29c9ebbaa405beb7823910",
-            "6f1fc93a352e3e695bcbf60bc76e1af3210614a73d411b4de8deca22bce8e758",
-        ),
-        ("ties", 1): (
-            "6884de6d758a13e22fc5bebae0c4be6570004a45a650a6476214ba547147c8e4",
-            "aaf81f9973e29d8430b4bf3c00c4f5300511e2f5046bfb791f7e45456deb6f48",
-        ),
-        ("plain", 7): (
-            "442da8a936fe89760f06b110f21c0a8e4f82c382aec713b936c5cfba93ce7772",
-            "a60bd084844c784bfce16b5f14fa2a3b0d1939d10ae3efa2568ccd5cbb23331a",
-        ),
-        ("lossy", 7): (
-            "ba60f3e0177aaf1565c55ef16f3555390990dc820c39135248ad2c046d80f093",
-            "1227afeca107fed82a05f2988fb1b6bf12c556d51144c349562229b8aad688c5",
-        ),
-        ("wan", 7): (
-            "5a7ff8aa624423fdac48056944064a84622d29be58bb7661dbb2f685cf06b1d1",
-            "cf257b178725bf3bfcd3d9a83611d650c513734959ceb6f853b6320dae72c9af",
-        ),
-        ("partition-heal", 7): (
-            "5d42712ac4284db2e960d00db0fce62f4c23f8f1131040ac110ac0f8809f9a42",
-            "362e115b219e1c1b2a5396c65b1a9c25405c2c78b21eb121ef7574413b4d0d05",
-        ),
-        ("crash", 7): (
-            "3204d12b1274be62daae965f3740cd05ad672026222c3a7156b5bafb8fcf8951",
-            "cfffe14a11c18aab6aa2f6f3de06c2e95be72495e010cb41ef8cea93a131ab49",
-        ),
-        ("synth-churn", 7): (
-            "45b36f60e3c9852e1cf5e92f1c20d7b99624520a50ce81eb2f7ad7774728c065",
-            "045e253426d964a057e4433e691d56dc3f3b5cecd0704746c7ac5a958b2a1339",
-        ),
-        ("ties", 7): (
-            "4c83a251c3c1be79219ee8de8b17b9c06d6f5343963fd813e52734b1b1c056ef",
-            "e52b029b01d8e020fc0a0ba323a446f668e9802787b63bfc398ff8a1accf4a27",
-        ),
-    },
-    (3, 12): {
-        ("plain", 1): (
-            "23d4828ab013f87d4d4acb2c0581c637470eac23ef39c0abbda984b446cd557b",
-            "c57e7b99c93ec4fe834709ada336cf02213be5092915d1e2abe38c0579a563f9",
-        ),
-        ("lossy", 1): (
-            "f3e1a25bcd62c7d006dfc31790cb52b49bb84e5b96b05b224c81568fa8c75638",
-            "3da60af924d83072c99db4949de2f21eb2d49ee8fab0556e1b223fb67b7565f0",
-        ),
-        ("wan", 1): (
-            "ea2c31bf398ef5a4e2af259b4606d799dccdd9b76f2dd80790c63e4a37242c5f",
-            "4c697542c26d3e57a491df9ce8abcdade39ad85f9808035c55f8a3e3fbcb5110",
-        ),
-        ("partition-heal", 1): (
-            "8f42470530d5978020179b1cbc30daaaa21c7cac2dffdfa800ad6ddc954d36b1",
-            "7b16bc853aad9da3d347072494e8d3848b2c8615771875007b8ee56df07b3516",
-        ),
-        ("crash", 1): (
-            "0d908c65b11226e4cfeb3dec85537f1fbdbfbd03b737ebe7ab8c40451954a566",
-            "73c374b1165f07b9754190c780b3dcb368a3fbd818b1d789b5b7be230ca1bf50",
-        ),
-        ("synth-churn", 1): (
-            "e8b78873461285d30f1b609ae45e4b82a41e41e57d6b58a542048a6320a20523",
-            "fdeb15517a4b99084f39e706e392fdc00fbc8d29b02ec44255a9c8c96b181bd6",
-        ),
-        ("ties", 1): (
-            "330f112fd362a03a474024690e5ced42819e0de9e83616050e45ab2a29c75fb2",
-            "e268f32bb4c9d7e369e9c1e7f58b22b57d654af2e1fd1084ebff3a9fc258374a",
-        ),
-        ("plain", 7): (
-            "f2286e720fd4e78807f59b340b3915943d3b9ffb0bc43985911eceb3a70b31e3",
-            "e15d74e3edcdfd4fa6663b3db5aa68d3a38a4d10885be5683c78cfba05bcbce4",
-        ),
-        ("lossy", 7): (
-            "64b881dacfd798b2c0e615aaad236fff6f20a4ac8608b31602302b084bba27f2",
-            "01faa16f854b345715e9884b2c42936439ab044848042069030397a37f216627",
-        ),
-        ("wan", 7): (
-            "5a7ff8aa624423fdac48056944064a84622d29be58bb7661dbb2f685cf06b1d1",
-            "cf257b178725bf3bfcd3d9a83611d650c513734959ceb6f853b6320dae72c9af",
-        ),
-        ("partition-heal", 7): (
-            "a34374ca0b0453b54c3928a3a2bbf64b39e1c994961c051630c6cd60523b9ed9",
-            "05f3fc96f64247c7dff429e5e78637a8fcf5e7ecca1be50c120f262e6aec992f",
-        ),
-        ("crash", 7): (
-            "5e64d6e5012a8169bfbd24b7c8c6efeee8f7a01e8fd3cfa8db1c39bfd881db3e",
-            "05b08b96a4bf9552500d936a3359e9f1f408fe56f55986d06d4da86074706347",
-        ),
-        ("synth-churn", 7): (
-            "147a89bda607ac79e6009f1c80367580ab7c15434613f18eca888b1d3be65485",
-            "2e8d1e8ad1809c8e90b1e87bca8aa79d1831b799881d752252031909669059e6",
-        ),
-        ("ties", 7): (
-            "920c1d45333f153bf843ef49fd26e202f97fb126c23fee221a420c0c974eae52",
-            "20ceb3e1901d57a5752157433ffc6b733b7596c2ead7971f8729157b532bdcc8",
-        ),
-    },
+    ("plain", 1): (
+        "bc20fba1818463351ca0c66d973063fc2b3130de3d0c2f34e3a927619cff2e48",
+        "e5b6d8bde1ebd5907fae49aad37c64cdb530a200b93073d4bab640d6c8a841ac",
+    ),
+    ("lossy", 1): (
+        "fad214e2c8db1d2a6f28eb84fca173e34330fe28b8c5185c91b326f7cd8fd217",
+        "b1ff7dc707424a525a90bb8137f8a5b3717893f19221b1734b11617d8b6dd3ca",
+    ),
+    ("wan", 1): (
+        "ea2c31bf398ef5a4e2af259b4606d799dccdd9b76f2dd80790c63e4a37242c5f",
+        "4c697542c26d3e57a491df9ce8abcdade39ad85f9808035c55f8a3e3fbcb5110",
+    ),
+    ("partition-heal", 1): (
+        "bc02026f9022a01e2b6b30880b21633df8ecf869554c512437a50245697ae344",
+        "f005444d74c279e2604f04e8bb907c52802cf71761280af670e231aef3eb5eb7",
+    ),
+    ("crash", 1): (
+        "267cc0396a3ad213343a78d1cf7b750112f380eca30d074fc067060014de8d9d",
+        "3bca01637a9e2a882046bae7fdcf823bb5f38c9a057d2cdc80982dae2cc41a65",
+    ),
+    ("synth-churn", 1): (
+        "5e02790d9aecb95a68693e0c6ef52484c3f34279ff29c9ebbaa405beb7823910",
+        "6f1fc93a352e3e695bcbf60bc76e1af3210614a73d411b4de8deca22bce8e758",
+    ),
+    ("ties", 1): (
+        "6884de6d758a13e22fc5bebae0c4be6570004a45a650a6476214ba547147c8e4",
+        "aaf81f9973e29d8430b4bf3c00c4f5300511e2f5046bfb791f7e45456deb6f48",
+    ),
+    ("plain", 7): (
+        "442da8a936fe89760f06b110f21c0a8e4f82c382aec713b936c5cfba93ce7772",
+        "a60bd084844c784bfce16b5f14fa2a3b0d1939d10ae3efa2568ccd5cbb23331a",
+    ),
+    ("lossy", 7): (
+        "ba60f3e0177aaf1565c55ef16f3555390990dc820c39135248ad2c046d80f093",
+        "1227afeca107fed82a05f2988fb1b6bf12c556d51144c349562229b8aad688c5",
+    ),
+    ("wan", 7): (
+        "5a7ff8aa624423fdac48056944064a84622d29be58bb7661dbb2f685cf06b1d1",
+        "cf257b178725bf3bfcd3d9a83611d650c513734959ceb6f853b6320dae72c9af",
+    ),
+    ("partition-heal", 7): (
+        "5d42712ac4284db2e960d00db0fce62f4c23f8f1131040ac110ac0f8809f9a42",
+        "362e115b219e1c1b2a5396c65b1a9c25405c2c78b21eb121ef7574413b4d0d05",
+    ),
+    ("crash", 7): (
+        "3204d12b1274be62daae965f3740cd05ad672026222c3a7156b5bafb8fcf8951",
+        "cfffe14a11c18aab6aa2f6f3de06c2e95be72495e010cb41ef8cea93a131ab49",
+    ),
+    ("synth-churn", 7): (
+        "45b36f60e3c9852e1cf5e92f1c20d7b99624520a50ce81eb2f7ad7774728c065",
+        "045e253426d964a057e4433e691d56dc3f3b5cecd0704746c7ac5a958b2a1339",
+    ),
+    ("ties", 7): (
+        "4c83a251c3c1be79219ee8de8b17b9c06d6f5343963fd813e52734b1b1c056ef",
+        "e52b029b01d8e020fc0a0ba323a446f668e9802787b63bfc398ff8a1accf4a27",
+    ),
 }
 
 
 def test_seeded_memory_fabric_bytes_match_the_pinned_digests(name, seed):
-    golden = GOLDEN.get(sys.version_info[:2])
-    if golden is None:
-        pytest.skip(f"no digests pinned for Python {sys.version_info[:2]}")
     summary, journal = digests(name, seed)
-    assert summary == golden[name, seed][0], "summary JSON bytes moved"
-    assert journal == golden[name, seed][1], "journal bytes moved"
+    assert summary == GOLDEN[name, seed][0], "summary JSON bytes moved"
+    assert journal == GOLDEN[name, seed][1], "journal bytes moved"
 
 
 if pytest is not None:
@@ -232,29 +169,24 @@ if pytest is not None:
 
 
 def check() -> int:
-    """Compare every case with the running version's table; 1 on a miss."""
-    version = sys.version_info[:2]
-    golden = GOLDEN.get(version)
-    if golden is None:
-        print(f"no digests pinned for Python {version}")
-        return 1
+    """Compare every case with the table; 1 on a miss."""
     failed = 0
     for name, seed in CASES:
-        ok = digests(name, seed) == golden[name, seed]
+        ok = digests(name, seed) == GOLDEN[name, seed]
         failed += not ok
         print(f"{'ok' if ok else 'MISMATCH':8} {name} seed={seed}")
-    print(f"Python {version}: {len(CASES) - failed}/{len(CASES)} match")
+    print(f"{len(CASES) - failed}/{len(CASES)} match")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--check"]:
         sys.exit(check())
-    print(f"    {sys.version_info[:2]}: {{")
+    print("GOLDEN = {")
     for name, seed in CASES:
         summary, journal = digests(name, seed)
-        print(f'        ("{name}", {seed}): (\n'
-              f'            "{summary}",\n'
-              f'            "{journal}",\n'
-              "        ),")
-    print("    },")
+        print(f'    ("{name}", {seed}): (\n'
+              f'        "{summary}",\n'
+              f'        "{journal}",\n'
+              "    ),")
+    print("}")

@@ -172,8 +172,8 @@ class TestForgedHistory:
 
         def pin_reported_pair(overlay):
             # report_monitors samples its PS with the node's rng, so two
-            # queries may name different pairs (they do on 3.12): report a
-            # fixed genuine pair, so the liars set below are the ones asked.
+            # queries need not name the same pair: report a fixed genuine
+            # pair, so the liars set below are the ones asked.
             node = overlay.nodes[subject].node
             pair = tuple(
                 m for m in sorted(node.ps) if overlay.condition.holds(m, subject)
