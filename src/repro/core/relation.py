@@ -96,13 +96,16 @@ class MonitorRelation:
         """Register a (possibly newborn) id into the universe."""
         if node in self._known:
             return
+        packed = pack_endpoint(node)  # an id that is no endpoint changes nothing
         self._known.add(node)
         self._universe.append(node)
-        self._packed.append(pack_endpoint(node))
+        self._packed.append(packed)
 
     def add_nodes(self, nodes: Iterable[NodeId]) -> None:
+        known = self._known
         for node in nodes:
-            self.add_node(node)
+            if node not in known:
+                self.add_node(node)
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self._known

@@ -33,6 +33,14 @@ with an unknown version or type, missing/extra fields or mistyped values
 raises :class:`CodecError`, which transports treat as a counted drop,
 never a crash.
 
+**Paid once per payload.**  :func:`encode` hands back the last bytes when
+given the same message object again (a NOTIFY goes to two peers), and
+:func:`decode` memoises the payloads of at most :data:`MEMO_PAYLOAD_BYTES`
+that decoded cleanly, :data:`MEMO_ENTRIES` of them at most (it starts afresh
+when full; malformed bytes are never kept).  So receivers of equal bytes
+share **one message object**: messages are immutable by contract
+(:mod:`repro.core.messages`), and a handler must never mutate one.
+
 All concrete protocol messages (:data:`repro.core.messages.MESSAGE_TYPES`)
 are registered at import time; the control plane registers its own the same
 way, so extensions can put new dataclasses on the wire without touching
@@ -68,6 +76,10 @@ WIRE_VERSION = 1
 #: Defensive ceiling on accepted datagram payloads (a full coarse view of a
 #: million-node overlay is ~40 entries, far below this).
 MAX_DATAGRAM_BYTES = 64 * 1024
+
+#: The decode memo's bounds (see above): longest payload kept, entries.
+MEMO_PAYLOAD_BYTES = 2048
+MEMO_ENTRIES = 4096
 
 
 class CodecError(ValueError):
@@ -217,6 +229,8 @@ class _WireSpec:
 #: Wire tag -> spec (decode) and class -> spec (encode).
 _REGISTRY: Dict[str, _WireSpec] = {}
 _SPEC_OF: Dict[type, _WireSpec] = {}
+#: Payload -> the message it decoded to (see :func:`decode`).
+_memo: Dict[bytes, Any] = {}
 
 
 def register_wire_type(cls: Type) -> Type:
@@ -240,6 +254,7 @@ def register_wire_type(cls: Type) -> Type:
             f"{', '.join(sorted(clashes))}"
         )
     _REGISTRY[name] = _SPEC_OF[cls] = _WireSpec(cls)
+    _memo.clear()  # memoised payloads decode against the registry as it is
     return cls
 
 
@@ -248,16 +263,31 @@ def wire_types() -> Tuple[Type, ...]:
     return tuple(_REGISTRY[name].cls for name in sorted(_REGISTRY))
 
 
+#: The last encode's ``(message, bytes)``, rebound whole so a reader never
+#: sees one's message with another's bytes; holding the message pins its id.
+_last_encoded: Tuple[Any, bytes] = (object(), b"")
+
+
 def encode(message: Any) -> bytes:
     """One registered message -> one canonical-JSON datagram payload."""
+    global _last_encoded
+    last = _last_encoded
+    if message is last[0]:
+        return last[1]
     try:
         spec = _SPEC_OF[type(message)]
     except KeyError:
         raise CodecError(
             f"{type(message).__name__} is not a registered wire type"
         ) from None
-    rendered = [_RENDERERS[type(value)](value) for value in spec.getter(message)]
-    return (spec.template % tuple(rendered)).encode("ascii")
+    values = spec.getter(message)
+    for value in values:
+        if value.__class__ is not int:  # an exact int renders as %s does
+            values = tuple([_RENDERERS[type(value)](value) for value in values])
+            break
+    data = (spec.template % values).encode("ascii")
+    _last_encoded = (message, data)
+    return data
 
 
 def _reject_constant(name: str) -> Any:
@@ -286,12 +316,20 @@ def decode(data: bytes) -> Any:
     else, so transports can treat ``CodecError`` as the single "drop this
     datagram" signal.
     """
+    message = _memo.get(data)
+    if message is not None:
+        return message
     try:
-        return _decode(data)
+        message = _decode(data)
     except RecursionError:
         # A few KB of b"[[[[..." exhausts the parser's stack; that must be
         # a counted drop like any other hostile payload, not a loop error.
         raise CodecError("datagram nesting too deep") from None
+    if len(data) <= MEMO_PAYLOAD_BYTES:
+        if len(_memo) >= MEMO_ENTRIES:
+            _memo.clear()
+        _memo[data] = message
+    return message
 
 
 def _decode(data: bytes) -> Any:

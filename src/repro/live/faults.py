@@ -312,16 +312,7 @@ class FaultPlan:
                 f"unknown FaultPlan fields: {', '.join(unknown)}; "
                 f"expected a subset of: {', '.join(sorted(known))}"
             )
-        data = dict(payload)
-        data["links"] = tuple(
-            link if isinstance(link, LinkFault) else LinkFault(**link)
-            for link in data.get("links", ())
-        )
-        data["partitions"] = tuple(
-            part if isinstance(part, Partition) else Partition(**part)
-            for part in data.get("partitions", ())
-        )
-        return cls(**data)
+        return cls(**payload)  # __post_init__ builds links and partitions
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -358,15 +349,14 @@ class FaultInjector:
     dropped, one entry is the normal case, two means a duplicate.  The
     stream for a link depends only on ``(plan.seed, src, dst)`` and the
     number of prior sends on that link, so identical runs make identical
-    decisions whatever the global event interleaving.
+    decisions whatever the global event interleaving.  A link's stream and
+    its effective parameters are worked out at its first send under a
+    plan and kept in a per-link table until the next :meth:`set_plan`.
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
-        self.plan = plan if plan is not None else FaultPlan()
         self.stats = FaultStats()
-        #: Per-link streams, keyed ``(type, label, type, label)``: the types
-        #: keep labels ``True`` and ``1`` (equal, same hash) apart.
-        self._rngs: Dict[tuple, random.Random] = {}
+        self.set_plan(plan if plan is not None else FaultPlan())
 
     def set_plan(self, plan: FaultPlan) -> None:
         """Swap the plan at runtime (``avmon live chaos --loss ...``).
@@ -374,21 +364,25 @@ class FaultInjector:
         Decision streams restart: a new plan is a new experiment.
         """
         self.plan = plan
-        self._rngs.clear()
+        #: Whether the plan perturbs nothing; whether it reads the clock.
+        self.null, self.timed = plan.is_null(), bool(plan.partitions)
+        #: Per-link ``(rng, loss, latency, jitter, duplicate)`` keyed by
+        #: ``(type, label, type, label)``: ``True`` and ``1`` stay apart.
+        self._links: Dict[tuple, tuple] = {}
 
-    def _rng(self, src: Optional[Label], dst: Optional[Label]) -> random.Random:
-        link = (src.__class__, src, dst.__class__, dst)
-        rng = self._rngs.get(link)
-        if rng is None:
-            text = json.dumps(
-                [self.plan.seed, _label_token(src), _label_token(dst)],
-                separators=(",", ":"),
-            )
-            digest = hashlib.blake2b(
-                text.encode("utf-8"), digest_size=8
-            ).digest()
-            rng = self._rngs[link] = random.Random(int.from_bytes(digest, "big"))
-        return rng
+    def _link(self, src: Optional[Label], dst: Optional[Label]) -> tuple:
+        plan = self.plan
+        text = json.dumps(
+            [plan.seed, _label_token(src), _label_token(dst)],
+            separators=(",", ":"),
+        )
+        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+        rng = random.Random(int.from_bytes(digest, "big"))
+        link = self._links[(src.__class__, src, dst.__class__, dst)] = (
+            rng,
+            *plan.link_params(src, dst),
+        )
+        return link
 
     def plan_delivery(
         self,
@@ -400,40 +394,44 @@ class FaultInjector:
 
         ``()`` means the datagram is lost (partition or random loss); each
         returned float is one copy's extra one-way delay in seconds.
+        *now* is read only when the plan has partitions (:attr:`timed`).
         """
-        plan = self.plan
-        if plan.is_null():
-            self.stats.passed += 1
+        stats = self.stats
+        if self.null:
+            stats.passed += 1
             return (0.0,)
-        if plan.partitions and plan.partitioned(src, dst, now):
-            self.stats.partitioned += 1
+        plan = self.plan
+        if self.timed and plan.partitioned(src, dst, now):
+            stats.partitioned += 1
             return ()
-        if plan.links:
-            loss, latency, jitter, duplicate = plan.link_params(src, dst)
-        else:
-            loss, latency, jitter, duplicate = (
-                plan.loss, plan.latency, plan.jitter, plan.duplicate
-            )
-        rng = self._rng(src, dst)
+        link = self._links.get((src.__class__, src, dst.__class__, dst))
+        if link is None:
+            link = self._link(src, dst)
+        rng, loss, latency, jitter, duplicate = link
         if loss > 0.0 and rng.random() < loss:
-            self.stats.dropped += 1
+            stats.dropped += 1
             return ()
-        copies = 1
         if duplicate > 0.0 and rng.random() < duplicate:
-            copies = 2
-            self.stats.duplicated += 1
-        delays = []
-        for _ in range(copies):
-            delay = latency
-            if jitter > 0.0:
-                delay += rng.random() * jitter
-            if plan.reorder > 0.0 and rng.random() < plan.reorder:
-                delay += plan.reorder_window
-            delays.append(delay)
+            stats.duplicated += 1
+            delays = (
+                self._delay(rng, latency, jitter),
+                self._delay(rng, latency, jitter),
+            )
+        else:
+            delays = (self._delay(rng, latency, jitter),)
         if max(delays) > 0.0:
-            self.stats.delayed += 1
-        self.stats.passed += 1
-        return tuple(delays)
+            stats.delayed += 1
+        stats.passed += 1
+        return delays
+
+    def _delay(self, rng: random.Random, latency: float, jitter: float) -> float:
+        """One copy's delay: latency, a jitter draw, maybe the reorder hold."""
+        if jitter > 0.0:
+            latency += rng.random() * jitter
+        plan = self.plan
+        if plan.reorder > 0.0 and rng.random() < plan.reorder:
+            latency += plan.reorder_window
+        return latency
 
 
 def _label_token(label: Optional[Label]) -> str:

@@ -14,12 +14,19 @@ and irreproducible to test.  This module supplies the other fabric:
   through to the handles, which answer "not less" as two ``TimerHandle``
   objects do, so seeded runs keep their bytes (``(when, seq)`` would not);
 * :class:`MemoryTransport` satisfies the same endpoint surface as
-  :class:`~repro.live.transport.UdpTransport` (``create``/``send_to``/
+  :class:`~repro.live.transport.UdpTransport` (``send_to``/
   ``local_address``/``close``/``stats``, the shared
-  :class:`~repro.live.transport.DatagramEndpoint` receive path), but
+  :class:`~repro.live.transport.DatagramEndpoint` receive path;
+  :meth:`MemoryNetwork.transport_factory` stands in for ``create``), but
   datagrams travel through an in-process :class:`MemoryNetwork` hub —
   still as *bytes through the codec*, so malformed-datagram tolerance and
-  wire-format bugs are exercised exactly as over UDP;
+  wire-format bugs are exercised exactly as over UDP.  One datagram:
+  ``send_to`` encodes it (once per message object) and counts it;
+  ``deliver`` takes the copies' delays from the injector's per-link table
+  (the clock is read only for a plan with partitions) and queues one
+  :class:`_Delivery` per copy; when due, a delivery hands the bytes to
+  the endpoint's receive path (a turn's only due handle skips the ready
+  queue), which decodes them through the codec's memo;
 * :class:`MemoryNetwork` applies one
   :class:`~repro.live.faults.FaultInjector` centrally: loss, latency,
   jitter, duplication, reordering and timed partitions per the plan, every
@@ -126,6 +133,9 @@ class VirtualEventLoop(asyncio.SelectorEventLoop):
         while scheduled and scheduled[0][0] < end:
             handle = heappop(scheduled)[1]
             handle._scheduled = False  # a later cancel must not count it
+            if not ready and not (scheduled and scheduled[0][0] < end):
+                handle._run()  # the turn's only handle: no queue round trip
+                return
             ready.append(handle)
         for _ in range(len(ready)):
             handle = ready.popleft()
@@ -187,7 +197,6 @@ class MemoryNetwork:
         #: running loop's clock.
         self._clock = clock
         self._endpoints: Dict[Address, "MemoryTransport"] = {}
-        self._labels: Dict[Address, Optional[Label]] = {}
         self._next_port = 1
         #: Datagrams addressed to nobody (a closed or never-bound address).
         self.undeliverable = 0
@@ -205,18 +214,14 @@ class MemoryNetwork:
 
     # -- endpoint registry -------------------------------------------------
 
-    def bind(
-        self, endpoint: "MemoryTransport", label: Optional[Label] = None
-    ) -> Address:
+    def bind(self, endpoint: "MemoryTransport") -> Address:
         address = (MEM_HOST, self._next_port)
         self._next_port += 1
         self._endpoints[address] = endpoint
-        self._labels[address] = label
         return address
 
     def unbind(self, address: Address) -> None:
         self._endpoints.pop(address, None)
-        self._labels.pop(address, None)
 
     def transport_factory(self, label: Optional[Label] = None):
         """An async ``(handler, host, port) -> MemoryTransport`` factory,
@@ -232,14 +237,20 @@ class MemoryNetwork:
     # -- delivery ----------------------------------------------------------
 
     def deliver(self, src: Address, dst: Address, data: bytes) -> None:
-        """Route one datagram through the fault plan to its destination."""
-        if dst not in self._endpoints:
+        """Route one datagram through the fault plan to its destination;
+        an endpoint's label names it in the plan (an unbound *src*: None)."""
+        endpoints, injector = self._endpoints, self.injector
+        target = endpoints.get(dst)
+        if target is None:
             self.undeliverable += 1
             return
-        loop = asyncio.get_running_loop()
-        deliveries = self.injector.plan_delivery(
-            self._labels.get(src), self._labels.get(dst), self._now()
+        source = endpoints.get(src)
+        deliveries = injector.plan_delivery(
+            None if source is None else source.label,
+            target.label,
+            self._now() if injector.timed else 0.0,
         )
+        loop = asyncio.get_running_loop()
         for delay in deliveries:
             self.delivered += 1
             copy = _Delivery(self, dst, data, src)
@@ -280,19 +291,7 @@ class MemoryTransport(DatagramEndpoint):
         super().__init__(handler)
         self._network = network
         self.label = label
-        self._address = network.bind(self, label)
-
-    @classmethod
-    async def create(
-        cls,
-        handler: Callable[[Any, Address], None],
-        host: str = MEM_HOST,
-        port: int = 0,
-        *,
-        network: MemoryNetwork,
-        label: Optional[Label] = None,
-    ) -> "MemoryTransport":
-        return cls(network, handler, label=label)
+        self._address = network.bind(self)
 
     @property
     def local_address(self) -> Address:

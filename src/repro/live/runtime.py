@@ -28,6 +28,7 @@ import pathlib
 import random
 import time
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, MutableMapping, Optional, Tuple
 
 from ..core.condition import ConsistencyCondition
@@ -86,42 +87,51 @@ class StateFiles:
 _ID_FIELDS = ("sender", "origin", "monitor", "target", "subject")
 _ID_TUPLE_FIELDS = ("view", "monitors")
 
-#: Message class -> which of those names its instances carry.
-_ID_PLANS: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+#: Node ids are 48-bit endpoints (:func:`~repro.core.hashing.pack_endpoint`).
+_ID_LIMIT = 1 << 48
+
+#: Message class -> (a getter of its id fields, its id-tuple field names).
+_ID_PLANS: Dict[type, Tuple[Callable[[Any], tuple], Tuple[str, ...]]] = {}
 
 
-def referenced_ids(message: Any) -> Tuple[NodeId, ...]:
-    """Every node id a protocol message mentions.
+def referenced_ids(message: Any) -> Optional[Tuple[NodeId, ...]]:
+    """Every node id a protocol message mentions, or None when one of them
+    lies outside ``[0, 2**48)``: no node has such an id, so the message is
+    forged and must not reach any state.
 
     The live relation index learns the id universe from traffic (the
     simulator learned it from the cluster); this walks the known id-bearing
     fields so :class:`~repro.core.relation.MonitorRelation` is never asked
-    about an id it has not seen.  Which of them a message class declares
-    is worked out once per class, not probed by name per datagram.
+    about an id it has not seen.  Ints in those fields are ids (``bool``
+    is not); other values are skipped.  Which fields a message class
+    declares is worked out once per class, into one getter, not probed by
+    name per datagram.
     """
-    cls = type(message)
+    cls = message.__class__
     plan = _ID_PLANS.get(cls)
     if plan is None:
         declared = getattr(cls, "__dataclass_fields__", {})
-        plan = _ID_PLANS[cls] = tuple(
+        scalars, tuples = (
             tuple(n for n in names if n in declared or hasattr(cls, n))
             for names in (_ID_FIELDS, _ID_TUPLE_FIELDS)
         )
-    scalar_fields, tuple_fields = plan
-    ids: List[NodeId] = []
-    for name in scalar_fields:
-        value = getattr(message, name, None)
-        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-            ids.append(value)
-    for name in tuple_fields:
+        get = attrgetter(*scalars) if len(scalars) > 1 else (
+            lambda message: tuple([getattr(message, n, None) for n in scalars])
+        )
+        plan = _ID_PLANS[cls] = (get, tuples)
+    get, tuples = plan
+    values = get(message)
+    for name in tuples:
         value = getattr(message, name, None)
         if isinstance(value, tuple):
-            ids.extend(
-                v
-                for v in value
-                if isinstance(v, int) and not isinstance(v, bool) and v >= 0
+            values += value
+    for value in values:
+        if value.__class__ is not int or not 0 <= value < _ID_LIMIT:
+            values = tuple(
+                v for v in values if isinstance(v, int) and not isinstance(v, bool)
             )
-    return tuple(ids)
+            return values if all(0 <= v < _ID_LIMIT for v in values) else None
+    return values
 
 
 @dataclass
@@ -318,6 +328,8 @@ class LiveNode:
         self.tick_errors = 0
         #: JOIN datagrams dropped by the per-origin admission budget.
         self.joins_throttled = 0
+        #: Messages dropped unread for naming an id no node has.
+        self.forged_drops = 0
         #: Bootstrap joins re-sent because the first attempt left the node
         #: blind (its Join/CvFetch datagrams were lost or partitioned away).
         self.join_retries = 0
@@ -561,14 +573,17 @@ class LiveNode:
 
     def _handle(self, message: Any, addr: Address) -> None:
         if isinstance(message, Message):
+            ids = referenced_ids(message)
+            if ids is None:  # names an id no node has: forged
+                self.forged_drops += 1
+                return
             if isinstance(message, Join) and not self._admit_join(message.origin):
                 return
             if isinstance(message, ReportRequest):
                 self.reports_served += 1
             elif isinstance(message, HistoryRequest):
                 self.histories_served += 1
-            for node_id in referenced_ids(message):
-                self.relation.add_node(node_id)
+            self.relation.add_nodes(ids)
             # Passive address learning: the peer is reachable where the
             # datagram came from, whatever the directory currently says.
             sender = getattr(message, "sender", None)

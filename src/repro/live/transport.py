@@ -64,9 +64,6 @@ class WireStats:
     #: Datagrams the configured fault injector decided to lose.
     fault_dropped: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(vars(self))
-
 
 @dataclass
 class PeerTable:
@@ -183,15 +180,13 @@ class DatagramEndpoint:
 
     def _plan_deliveries(self, address: Address) -> Tuple[float, ...]:
         """The fault injector's verdict for one outgoing datagram."""
-        if self.fault is None:
+        fault, resolve = self.fault, self._fault_resolve
+        if fault is None:
             return (0.0,)
-        destination = (
-            self._fault_resolve(address)
-            if self._fault_resolve is not None
-            else None
-        )
-        return self.fault.plan_delivery(
-            self._fault_label, destination, self._fault_now()
+        return fault.plan_delivery(
+            self._fault_label,
+            None if resolve is None else resolve(address),
+            self._fault_now() if fault.timed else 0.0,
         )
 
     # -- receive path ------------------------------------------------------

@@ -85,6 +85,23 @@ class TestDirectedSets:
         assert 5 in relation
         assert 999 not in relation
 
+    def test_an_id_that_is_no_endpoint_leaves_the_relation_as_it_was(self):
+        """2**48 fits no 48-bit endpoint.  Registering it used to add it to
+        the id set and the universe before the packing refused it, so
+        every id added afterwards was scanned with its neighbour's
+        endpoint."""
+        condition = ConsistencyCondition(5, 30)
+        relation = MonitorRelation(condition)
+        relation.add_nodes(range(10))
+        with pytest.raises(ValueError):
+            relation.add_node(1 << 48)
+        relation.add_nodes(range(10, 40))
+        assert 1 << 48 not in relation and relation.universe_size() == 40
+        for monitor in range(40):
+            assert relation.targets_of(monitor) == {
+                v for v in range(40) if v != monitor and condition.holds(monitor, v)
+            }
+
 
 class TestFindMatches:
     def test_matches_brute_force(self, relation):

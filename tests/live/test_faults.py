@@ -13,6 +13,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.api import Scenario
 from repro.core.config import AvmonConfig
@@ -22,6 +24,7 @@ from repro.live.faults import (
     SUPERVISOR,
     FaultInjector,
     FaultPlan,
+    FaultStats,
     LinkFault,
     Partition,
     _label_token,
@@ -613,3 +616,141 @@ def test_sim_network_applies_fault_plan():
     network.send(0, 1, CvPing(sender=0, seq=2))
     sim.run_until(20.0)
     assert len(received) == 1
+
+
+class _PerSendInjector:
+    """``FaultInjector`` before the per-link table, kept as the oracle:
+    ``is_null()``, the clock and the link rules consulted on every send,
+    one stream per link keyed by ``(type, label, type, label)``."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.stats = FaultStats()
+        self._rngs = {}
+
+    def set_plan(self, plan):
+        self.plan = plan
+        self._rngs.clear()
+
+    def _rng(self, src, dst):
+        link = (src.__class__, src, dst.__class__, dst)
+        rng = self._rngs.get(link)
+        if rng is None:
+            text = json.dumps(
+                [self.plan.seed, _label_token(src), _label_token(dst)],
+                separators=(",", ":"),
+            )
+            digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+            rng = self._rngs[link] = random.Random(int.from_bytes(digest, "big"))
+        return rng
+
+    def plan_delivery(self, src, dst, now):
+        plan = self.plan
+        if plan.is_null():
+            self.stats.passed += 1
+            return (0.0,)
+        if plan.partitions and plan.partitioned(src, dst, now):
+            self.stats.partitioned += 1
+            return ()
+        if plan.links:
+            loss, latency, jitter, duplicate = plan.link_params(src, dst)
+        else:
+            loss, latency, jitter, duplicate = (
+                plan.loss, plan.latency, plan.jitter, plan.duplicate
+            )
+        rng = self._rng(src, dst)
+        if loss > 0.0 and rng.random() < loss:
+            self.stats.dropped += 1
+            return ()
+        copies = 1
+        if duplicate > 0.0 and rng.random() < duplicate:
+            copies = 2
+            self.stats.duplicated += 1
+        delays = []
+        for _ in range(copies):
+            delay = latency
+            if jitter > 0.0:
+                delay += rng.random() * jitter
+            if plan.reorder > 0.0 and rng.random() < plan.reorder:
+                delay += plan.reorder_window
+            delays.append(delay)
+        if max(delays) > 0.0:
+            self.stats.delayed += 1
+        self.stats.passed += 1
+        return tuple(delays)
+
+
+#: Endpoint labels as fabrics see them: unlabelled, node ids (``True``
+#: equals ``1`` but is another endpoint), infrastructure, strings.
+_NAMED = st.one_of(
+    st.integers(0, 4),
+    st.booleans(),
+    st.sampled_from([INTRODUCER, introducer_label(1), SUPERVISOR, "serve", "1"]),
+)
+_LABELS = st.one_of(st.none(), _NAMED)
+_RULE_LABELS = st.one_of(st.just("*"), _NAMED)
+_CHANCES = st.sampled_from([0.0, 0.1, 0.5, 1.0])
+_SECONDS = st.sampled_from([0.0, 0.01, 0.05])
+_OPTIONAL = lambda values: st.one_of(st.none(), values)  # noqa: E731
+
+_PLANS = st.builds(
+    FaultPlan,
+    loss=_CHANCES,
+    latency=_SECONDS,
+    jitter=_SECONDS,
+    duplicate=_CHANCES,
+    reorder=_CHANCES,
+    reorder_window=_SECONDS,
+    links=st.lists(
+        st.builds(
+            LinkFault,
+            src=_RULE_LABELS,
+            dst=_RULE_LABELS,
+            loss=_OPTIONAL(_CHANCES),
+            latency=_OPTIONAL(_SECONDS),
+            jitter=_OPTIONAL(_SECONDS),
+            duplicate=_OPTIONAL(_CHANCES),
+        ),
+        max_size=3,
+    ).map(tuple),
+    partitions=st.lists(
+        st.builds(
+            Partition,
+            groups=st.lists(
+                st.lists(_RULE_LABELS, min_size=1, max_size=3).map(tuple),
+                min_size=2,
+                max_size=3,
+            ).map(tuple),
+            start=st.sampled_from([0.0, 0.5, 1.0]),
+            end=st.sampled_from([-1.0, 0.5, 1.5]),
+        ),
+        max_size=2,
+    ).map(tuple),
+    seed=st.integers(0, 3),
+)
+
+
+@given(
+    _PLANS,
+    _PLANS,
+    st.lists(
+        st.tuples(_LABELS, _LABELS, st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(0, 40),
+)
+def test_the_per_link_table_decides_like_the_per_send_oracle(
+    plan, pushed, sends, switch_at
+):
+    """Same delays and same stats, so the same draws in the same order,
+    for any plan, any label mix and a plan pushed mid-stream."""
+    injector, oracle = FaultInjector(plan), _PerSendInjector(plan)
+    for step, (src, dst, now) in enumerate(sends):
+        if step == switch_at:
+            injector.set_plan(pushed)
+            oracle.set_plan(pushed)
+        assert injector.plan_delivery(src, dst, now) == oracle.plan_delivery(
+            src, dst, now
+        ), (step, src, dst, now)
+    assert injector.stats == oracle.stats

@@ -169,24 +169,31 @@ def test_referenced_ids_walks_every_id_field():
         8,
         9,
     }
+    # An id outside [0, 2**48) names no node: the message has no id list.
+    top = (1 << 48) - 1
+    assert referenced_ids(Notify(sender=4, monitor=top, target=6)) == (4, top, 6)
+    assert referenced_ids(Notify(sender=4, monitor=top + 1, target=6)) is None
+    assert referenced_ids(Notify(sender=4, monitor=-1, target=6)) is None
+    assert referenced_ids(CvFetchReply(sender=7, seq=1, view=(8, top + 1))) is None
 
 
 def _referenced_ids_by_probing(message):
     """The pre-PR-15 implementation, kept as the reference: probe every
-    id-bearing name on every message."""
+    id-bearing name on every message.  An int outside ``[0, 2**48)``
+    names no node, so the message has no id list (None)."""
     ids = []
     for name in ("sender", "origin", "monitor", "target", "subject"):
         value = getattr(message, name, None)
-        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        if isinstance(value, int) and not isinstance(value, bool):
             ids.append(value)
     for name in ("view", "monitors"):
         value = getattr(message, name, None)
         if isinstance(value, tuple):
             ids.extend(
-                v
-                for v in value
-                if isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                v for v in value if isinstance(v, int) and not isinstance(v, bool)
             )
+    if any(not 0 <= v < 1 << 48 for v in ids):
+        return None
     return tuple(ids)
 
 
@@ -223,12 +230,21 @@ def test_referenced_ids_sees_inherited_and_class_level_names():
 
     class Odd:  # not a dataclass: class attributes and properties count
         sender = 4
-        view = (5, -1, True, 6)
+        view = (5, None, True, 6)
 
         @property
         def target(self):
             return 7
 
-    for message in (Forwarded(sender=1, monitor=2, target=3), Odd(), object()):
+    class Negative(Odd):
+        view = (5, -1, True, 6)
+
+    for message in (
+        Forwarded(sender=1, monitor=2, target=3),
+        Odd(),
+        Negative(),
+        object(),
+    ):
         assert referenced_ids(message) == _referenced_ids_by_probing(message)
     assert referenced_ids(Odd()) == (4, 7, 5, 6)
+    assert referenced_ids(Negative()) is None

@@ -88,8 +88,11 @@ class _ReferenceNetwork(MemoryNetwork):
             self.undeliverable += 1
             return
         loop = asyncio.get_running_loop()
+        source = self._endpoints.get(src)
         deliveries = self.injector.plan_delivery(
-            self._labels.get(src), self._labels.get(dst), self._now()
+            None if source is None else source.label,
+            self._endpoints[dst].label,
+            self._now(),
         )
         for delay in deliveries:
             self.delivered += 1
