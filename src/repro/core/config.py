@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import optimal
+from .condition import ConsistencyCondition
 from .hashing import available_algorithms
 
 __all__ = ["AvmonConfig"]
@@ -97,6 +98,10 @@ class AvmonConfig:
     def with_overrides(self, **changes) -> "AvmonConfig":
         """Functional update preserving immutability."""
         return replace(self, **changes)
+
+    def condition(self) -> ConsistencyCondition:
+        """A :class:`ConsistencyCondition` for this config's ``H(u,v) <= K/N``."""
+        return ConsistencyCondition(self.k, self.n_expected, self.hash_algorithm)
 
     @property
     def consistency_threshold(self) -> float:

@@ -52,6 +52,12 @@ FAILED = "failed"
 #: store (which holds the durable truth anyway).
 MAX_EVENTS = 10_000
 
+#: Settled (done or failed) tasks the board remembers; past this the
+#: oldest settled one is forgotten, so a long-lived daemon stays bounded.
+#: A forgotten id behaves as a settled one: publishing it queues it
+#: afresh, and a late done or failed report on it is refused.
+MAX_SETTLED = MAX_EVENTS
+
 
 @dataclass
 class Task:
@@ -103,6 +109,8 @@ class TaskBoard:
         self._queue: Deque[str] = collections.deque()
         #: The leased tasks: all :meth:`expire` has to walk.
         self._leased: Dict[str, Task] = {}
+        #: The settled tasks' ids, oldest settled first.
+        self._settled: Dict[str, None] = {}
         self._events: Deque[_Event] = collections.deque(maxlen=MAX_EVENTS)
         self._next_seq = 0
         #: Names this board's life: a restarted daemon starts a new board
@@ -132,6 +140,18 @@ class TaskBoard:
             self._emit("expired", task)
         return len(lapsed)
 
+    def _settle(self, task: Task, state: str, worker: str) -> None:
+        """Mark *task* done or failed; forget the oldest settled past
+        :data:`MAX_SETTLED`."""
+        self._leased.pop(task.id, None)
+        task.state = state
+        task.worker = worker
+        settled = self._settled
+        settled[task.id] = None
+        if len(settled) > MAX_SETTLED:
+            oldest = next(iter(settled))
+            del settled[oldest], self._tasks[oldest]
+
     # -- parent side -------------------------------------------------------
 
     def publish(self, task_id: str, payload: str, *, key: str = "",
@@ -153,6 +173,7 @@ class TaskBoard:
         if task is None or task.state != QUEUED:
             self._queue.append(task_id)
         self._leased.pop(task_id, None)  # a retry replaces a live lease
+        self._settled.pop(task_id, None)
         task = self._tasks[task_id] = Task(
             task_id, payload, key=key, lease_ttl=lease_ttl, attempt=attempt,
             publisher=publisher,
@@ -206,9 +227,7 @@ class TaskBoard:
             return False
         if task.state == LEASED and task.worker != worker:
             return False
-        self._leased.pop(task_id, None)
-        task.state = DONE
-        task.worker = worker
+        self._settle(task, DONE, worker)
         self._emit("done", task, **(result or {}))
         return True
 
@@ -219,9 +238,7 @@ class TaskBoard:
             return False
         if task.state == LEASED and task.worker != worker:
             return False
-        self._leased.pop(task_id, None)
-        task.state = FAILED
-        task.worker = worker
+        self._settle(task, FAILED, worker)
         self._emit("failed", task, error=error)
         return True
 

@@ -17,10 +17,14 @@ are frozen dataclasses built from JSON primitives only, so they
   ``Scenario(fault="LOSSY")`` name the same plans.
 
 A :class:`FaultInjector` executes one plan **deterministically**: every
-``(src, dst)`` link gets its own :class:`random.Random` stream seeded from
-a BLAKE2b digest of ``(plan.seed, src, dst)``, so the decision sequence
-for a link depends only on the plan and the order of sends on that link —
-never on interleaving across links, process ids or ``PYTHONHASHSEED``.
+``(src, dst)`` link gets its own ``random.Random(seed).random()`` stream,
+seeded from a BLAKE2b digest of ``(plan.seed, src, dst)``, so the decision
+sequence for a link depends only on the plan and the order of sends on
+that link — never on interleaving across links, process ids or
+``PYTHONHASHSEED``.  A link holds its upcoming draws in a small
+``array('d')`` (not a 2.5 KB generator: an overlay has N² links and most
+draw a few dozen values), and keeps a generator only once it outgrows
+that buffer.
 The same injector drives three fabrics: the in-process
 :class:`~repro.live.memory_transport.MemoryNetwork` (applied in the hub),
 the real :class:`~repro.live.transport.UdpTransport` (applied on the send
@@ -38,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -349,9 +354,11 @@ class FaultInjector:
     dropped, one entry is the normal case, two means a duplicate.  The
     stream for a link depends only on ``(plan.seed, src, dst)`` and the
     number of prior sends on that link, so identical runs make identical
-    decisions whatever the global event interleaving.  A link's stream and
-    its effective parameters are worked out at its first send under a
-    plan and kept in a per-link table until the next :meth:`set_plan`.
+    decisions whatever the global event interleaving.  A link's effective
+    parameters and its first :data:`_BUFFER` draws are worked out at its
+    first send under a plan and kept in a per-link table until the next
+    :meth:`set_plan`; a link that reads near the end of its buffer swaps
+    it for the generator, stepped to the first value not yet read.
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
@@ -366,23 +373,38 @@ class FaultInjector:
         self.plan = plan
         #: Whether the plan perturbs nothing; whether it reads the clock.
         self.null, self.timed = plan.is_null(), bool(plan.partitions)
-        #: Per-link ``(rng, loss, latency, jitter, duplicate)`` keyed by
-        #: ``(type, label, type, label)``: ``True`` and ``1`` stay apart.
+        #: Per-link ``(draws, loss, latency, jitter, duplicate, buffered)``
+        #: keyed by ``(type, label, type, label)``: ``True`` and ``1`` stay
+        #: apart.  ``draws.pop()`` is the stream's next value: ``draws`` is
+        #: the buffer (next value last) while ``buffered``, else the
+        #: generator.
         self._links: Dict[tuple, tuple] = {}
 
-    def _link(self, src: Optional[Label], dst: Optional[Label]) -> tuple:
-        plan = self.plan
+    def _stream(self, src: Optional[Label], dst: Optional[Label]) -> _Stream:
+        """A fresh generator for the ``src -> dst`` stream."""
         text = json.dumps(
-            [plan.seed, _label_token(src), _label_token(dst)],
+            [self.plan.seed, _label_token(src), _label_token(dst)],
             separators=(",", ":"),
         )
         digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-        rng = random.Random(int.from_bytes(digest, "big"))
-        link = self._links[(src.__class__, src, dst.__class__, dst)] = (
-            rng,
-            *plan.link_params(src, dst),
-        )
+        return _Stream(int.from_bytes(digest, "big"))
+
+    def _link(self, key: tuple, src: Optional[Label], dst: Optional[Label]) -> tuple:
+        rng = self._stream(src, dst)
+        draws = array("d", [rng.random() for _ in range(_BUFFER)])
+        draws.reverse()
+        link = self._links[key] = (draws, *self.plan.link_params(src, dst), True)
         return link
+
+    def _outgrow(
+        self, key: tuple, src: Optional[Label], dst: Optional[Label], link: tuple
+    ) -> _Stream:
+        """Swap a link's nearly read buffer for its generator."""
+        rng = self._stream(src, dst)
+        for _ in range(_BUFFER - len(link[0])):  # step past the values read
+            rng.random()
+        self._links[key] = (rng, *link[1:5], False)
+        return rng
 
     def plan_delivery(
         self,
@@ -404,34 +426,53 @@ class FaultInjector:
         if self.timed and plan.partitioned(src, dst, now):
             stats.partitioned += 1
             return ()
-        link = self._links.get((src.__class__, src, dst.__class__, dst))
+        key = (src.__class__, src, dst.__class__, dst)
+        link = self._links.get(key)
         if link is None:
-            link = self._link(src, dst)
-        rng, loss, latency, jitter, duplicate = link
-        if loss > 0.0 and rng.random() < loss:
+            link = self._link(key, src, dst)
+        draws, loss, latency, jitter, duplicate, buffered = link
+        if buffered and len(draws) < _MAX_DRAWS:
+            draws = self._outgrow(key, src, dst, link)
+        if loss > 0.0 and draws.pop() < loss:
             stats.dropped += 1
             return ()
-        if duplicate > 0.0 and rng.random() < duplicate:
+        if duplicate > 0.0 and draws.pop() < duplicate:
             stats.duplicated += 1
             delays = (
-                self._delay(rng, latency, jitter),
-                self._delay(rng, latency, jitter),
+                self._delay(draws, latency, jitter),
+                self._delay(draws, latency, jitter),
             )
         else:
-            delays = (self._delay(rng, latency, jitter),)
+            delays = (self._delay(draws, latency, jitter),)
         if max(delays) > 0.0:
             stats.delayed += 1
         stats.passed += 1
         return delays
 
-    def _delay(self, rng: random.Random, latency: float, jitter: float) -> float:
+    def _delay(self, draws, latency: float, jitter: float) -> float:
         """One copy's delay: latency, a jitter draw, maybe the reorder hold."""
         if jitter > 0.0:
-            latency += rng.random() * jitter
+            latency += draws.pop() * jitter
         plan = self.plan
-        if plan.reorder > 0.0 and rng.random() < plan.reorder:
+        if plan.reorder > 0.0 and draws.pop() < plan.reorder:
             latency += plan.reorder_window
         return latency
+
+
+class _Stream(random.Random):
+    """A link's generator, read as its buffer is: ``pop()`` is ``random()``."""
+
+    pop = random.Random.random
+
+
+#: Stream values a link buffers at its first send.  Most links draw fewer
+#: in a whole run (about 30 is the median on ``overlay-steady``), so only
+#: a busy one builds the 2.5 KB generator again to read on from it.
+_BUFFER = 64
+
+#: Most values one datagram draws: loss, duplicate, then jitter and
+#: reorder for each of two copies.
+_MAX_DRAWS = 6
 
 
 def _label_token(label: Optional[Label]) -> str:

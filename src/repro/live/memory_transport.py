@@ -30,11 +30,17 @@ and irreproducible to test.  This module supplies the other fabric:
 * :class:`MemoryNetwork` applies one
   :class:`~repro.live.faults.FaultInjector` centrally: loss, latency,
   jitter, duplication, reordering and timed partitions per the plan, every
-  decision drawn from per-link seeded streams.  **Precondition:** a
+  decision drawn from per-link seeded streams (64 buffered draws per
+  link, not a generator each).  **Precondition:** a
   :class:`VirtualEventLoop` runs it (:func:`run_virtual` and
   :class:`MemoryOverlay` make one): delivery writes its heap directly;
 * :class:`MemoryFabric` plugs those into
-  :class:`~repro.live.supervisor.LiveSupervisor`, and :class:`MemoryOverlay`
+  :class:`~repro.live.supervisor.LiveSupervisor` and owns what its nodes
+  would otherwise each copy: one
+  :class:`~repro.core.relation.MonitorRelation` (and its condition) for
+  every node it spawns, respawns included, so the TS rows are held and
+  hashed once per run, not once per node (a node on UDP owns its own);
+  and :class:`MemoryOverlay`
   is the front door: the supervisor's own loop — boot, registered churn
   models, crash/respawn, introducer chaos, the operator control plane,
   runtime fault pushes, scrape, report — over real
@@ -53,8 +59,8 @@ from asyncio.base_events import MAXIMUM_SELECT_TIMEOUT
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core.condition import ConsistencyCondition
 from ..core.hashing import NodeId
+from ..core.relation import MonitorRelation
 from ..experiments.store import SummaryStore
 from ..obs.journal import NULL_JOURNAL
 from .codec import encode
@@ -345,6 +351,11 @@ class MemoryFabric:
         #: Node state snapshots (the JSON a node process would write to
         #: its state file), keyed by state-file path; one dict per run.
         self.states: Dict[str, str] = {}
+        #: The one relation every node reads, respawns included, built at
+        #: the first spawn (a run's specs carry one AvmonConfig).  A node's
+        #: exchange views lie inside its own universe, a subset of this
+        #: one, so it finds the matches a private relation would.
+        self.relation: Optional[MonitorRelation] = None
         self._journal = journal
 
     def transport_factory(self, label: Optional[Label]):
@@ -360,12 +371,15 @@ class MemoryFabric:
 
     async def spawn(self, spec) -> LiveNode:
         """Boot one node and await its registration."""
+        if self.relation is None:
+            self.relation = MonitorRelation(spec.avmon.condition())
         node = self.nodes[spec.node] = LiveNode(
             spec,
             transport_factory=self.network.transport_factory(spec.node),
             clock=self.clock,
             journal=self._journal,
             states=self.states,
+            relation=self.relation,
         )
         try:
             await node.start()
@@ -418,9 +432,7 @@ class MemoryOverlay:
         #: build a :func:`repro.serve.memory_backend` here and drive requests.
         self._workload = workload
         self.workload_result: Any = None
-        self.condition = ConsistencyCondition(
-            config.resolved_k(), config.nodes, config.hash_algorithm
-        )
+        self.condition = config.avmon().condition()
         #: Bound at :meth:`run`; inspectable after it returns.
         self.supervisor: Optional[LiveSupervisor] = None
         self.network: Optional[MemoryNetwork] = None

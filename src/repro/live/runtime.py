@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, MutableMapping, Optional, Tuple
 
-from ..core.condition import ConsistencyCondition
 from ..core.config import AvmonConfig
 from ..core.hashing import NodeId
 from ..core.messages import HistoryRequest, Join, Message, ReportRequest
@@ -269,6 +268,7 @@ class LiveNode:
         clock: Optional[Callable[[], float]] = None,
         journal=None,
         states: Optional[MutableMapping[str, str]] = None,
+        relation: Optional[MonitorRelation] = None,
     ) -> None:
         self.spec = spec
         #: Snapshot store keyed by ``spec.state_file`` (default: files).
@@ -286,10 +286,12 @@ class LiveNode:
         self._clock = clock
         self.id = spec.node
         self.config = spec.avmon
-        self.condition = ConsistencyCondition(
-            spec.avmon.k, spec.avmon.n_expected, spec.avmon.hash_algorithm
-        )
-        self.relation = MonitorRelation(self.condition)
+        #: The TS rows this node checks exchanges against: its own, or one
+        #: its fabric shares among all its nodes (the memory fabric's).
+        #: Either way every id the node hears of is in its universe.
+        if relation is None:
+            relation = MonitorRelation(spec.avmon.condition())
+        self.relation, self.condition = relation, relation.condition
         self.relation.add_node(self.id)
         self.peers = PeerTable()
         self.rng = random.Random(spec.seed * 1_000_003 + spec.node)

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..churn import models as _churn_models  # noqa: F401 — registers STAT/SYNTH*
-from ..core.condition import ConsistencyCondition
 from ..core.hashing import NodeId
 from ..experiments.store import SummaryStore
 from ..obs.journal import journal_from_env
@@ -349,9 +348,7 @@ class LiveSupervisor:
         self._workload = workload
         self.workload_result: Any = None
         self.rng = random.Random(config.seed * 7919 + 13)
-        self.condition = ConsistencyCondition(
-            config.resolved_k(), config.nodes, config.hash_algorithm
-        )
+        self.condition = config.avmon().condition()
         # Lifecycle event journal (``repro.obs``): in-memory by default,
         # sunk to a JSONL file when $AVMON_JOURNAL (or the caller) says so.
         self.journal = journal if journal is not None else journal_from_env()

@@ -1,6 +1,8 @@
 """Unit tests for the incremental monitor relation and pair counting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from relation_oracle import monitors_of
 
 from repro.core.condition import ConsistencyCondition
@@ -121,3 +123,31 @@ class TestFindMatches:
 
     def test_empty_views(self, relation):
         assert relation.find_matches(set(), {1, 2}) == set()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_a_superset_relation_finds_a_private_ones_matches(self, data):
+        """The memory fabric's one shared relation: for views inside a
+        node's own universe, a relation over any superset universe, its
+        ids learnt and its rows built in any order, finds the same
+        matches as the node's private relation."""
+        ids = data.draw(st.lists(st.integers(0, 300), min_size=2, max_size=90, unique=True))
+        own = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        views = st.lists(st.sampled_from(own), max_size=14).map(set)
+        view_a, view_b = data.draw(views), data.draw(views)
+        condition = ConsistencyCondition(k=6, n=40)
+        shared, private = MonitorRelation(condition), MonitorRelation(condition)
+        private.add_nodes(own)
+        # The shared universe grows in two steps, with rows built before,
+        # between and after them, in a drawn order.
+        learnt = data.draw(st.permutations(ids))
+        cut = data.draw(st.integers(0, len(learnt)))
+        shared.add_nodes(learnt[:cut])
+        for node in data.draw(st.permutations(learnt[:cut]))[: cut // 2]:
+            shared.targets_of(node)
+        shared.add_nodes(learnt[cut:])
+        for node in data.draw(st.permutations(ids))[: len(ids) // 3]:
+            shared.targets_of(node)
+        assert shared.find_matches(view_a, view_b) == private.find_matches(
+            view_a, view_b
+        )

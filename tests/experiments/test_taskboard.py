@@ -24,7 +24,7 @@ from repro.experiments.store import SummaryStore, config_key
 from repro.experiments.store_backends import FilesystemBackend
 from repro.experiments.store_server import StoreService
 from repro.experiments.summary import summarize
-from repro.experiments.taskboard import TaskBoard
+from repro.experiments.taskboard import MAX_SETTLED, TaskBoard
 from repro.serve.http import MemoryHttpClient
 
 
@@ -206,6 +206,45 @@ class TestOneTaskPerCell:
         ]
         # Settled tasks stay listed after the lapse.
         assert board.stats() == {"done": 3000, "expired": 1}
+
+    def test_a_long_lived_board_forgets_the_oldest_settled_tasks(self):
+        clock = Clock()
+        board = TaskBoard(clock)
+        board.publish("live.json", "cfg", lease_ttl=1e9)
+        board.claim("w0")
+        total = 32_000
+        for index in range(total):
+            board.publish(f"s{index}", "cfg", lease_ttl=5.0)
+            board.claim("w")
+            if index % 2:
+                board.done(f"s{index}", "w", {"persisted": True})
+            else:
+                board.failed(f"s{index}", "w", "boom")
+            clock.advance(0.01)
+        half = MAX_SETTLED // 2
+        assert board.stats() == {"leased": 1, "done": half, "failed": half}
+        kept = {f"s{index}" for index in range(total - MAX_SETTLED, total)}
+        assert {task["id"] for task in board.tasks()} == kept | {"live.json"}
+        assert board.beat("live.json", "w0")
+        # A forgotten id answers as a settled one does.
+        for task_id in ("s0", "s1", f"s{total - 1}"):
+            assert not board.beat(task_id, "w")
+            assert not board.done(task_id, "w")
+            assert not board.failed(task_id, "w", "late")
+        for task_id in ("s0", f"s{total - 1}"):
+            again = board.publish(task_id, "cfg", publisher="B")
+            assert (again.state, again.attempt, again.publisher) == ("queued", 1, "B")
+        assert [board.claim("w").id, board.claim("w").id] == ["s0", f"s{total - 1}"]
+        # Republished, the newest id left the settled list, so the list
+        # is one short: the second task settled now is the first to
+        # forget the oldest kept one, and neither republished id goes.
+        for extra in ("x0", "x1"):
+            board.publish(extra, "cfg")
+            board.claim("w")
+            board.done(extra, "w")
+            listed = {task["id"] for task in board.tasks()}
+            assert (f"s{total - MAX_SETTLED}" in listed) == (extra == "x0")
+        assert {"s0", f"s{total - 1}", "x0", "x1"} <= listed
 
     def test_a_retry_moves_the_lease_to_its_new_worker(self):
         clock = Clock()

@@ -10,10 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Scenario
@@ -754,3 +755,71 @@ def test_the_per_link_table_decides_like_the_per_send_oracle(
             src, dst, now
         ), (step, src, dst, now)
     assert injector.stats == oracle.stats
+
+
+#: Plans that draw every value a datagram can: loss, duplicate, and then
+#: jitter and reorder for each copy (six draws for a duplicated one).
+_DRAWING_PLANS = st.builds(
+    FaultPlan,
+    loss=st.sampled_from([0.05, 0.5]),
+    latency=_SECONDS,
+    jitter=st.sampled_from([0.01, 0.05]),
+    duplicate=st.sampled_from([0.2, 0.5, 1.0]),
+    reorder=st.sampled_from([0.1, 0.5]),
+    seed=st.integers(0, 3),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _DRAWING_PLANS,
+    _DRAWING_PLANS,
+    st.lists(st.tuples(_LABELS, _LABELS), min_size=1, max_size=3),
+    st.integers(400, 500),
+    st.integers(1, 499),
+)
+def test_long_streams_outgrow_their_buffers_like_the_per_send_oracle(
+    plan, pushed, links, sends, switch_at
+):
+    """Hundreds of sends on a few links read each link's stream through
+    its buffer and on from its generator, with up to six draws per
+    datagram (so the swap falls at every count of unread values), and a
+    plan pushed while a buffer is part read."""
+    injector, oracle = FaultInjector(plan), _PerSendInjector(plan)
+    for step in range(sends):
+        if step == switch_at:
+            injector.set_plan(pushed)
+            oracle.set_plan(pushed)
+        src, dst = links[step % len(links)]
+        assert injector.plan_delivery(src, dst, 0.0) == oracle.plan_delivery(
+            src, dst, 0.0
+        ), (step, src, dst)
+    assert injector.stats == oracle.stats
+
+
+def test_a_link_reads_its_stream_value_by_value_past_its_buffer():
+    """With only jitter (1 s), each datagram's delay is the link's next
+    ``Random(seed).random()`` itself, before and after the buffer."""
+    plan = FaultPlan(jitter=1.0, seed=3)
+    injector = FaultInjector(plan)
+    stream = _PerSendInjector(plan)._rng(7, INTRODUCER)
+    for _ in range(400):
+        assert injector.plan_delivery(7, INTRODUCER, 0.0) == (stream.random(),)
+
+
+def test_a_quiet_link_retains_under_a_kilobyte():
+    """An overlay has N² links and most draw a few dozen values in a whole
+    run, so a link that drew at most 20 keeps a buffer of its stream, not
+    a 2.5 KB generator."""
+    injector = FaultInjector(FaultPlan(loss=0.01, latency=0.03, jitter=0.02, seed=1))
+    links = 2000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for src in range(links):
+            for _ in range(10):  # a loss and a jitter draw per datagram
+                injector.plan_delivery(src, src + 1, 0.0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= links * 1024, retained / links

@@ -15,6 +15,8 @@ import json
 import pytest
 from test_memory_transport import no_udp_sockets, overlay_config  # noqa: F401
 
+from repro.core.relation import MonitorRelation
+from repro.live import memory_transport
 from repro.live.control import (
     ChaosReply,
     ChaosRequest,
@@ -33,6 +35,7 @@ from repro.live.memory_transport import (
     MemoryOverlay,
     MemoryTransport,
 )
+from repro.live.runtime import LiveNode, LiveNodeSpec
 from repro.live.transport import wait_for
 from repro.obs import Journal
 
@@ -247,3 +250,100 @@ def test_reused_state_dir_does_not_leak_into_the_next_run(tmp_path):
 def test_memory_fabric_rejects_serve_port():
     with pytest.raises(ValueError, match="serve_port"):
         MemoryOverlay(overlay_config(serve_port=0))
+
+
+# -- one relation per fabric ---------------------------------------------------
+
+
+class _TwinRelation:
+    """One node life's view of the fabric's shared relation, beside the
+    private relation the node would own on its own: every id the node
+    learns reaches both, and every exchange is answered by both."""
+
+    def __init__(self, shared: MonitorRelation) -> None:
+        self.shared, self.condition = shared, shared.condition
+        self.private = MonitorRelation(shared.condition)
+        #: Per find_matches call: did both relations list the same
+        #: matches in the same order?
+        self.agreed = []
+
+    def add_node(self, node) -> None:
+        self.shared.add_node(node)
+        self.private.add_node(node)
+
+    def add_nodes(self, nodes) -> None:
+        nodes = tuple(nodes)
+        self.shared.add_nodes(nodes)
+        self.private.add_nodes(nodes)
+
+    def find_matches(self, view_a, view_b):
+        matches = self.shared.find_matches(view_a, view_b)
+        private = self.private.find_matches(view_a, view_b)
+        self.agreed.append(list(matches) == list(private))
+        return matches
+
+
+def test_shared_relation_sends_every_notify_in_the_private_order(monkeypatch):
+    """NOTIFYs go out in ``find_matches`` iteration order, so equal match
+    sets are not enough for equal bytes: on a 40-node WAN run with a
+    crash and respawn, the shared relation lists every exchange's matches
+    in the order a node-private relation would."""
+    lives = []
+
+    def node_with_twin(spec, **kwargs):
+        twin = _TwinRelation(kwargs.pop("relation"))
+        lives.append(twin)
+        return LiveNode(spec, relation=twin, **kwargs)
+
+    monkeypatch.setattr(memory_transport, "LiveNode", node_with_twin)
+    config = overlay_config(
+        nodes=40, duration=10.0, seed=5, fault="WAN",
+        crash_after=4.0, crash_downtime=2.0,
+    )
+    overlay, report, journal = _run(config)
+    assert report.violations == 0
+    assert journal.count("live.node_respawned") >= 1 and len(lives) > 40
+    shared = overlay.supervisor.fabric.relation
+    calls = [agreed for twin in lives for agreed in twin.agreed]
+    assert len(calls) > 1000 and all(calls)
+    for twin in lives:
+        assert twin.shared is shared
+        assert set(twin.private._universe) <= set(shared._universe)
+
+
+def test_every_node_life_on_a_memory_fabric_reads_one_relation():
+    lives = []
+
+    async def record(overlay):
+        for _ in range(12):
+            lives.extend(overlay.nodes.values())
+            await asyncio.sleep(1.0)
+
+    config = overlay_config(
+        nodes=8, duration=14.0, crash_after=4.0, crash_downtime=2.0
+    )
+    overlay, report, journal = _run(config, record)
+    relation = overlay.supervisor.fabric.relation
+    respawned = {id(node) for node in lives} - {
+        id(node) for node in overlay.nodes.values()
+    }
+    assert journal.count("live.node_respawned") >= 1 and respawned
+    assert {id(node.relation) for node in lives} == {id(relation)}
+    assert {id(node.condition) for node in lives} == {id(relation.condition)}
+    assert set(relation._universe) == set(range(8))
+
+
+def test_a_node_off_the_memory_fabric_keeps_its_own_relation():
+    specs = [
+        LiveNodeSpec(
+            node=node,
+            introducer_host="127.0.0.1",
+            introducer_port=9,
+            avmon=overlay_config().avmon(),
+        )
+        for node in (1, 2)
+    ]
+    first, second = (LiveNode(spec) for spec in specs)
+    assert first.relation is not second.relation
+    assert first.condition is first.relation.condition
+    assert list(first.relation._universe) == [1]
