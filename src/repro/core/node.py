@@ -440,6 +440,18 @@ class AvmonNode:
                 notify = Notify(my_id, monitor, target)
             self.runtime.send(target, notify)
 
+    def notify_is_noop(self, monitor: NodeId, target: NodeId) -> bool:
+        """Whether :meth:`_accept_notify` would do nothing here: this node is
+        the target with *monitor* in PS, or the monitor with *target* in TS.
+
+        PS and TS only grow, so True at send time holds at delivery; the
+        simulated network skips queueing such NOTIFYs (:mod:`repro.net.network`).
+        """
+        my_id = self.id
+        if target == my_id:
+            return monitor in self.ps
+        return monitor == my_id and target in self.ts
+
     def _accept_notify(self, monitor: NodeId, target: NodeId) -> None:
         """Apply a NOTIFY at this node, re-verifying the condition (§3.3).
 

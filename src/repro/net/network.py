@@ -12,6 +12,17 @@ availability measurement) behave as in a real deployment.
 it implements the :class:`~repro.core.node.NodeRuntime` interface, guards
 message handling and timer callbacks on aliveness, and manages the node's
 periodic processes across leaves and rejoins.
+
+A delivery is pushed straight onto the engine's heap in its fire-and-forget
+layout, ``(time, seq, deliver, (dst, message))``, one ``seq`` per copy.
+A NOTIFY whose receiver is an ``AvmonNode`` (exactly that class, so
+baselines and test doubles see every message) that already holds the pair
+(:meth:`~repro.core.node.AvmonNode.notify_is_noop`) is not queued: PS and
+TS only grow, so it would do nothing.  Its bytes are still charged, its
+latency and fault draws still made, and it still counts as one event when
+the clock passes its delivery time (:meth:`~repro.sim.engine.Simulator.elide_at`),
+but it is never popped, delivered or handled, so one sent to a down host is
+not in ``dropped_messages``.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from heapq import heappush
 from typing import Callable, Dict, List, Optional
 
 from ..core.hashing import NodeId
-from ..core.messages import Message
+from ..core.messages import Message, Notify
+from ..core.node import AvmonNode
 from ..live.faults import FaultInjector
 from ..sim.engine import Simulator
 from ..sim.process import PeriodicProcess
@@ -65,7 +77,7 @@ class Network:
         self._hosts: Dict[NodeId, "SimHost"] = {}
         self._alive_list: List[NodeId] = []
         self._alive_pos: Dict[NodeId, int] = {}
-        #: Messages whose destination was down at delivery time.
+        #: Queued messages whose destination was down at delivery time.
         self.dropped_messages = 0
         #: Messages the fault injector decided to lose.
         self.fault_dropped = 0
@@ -144,9 +156,10 @@ class Network:
 
         This is the reference implementation; node-originated traffic goes
         through the per-host closure built by :meth:`_make_host_send`, which
-        inlines the same logic (both consume one latency sample and one
-        engine sequence number per delivery, so the two entry points are
-        interchangeable without perturbing the run).
+        inlines the same logic (both consume one latency sample per message
+        and one engine sequence number per queued delivery, and both elide
+        the same held NOTIFYs, so the two entry points are interchangeable
+        without perturbing the run).
         """
         size = self._size_cache.get(message.__class__)
         if size is None:
@@ -155,15 +168,30 @@ class Network:
                 self._size_cache[message.__class__] = size
         self.accountant.charge(src, size)
         delay = self._sample_latency()
+        sim = self.sim
         if self.fault is None:
-            self.sim.schedule_call(delay, self._deliver_bound, dst, message)
-            return
-        deliveries = self.fault.plan_delivery(src, dst, self.sim.now)
-        if not deliveries:
-            self.fault_dropped += 1
-            return
+            deliveries = (0.0,)
+        else:
+            deliveries = self.fault.plan_delivery(src, dst, sim.now)
+            if not deliveries:
+                self.fault_dropped += 1
+                return
+        held = self._notify_held(dst, message)
         for extra in deliveries:
-            self.sim.schedule_call(delay + extra, self._deliver_bound, dst, message)
+            if held:
+                sim.elide_at(sim.now + (delay + extra))
+            else:
+                sim.schedule_call(delay + extra, self._deliver_bound, dst, message)
+
+    def _notify_held(self, dst: NodeId, message: Message) -> bool:
+        """Whether *message* is a NOTIFY its receiver already holds."""
+        if message.__class__ is not Notify:
+            return False
+        host = self._hosts.get(dst)
+        node = host.node if host is not None else None
+        return node.__class__ is AvmonNode and node.notify_is_noop(
+            message.monitor, message.target
+        )
 
     def _make_deliver(self):
         """Delivery closure: every binding it needs is a local or cell var.
@@ -192,17 +220,19 @@ class Network:
         """Build the per-host send closure used as ``SimHost.send``.
 
         One Python frame per send: the aliveness guard, type-memoised size
-        accounting, latency sampling and the heap push are all inlined with
-        cell-variable bindings.  Mirrors :meth:`send` exactly (same RNG
-        draws, same one-sequence-number-per-delivery contract); the fault
-        injector is consulted per send, so attaching or clearing
-        ``network.fault`` mid-run affects node traffic immediately, and the
-        fault path itself defers to :meth:`send`, keeping that logic in one
-        place.
+        accounting, latency sampling, the held-NOTIFY check and the heap
+        push are all inlined with cell-variable bindings.  Mirrors
+        :meth:`send` exactly (same RNG draws, same held NOTIFYs elided, one
+        sequence number per queued delivery); the fault injector is
+        consulted per send, so attaching or clearing ``network.fault``
+        mid-run affects node traffic immediately, and the fault path itself
+        defers to :meth:`send`, keeping that logic in one place.
         """
         network = self
         src = host.id
         sim = self.sim
+        hosts_get = self._hosts.get
+        elided = sim._elided  # identity stable, like the queue
         queue = sim._queue  # identity stable; see the engine module docstring
         next_seq = sim._counter.__next__
         deliver = self._deliver_bound
@@ -243,6 +273,18 @@ class Network:
                 # Keep the engine's non-negative-delay invariant even for
                 # custom latency models on the raw-push path.
                 raise ValueError(f"latency sample must be non-negative, got {delay}")
+            if message.__class__ is Notify:
+                # Inline of Network._notify_held.
+                receiver = hosts_get(dst)
+                node = receiver.node if receiver is not None else None
+                if node.__class__ is AvmonNode and node.notify_is_noop(
+                    message.monitor, message.target
+                ):
+                    # Inline of Simulator.elide_at (delay >= 0 here).
+                    elided.append(sim.now + delay)
+                    if len(elided) >= sim._elided_cap:
+                        sim._drain_elided(sim.now)
+                    return
             _heappush(queue, (sim.now + delay, next_seq(), deliver, (dst, message)))
 
         return send

@@ -31,6 +31,14 @@ Design notes
 * ``Network.send`` pushes delivery entries onto ``_queue`` directly (see
   :mod:`repro.net.network`); the entry layout above and the queue's stable
   identity are the contract it relies on.
+* An event known when scheduled to do nothing (a NOTIFY whose receiver
+  already holds the pair) is *elided* (:meth:`Simulator.elide_at`): no heap
+  entry, pop or call, yet it counts as one processed event once a window
+  reaches its time, so ``processed_events`` keeps its meaning while
+  ``pending_events`` and ``heap_compactions`` see only queued entries.
+  Elided times wait in ``_elided`` (stable identity; the network's send
+  closure appends to it and drains it at ``_elided_cap``), and a drain folds
+  the reached ones into a due count, so it holds about one latency window.
 * The engine knows nothing about nodes or networks; higher layers compose it.
 """
 
@@ -45,6 +53,10 @@ __all__ = ["EventHandle", "Simulator"]
 #: Compaction never triggers below this many dead entries: rebuilding a tiny
 #: heap costs more than carrying a handful of corpses to their pop.
 _COMPACT_MIN_DEAD = 64
+
+#: ``_elided`` is drained of reached times at this length (or at twice what
+#: the last drain left in flight, if that is more).
+_ELIDED_DRAIN_AT = 4096
 
 
 class EventHandle:
@@ -78,7 +90,17 @@ class EventHandle:
 class Simulator:
     """Priority-queue discrete-event scheduler."""
 
-    __slots__ = ("now", "_queue", "_counter", "_processed", "_dead", "_compactions")
+    __slots__ = (
+        "now",
+        "_queue",
+        "_counter",
+        "_processed",
+        "_dead",
+        "_compactions",
+        "_elided",
+        "_elided_due",
+        "_elided_cap",
+    )
 
     def __init__(self, start_time: float = 0.0) -> None:
         #: Current simulated time, in seconds (read-only for callers).
@@ -88,10 +110,18 @@ class Simulator:
         self._processed = 0
         self._dead = 0
         self._compactions = 0
+        #: Elided event times not yet reached, and the count of reached ones
+        #: not yet in ``_processed`` (see the module docstring).
+        self._elided: List[float] = []
+        self._elided_due = 0
+        self._elided_cap = _ELIDED_DRAIN_AT
 
     @property
     def processed_events(self) -> int:
-        """Total events executed so far (diagnostics)."""
+        """Total events executed so far, elided ones included (diagnostics).
+
+        Updated when a run returns: read mid-window, it is the window's start.
+        """
         return self._processed
 
     @property
@@ -155,6 +185,35 @@ class Simulator:
             )
         heapq.heappush(self._queue, (time, next(self._counter), fn, args))
 
+    def elide_at(self, time: float) -> None:
+        """Count a no-op event at absolute *time* without queueing it.
+
+        The first :meth:`run_until` that reaches *time*, or :meth:`run_all`,
+        adds it to ``processed_events``.
+        """
+        if time < self.now:
+            raise ValueError(
+                f"cannot schedule into the past: {time} < now {self.now}"
+            )
+        elided = self._elided
+        elided.append(time)
+        if len(elided) >= self._elided_cap:
+            self._drain_elided(self.now)
+
+    def _drain_elided(self, until: float) -> None:
+        """Move buffered elided times ``<= until`` into the due count."""
+        elided = self._elided
+        waiting = [time for time in elided if time > until]
+        self._elided_due += len(elided) - len(waiting)
+        elided[:] = waiting
+        self._elided_cap = max(_ELIDED_DRAIN_AT, 2 * len(waiting))
+
+    def _settle_elided(self, until: float) -> int:
+        """Take the count of elided events reached by *until*."""
+        self._drain_elided(until)
+        due, self._elided_due = self._elided_due, 0
+        return due
+
     # -- cancellation bookkeeping ------------------------------------------
 
     def _note_cancelled(self) -> None:
@@ -184,7 +243,8 @@ class Simulator:
         """Execute all events with timestamp <= *end_time*, then stop.
 
         The clock is left at *end_time* even if the queue drains earlier, so
-        back-to-back windows compose cleanly.
+        back-to-back windows compose cleanly.  Elided events <= *end_time*
+        are counted once the window completes (an aborted one leaves them).
         """
         if end_time < self.now:
             raise ValueError(
@@ -213,6 +273,7 @@ class Simulator:
             # Added as a delta so a reentrant run_until inside a callback
             # keeps its own counts.
             self._processed += executed
+        self._processed += self._settle_elided(end_time)
         self.now = end_time
 
     def run(self, duration: float) -> None:
@@ -225,7 +286,8 @@ class Simulator:
         """Drain the queue entirely (tests); returns events executed.
 
         Raises RuntimeError if more than *max_events* fire, which catches
-        accidental self-perpetuating schedules in unit tests.
+        accidental self-perpetuating schedules in unit tests.  Elided events
+        are counted once the queue is empty.
         """
         executed = 0
         queue = self._queue
@@ -248,7 +310,9 @@ class Simulator:
             if executed > max_events:
                 raise RuntimeError(f"run_all exceeded {max_events} events")
             fn(*args)
-        return executed
+        elided = self._settle_elided(float("inf"))
+        self._processed += elided
+        return executed + elided
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now:.3f}, pending={len(self._queue)})"

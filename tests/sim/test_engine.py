@@ -1,8 +1,9 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import _ELIDED_DRAIN_AT, Simulator
 
 
 class TestScheduling:
@@ -225,3 +226,123 @@ class TestRunHelpers:
         sim.schedule(1.0, lambda: seen.append(sim.now))
         sim.run_until(102.0)
         assert seen == [101.0]
+
+
+def _noop():
+    return None
+
+
+class TestElidedEvents:
+    """``elide_at`` counts an event without queueing it; the count must
+    match what queueing a no-op at the same time would have given."""
+
+    def test_counted_in_the_window_that_reaches_it(self):
+        sim = Simulator()
+        sim.elide_at(1.5)
+        sim.elide_at(2.0)
+        sim.run_until(1.0)
+        assert sim.processed_events == 0
+        sim.run_until(2.0)  # the edge is inclusive, as for queued events
+        assert sim.processed_events == 2
+        sim.run_until(3.0)
+        assert sim.processed_events == 2
+        assert sim.pending_events() == 0
+
+    def test_straddling_elision_lands_in_the_later_window(self):
+        # Elided mid-window for a time past the window's end: it belongs
+        # to the next window, even if the buffer is drained in between.
+        sim = Simulator()
+        sim.schedule_call(0.9, lambda: sim.elide_at(sim.now + 0.2))
+        sim.run_until(1.0)
+        assert sim.processed_events == 1
+        sim._drain_elided(sim.now)
+        sim.run_until(1.05)
+        assert sim.processed_events == 1
+        sim.run_until(1.1)
+        assert sim.processed_events == 2
+
+    def test_mid_window_reads_see_the_window_start(self):
+        sim = Simulator()
+        seen = []
+        sim.elide_at(0.5)
+        sim.schedule_call(0.1, _noop)
+        sim.schedule_call(1.0, lambda: seen.append(sim.processed_events))
+        sim.run_until(0.2)
+        sim.run_until(2.0)
+        assert seen == [1]  # as with the queued 0.1 event: not 0.5's yet
+        assert sim.processed_events == 3
+
+    def test_run_all_counts_them(self):
+        sim = Simulator()
+        sim.schedule_call(1.0, lambda: sim.elide_at(5.0))
+        sim.elide_at(2.0)
+        assert sim.run_all() == 3
+        assert sim.processed_events == 3
+
+    def test_past_time_rejected(self):
+        sim = Simulator()
+        sim.run_until(5.0)
+        with pytest.raises(ValueError):
+            sim.elide_at(4.0)
+
+    def test_buffer_stays_bounded(self):
+        # One long window eliding an event 50 ms ahead every millisecond:
+        # a buffer kept until run_until returns would hold all 20,000.
+        sim = Simulator()
+        peak = []
+
+        def tick():
+            sim.elide_at(sim.now + 0.05)
+            peak.append(len(sim._elided))
+            if sim.now < 20.0:
+                sim.schedule_call(0.001, tick)
+
+        sim.schedule_call(0.0, tick)
+        sim.run_until(30.0)
+        assert max(peak) <= _ELIDED_DRAIN_AT
+        assert sim.processed_events == 2 * len(peak)
+        assert sim._elided == [] and sim._elided_due == 0
+
+    def test_many_in_flight_grow_the_cap_instead_of_draining_each_time(self):
+        sim = Simulator()
+        for index in range(3 * _ELIDED_DRAIN_AT):
+            sim.elide_at(100.0 + index)
+        assert len(sim._elided) == 3 * _ELIDED_DRAIN_AT
+        assert sim._elided_cap > len(sim._elided)
+        sim.run_until(100.0 + 3 * _ELIDED_DRAIN_AT)
+        assert sim.processed_events == 3 * _ELIDED_DRAIN_AT
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 10.0), st.booleans(), st.floats(0.0, 1.0)),
+            max_size=60,
+        ),
+        st.lists(st.floats(0.0, 12.0), max_size=8).map(sorted),
+    )
+    def test_counts_match_queueing_a_noop(self, events, edges):
+        # Each event fires at its time and then schedules a follow-up after
+        # its delay; with elide=True the follow-up is elided, otherwise it
+        # is queued as a no-op.  Both engines must count alike at every edge.
+        def drive(elide):
+            sim = Simulator()
+
+            def fire(delay):
+                if elide:
+                    sim.elide_at(sim.now + delay)
+                else:
+                    sim.schedule_call(delay, _noop)
+
+            for time, _, delay in events:
+                sim.schedule_call_at(time, fire, delay)
+            for time, direct, _ in events:
+                if direct and elide:
+                    sim.elide_at(time)
+                elif direct:
+                    sim.schedule_call_at(time, _noop)
+            counts = []
+            for edge in edges + [12.0]:
+                sim.run_until(max(edge, sim.now))
+                counts.append(sim.processed_events)
+            return counts
+
+        assert drive(elide=True) == drive(elide=False)
