@@ -63,7 +63,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
 from .api import Scenario, sweep
 from .experiments.backends import ExecutionBackend, resolve_backend
@@ -354,6 +354,43 @@ def _build_obs_parser(commands) -> None:
 DEFAULT_CONTROL_PORT = 7711
 
 
+def _config_flags(cls):
+    """``(field, flag)`` for each field of dataclass *cls* whose metadata
+    carries ``help`` (the flag is ``metadata["flag"]`` or ``--field-name``)."""
+    for spec in dataclasses.fields(cls):
+        if "help" in spec.metadata:
+            flag = "--" + spec.name.replace("_", "-")
+            yield spec, spec.metadata.get("flag", flag)
+
+
+def add_config_arguments(parser, cls, **defaults) -> None:
+    """One option per flagged field of *cls*: its name, type (``Optional``
+    unwrapped), default, help and metavar all come from the field, except
+    the *defaults* given here."""
+    hints = get_type_hints(cls)
+    for spec, flag in _config_flags(cls):
+        kind = hints[spec.name]
+        if get_origin(kind) is Union:  # Optional[X] -> X
+            (kind,) = [arg for arg in get_args(kind) if arg is not type(None)]
+        parser.add_argument(
+            flag,
+            type=kind,
+            default=defaults.get(spec.name, spec.default),
+            help=spec.metadata["help"],
+            metavar=spec.metadata.get("metavar"),
+        )
+
+
+def config_from_args(cls, args, **extra):
+    """*cls* built from the options :func:`add_config_arguments` added,
+    plus the unflagged fields in *extra*."""
+    values = {
+        spec.name: getattr(args, flag[2:].replace("-", "_"))
+        for spec, flag in _config_flags(cls)
+    }
+    return cls(**values, **extra)
+
+
 def _add_control_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--host", default="127.0.0.1", help="supervisor host (default: 127.0.0.1)"
@@ -367,6 +404,8 @@ def _add_control_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_live_parser(commands) -> None:
+    from .live.config import LiveConfig
+
     live_parser = commands.add_parser(
         "live", help="run and operate a real AVMON overlay over UDP"
     )
@@ -375,113 +414,16 @@ def _build_live_parser(commands) -> None:
     up = live_commands.add_parser(
         "up", help="boot a localhost overlay, run it, report and tear down"
     )
-    up.add_argument("--nodes", type=int, default=20, help="overlay size (default: 20)")
-    up.add_argument(
-        "--duration", type=float, default=30.0, help="run seconds (default: 30)"
-    )
-    up.add_argument("--seed", type=int, default=1, help="base seed (default: 1)")
-    up.add_argument(
-        "--protocol-period",
-        type=float,
-        default=1.0,
-        help="coarse-membership period T in wall seconds (default: 1.0)",
-    )
-    up.add_argument(
-        "--monitoring-period",
-        type=float,
-        default=1.0,
-        help="monitoring period T_A in wall seconds (default: 1.0)",
-    )
-    up.add_argument(
-        "--ping-timeout",
-        type=float,
-        default=0.25,
-        help="ping/fetch reply timeout in seconds (default: 0.25)",
-    )
-    up.add_argument(
-        "--cvs", type=int, default=None, help="coarse-view size (default: 4*N^1/4)"
-    )
-    up.add_argument(
-        "--k", type=int, default=None, help="target pinging-set size (default: log2 N)"
-    )
-    up.add_argument(
-        "--churn",
-        default="STAT",
-        help="churn component driving process kill/restart (default: STAT)",
-    )
-    up.add_argument(
-        "--fault",
-        default="NONE",
-        help="fault component shaping the network (NONE, LOSSY, WAN, "
-        "FLAKY, ...; see 'avmon list --json'; default: NONE)",
-    )
+    # The one default written here: `live status|query|chaos|down` and
+    # `serve` find the overlay on this port, while a library or memory-fabric
+    # run keeps LiveConfig's ephemeral 0.
+    add_config_arguments(up, LiveConfig, control_port=DEFAULT_CONTROL_PORT)
     up.add_argument(
         "--loss",
         type=float,
         default=None,
         metavar="P",
         help="override the fault plan's per-datagram loss probability",
-    )
-    up.add_argument(
-        "--churn-per-hour",
-        type=float,
-        default=0.2,
-        help="per-node leave rate for SYNTH-style churn, in WALL-CLOCK "
-        "hours (default: 0.2 = the paper's rate at real 60s periods; "
-        "compressed live periods need proportionally higher rates — at "
-        "the default 1s period use ~12 for the paper's churn-per-period, "
-        "or 600 for 6s mean sessions)",
-    )
-    up.add_argument(
-        "--introducers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="bootstrap quorum size: introducer replicas with anti-entropy "
-        "directory sync; nodes fail over between them on silence "
-        "(default: 1)",
-    )
-    up.add_argument(
-        "--kill-introducer-after",
-        type=float,
-        default=None,
-        metavar="T",
-        help="HA chaos: hard-stop the primary introducer T seconds in "
-        "(requires --introducers >= 2)",
-    )
-    up.add_argument(
-        "--crash-after",
-        type=float,
-        default=None,
-        metavar="T",
-        help="SIGKILL one random node T seconds in, restart it after "
-        "--crash-downtime",
-    )
-    up.add_argument(
-        "--crash-downtime",
-        type=float,
-        default=3.0,
-        help="seconds a crashed node stays down (default: 3.0)",
-    )
-    up.add_argument(
-        "--control-port",
-        type=int,
-        default=DEFAULT_CONTROL_PORT,
-        help=f"operator control port; -1 disables (default: {DEFAULT_CONTROL_PORT})",
-    )
-    up.add_argument(
-        "--serve",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="also serve the HTTP availability API on PORT for the run's "
-        "duration (0 binds an ephemeral port; default: no serving)",
-    )
-    up.add_argument(
-        "--state-dir",
-        default="",
-        metavar="DIR",
-        help="persistent node-state directory (default: run-scoped tempdir)",
     )
     up.add_argument(
         "--expect-discovery",
@@ -597,6 +539,8 @@ def _build_live_parser(commands) -> None:
 
 
 def _build_serve_parser(commands) -> None:
+    from .serve.service import ServeConfig
+
     serve_parser = commands.add_parser(
         "serve",
         help="attach an HTTP availability front end to a running live "
@@ -616,49 +560,7 @@ def _build_serve_parser(commands) -> None:
         help="address to bind the HTTP server and query transport to "
         "(default: 127.0.0.1)",
     )
-    serve_parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=2.0,
-        help="query-result cache TTL in seconds; 0 disables (default: 2.0)",
-    )
-    serve_parser.add_argument(
-        "--global-rate",
-        type=float,
-        default=500.0,
-        help="global sustained requests/s budget (default: 500)",
-    )
-    serve_parser.add_argument(
-        "--global-burst",
-        type=float,
-        default=1000.0,
-        help="global burst headroom in tokens (default: 1000)",
-    )
-    serve_parser.add_argument(
-        "--client-rate",
-        type=float,
-        default=100.0,
-        help="per-client sustained requests/s budget (default: 100)",
-    )
-    serve_parser.add_argument(
-        "--client-burst",
-        type=float,
-        default=200.0,
-        help="per-client burst headroom in tokens (default: 200)",
-    )
-    serve_parser.add_argument(
-        "--max-concurrency",
-        type=int,
-        default=64,
-        help="in-flight overlay queries admitted before shedding with "
-        "429 (default: 64)",
-    )
-    serve_parser.add_argument(
-        "--query-timeout",
-        type=float,
-        default=2.0,
-        help="per-query overlay deadline in seconds (default: 2.0)",
-    )
+    add_config_arguments(serve_parser, ServeConfig)
     serve_parser.set_defaults(handler=_cmd_serve)
 
 
@@ -1121,27 +1023,7 @@ def _cmd_live_up(args, out) -> int:
     try:
         REGISTRY.resolve("churn", args.churn)  # fail fast, list alternatives
         REGISTRY.resolve("fault", args.fault)
-        config = LiveConfig(
-            nodes=args.nodes,
-            duration=args.duration,
-            seed=args.seed,
-            k=args.k,
-            cvs=args.cvs,
-            protocol_period=args.protocol_period,
-            monitoring_period=args.monitoring_period,
-            ping_timeout=args.ping_timeout,
-            churn=args.churn,
-            churn_per_hour=args.churn_per_hour,
-            introducers=args.introducers,
-            kill_introducer_after=args.kill_introducer_after,
-            crash_after=args.crash_after,
-            crash_downtime=args.crash_downtime,
-            control_port=args.control_port,
-            serve_port=args.serve,
-            state_dir=args.state_dir,
-            fault=args.fault,
-            fault_params=fault_params,
-        )
+        config = config_from_args(LiveConfig, args, fault_params=fault_params)
         config.resolved_fault_plan()  # validate params (e.g. --loss 1.5) now
     except ValueError as error:  # includes UnknownComponentError
         raise CliError(str(error)) from error
@@ -1291,19 +1173,11 @@ def _cmd_serve(args, out) -> int:
         info = control_call(address, OverlayInfoRequest())
     except (TimeoutError, asyncio.TimeoutError, OSError):
         raise _no_overlay(address) from None
-    config = ServeConfig(
-        cache_ttl=args.cache_ttl,
-        global_rate=args.global_rate,
-        global_burst=args.global_burst,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
-        max_concurrency=args.max_concurrency,
-        query_timeout=args.query_timeout,
-    )
+    config = config_from_args(ServeConfig, args)
 
     async def serve_forever() -> None:
         backend = _observer_backend(
-            info, host=args.bind, query_timeout=args.query_timeout
+            info, host=args.bind, query_timeout=config.query_timeout
         )
         await backend.start()
         service = AvailabilityService(backend, config)

@@ -9,32 +9,51 @@ config is built, so a bad K or ping timeout fails before anything spawns.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from ..core.config import AvmonConfig
 from ..core.hashing import NodeId
 from ..registry import canonical_name, create
 from .faults import FaultPlan
-from .runtime import LiveNodeSpec
-from .transport import Address
 
-__all__ = ["LiveConfig", "live_config_key"]
+if TYPE_CHECKING:  # the CLI reads the fields; keep its import light
+    from .runtime import LiveNodeSpec
+    from .transport import Address
+
+__all__ = ["LiveConfig", "live_config_key", "option"]
+
+
+def option(default: Any, help: str, **meta: str) -> Any:
+    """A config field that is also a CLI option: *help* (where
+    ``%(default)s`` renders the default) and *meta* (``flag``, ``metavar``)
+    go in the field's metadata, which ``repro.cli`` reads."""
+    return field(default=default, metadata={"help": help, **meta})
 
 
 @dataclass
 class LiveConfig:
-    """One live deployment, declaratively (JSON-portable)."""
+    """One live deployment, declaratively (JSON-portable).
 
-    nodes: int = 8
-    duration: float = 20.0
-    seed: int = 1
+    Each :func:`option` field is an ``avmon live up`` flag of the same
+    name, type, default and help.
+    """
+
+    nodes: int = option(20, "overlay size (default: %(default)s)")
+    duration: float = option(30.0, "run seconds (default: %(default)s)")
+    seed: int = option(1, "base seed (default: %(default)s)")
     #: Consistent parameters; None -> the paper's defaults for ``nodes``.
-    k: Optional[int] = None
-    cvs: Optional[int] = None
+    k: Optional[int] = option(None, "target pinging-set size (default: log2 N)")
+    cvs: Optional[int] = option(None, "coarse-view size (default: 4*N^1/4)")
     #: Live runs compress the paper's 60 s periods to wall-clock seconds.
-    protocol_period: float = 1.0
-    monitoring_period: float = 1.0
-    ping_timeout: float = 0.25
+    protocol_period: float = option(
+        1.0, "coarse-membership period T in wall seconds (default: %(default)s)"
+    )
+    monitoring_period: float = option(
+        1.0, "monitoring period T_A in wall seconds (default: %(default)s)"
+    )
+    ping_timeout: float = option(
+        0.25, "ping/fetch reply timeout in seconds (default: %(default)s)"
+    )
     forgetful_tau: float = 2.0
     forgetful_c: float = 1.0
     enable_forgetful: bool = True
@@ -46,35 +65,79 @@ class LiveConfig:
     enable_pr2: bool = True
     hash_algorithm: str = "md5"
     #: Churn component key (the PR-1 registry) driving process churn.
-    churn: str = "STAT"
-    churn_per_hour: float = 0.2
+    churn: str = option(
+        "STAT",
+        "churn component driving process kill/restart (default: %(default)s)",
+    )
+    churn_per_hour: float = option(
+        0.2,
+        "per-node leave rate for SYNTH-style churn, in WALL-CLOCK hours "
+        "(default: %(default)s = the paper's rate at real 60s periods; "
+        "compressed live periods need proportionally higher rates — at the "
+        "default 1s period use ~12 for the paper's churn-per-period, or 600 "
+        "for 6s mean sessions)",
+    )
     birth_death_per_day: float = 0.2
     #: One-shot chaos: SIGKILL a random node this many seconds in.
-    crash_after: Optional[float] = None
-    crash_downtime: float = 3.0
+    crash_after: Optional[float] = option(
+        None,
+        "SIGKILL one random node T seconds in, restart it after "
+        "--crash-downtime",
+        metavar="T",
+    )
+    crash_downtime: float = option(
+        3.0, "seconds a crashed node stays down (default: %(default)s)"
+    )
     host: str = "127.0.0.1"
     #: Operator control endpoint; 0 binds an ephemeral port, -1 disables.
-    control_port: int = 0
+    control_port: int = option(
+        0, "operator control port; -1 disables (default: %(default)s)"
+    )
     #: HTTP availability-serving port; 0 binds an ephemeral port, None
     #: (the default) runs the overlay without a serving front end.
-    serve_port: Optional[int] = None
+    serve_port: Optional[int] = option(
+        None,
+        "also serve the HTTP availability API on PORT for the run's duration "
+        "(0 binds an ephemeral port; default: no serving)",
+        flag="--serve",
+        metavar="PORT",
+    )
     sample_interval: float = 2.0
     heartbeat_interval: float = 0.5
     introducer_ttl: float = 2.5
     #: Bootstrap quorum size: introducer replicas to spawn.  Nodes learn
     #: every replica's address and fail over on silence; replicas
     #: anti-entropy-sync their directories (``IntroducerSync``).
-    introducers: int = 1
+    introducers: int = option(
+        1,
+        "bootstrap quorum size: introducer replicas with anti-entropy "
+        "directory sync; nodes fail over between them on silence "
+        "(default: %(default)s)",
+        metavar="N",
+    )
     #: Replica-to-replica directory sync period, seconds.
     introducer_sync_interval: float = 1.0
     #: One-shot HA chaos: kill the primary introducer this many seconds
     #: in (requires ``introducers`` >= 2; never kills the last replica).
-    kill_introducer_after: Optional[float] = None
+    kill_introducer_after: Optional[float] = option(
+        None,
+        "HA chaos: hard-stop the primary introducer T seconds in "
+        "(requires --introducers >= 2)",
+        metavar="T",
+    )
     #: Node state files live here; empty -> a run-scoped temp directory.
     #: Process fabric only: the memory fabric keeps the same JSON in memory.
-    state_dir: str = ""
+    state_dir: str = option(
+        "",
+        "persistent node-state directory (default: run-scoped tempdir)",
+        metavar="DIR",
+    )
     #: Fault component key (registry kind ``fault``) shaping the network.
-    fault: str = "NONE"
+    fault: str = option(
+        "NONE",
+        "fault component shaping the network (NONE, LOSSY, WAN, FLAKY, ...; "
+        "see 'avmon list --json'; default: %(default)s)",
+    )
     #: Overrides for the fault component's factory (e.g. ``loss=0.25``).
     fault_params: Dict[str, Any] = field(default_factory=dict)
     label: str = "LIVE"
@@ -149,6 +212,8 @@ class LiveConfig:
         host: str,
         introducers: Sequence[Address] = (),
     ) -> LiveNodeSpec:
+        from .runtime import LiveNodeSpec
+
         return LiveNodeSpec(
             node=node,
             introducer_host=introducer[0],

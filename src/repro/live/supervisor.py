@@ -583,14 +583,17 @@ class LiveSupervisor:
         from ..serve.http import serve_http
         from ..serve.service import AvailabilityService, ServeConfig
 
+        # One deadline for every query: the service passes its own
+        # query_timeout to each backend.query.
+        config = ServeConfig(query_timeout=max(2.0, self.config.ping_timeout * 8))
         backend = OverlayBackend(
             self.condition,
             self.introducer.address,
             host=self.fabric.host,
-            query_timeout=max(2.0, self.config.ping_timeout * 8),
+            query_timeout=config.query_timeout,
         )
         await backend.start()
-        service = AvailabilityService(backend, ServeConfig())
+        service = AvailabilityService(backend, config)
         server = await serve_http(
             service, self.fabric.host, self.config.serve_port
         )

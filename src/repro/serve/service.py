@@ -25,17 +25,20 @@ sockets and the in-memory test client identically.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from urllib.parse import unquote_plus, urlsplit
 
 from ..apps.prediction import PeriodicPredictor, SaturatingCounterPredictor
 from ..apps.query import QueryResult
 from ..apps.replication import select_replicas_by_availability
-from ..live.control import ServeStatusReply
-from .backend import OverlayBackend
+from ..live.config import option
 from .cache import TtlCache, loop_time
 from .metrics import ServeMetrics
 from .ratelimit import RateLimiter
+
+if TYPE_CHECKING:  # the CLI reads ServeConfig's fields; keep its import light
+    from ..live.control import ServeStatusReply
+    from .backend import OverlayBackend
 
 __all__ = ["UNMATCHED_ROUTE", "ServeConfig", "AvailabilityService", "result_json"]
 
@@ -46,24 +49,41 @@ UNMATCHED_ROUTE = "unmatched"
 
 @dataclass
 class ServeConfig:
-    """Operator knobs for one service instance (CLI flags map 1:1)."""
+    """Operator knobs for one service instance: each :func:`option` field
+    is an ``avmon serve`` flag of the same name, type, default and help."""
 
     #: Cache TTL for query results, seconds; 0 disables caching.
-    cache_ttl: float = 2.0
+    cache_ttl: float = option(
+        2.0, "query-result cache TTL in seconds; 0 disables (default: %(default)s)"
+    )
     cache_entries: int = 4096
     #: Global token bucket: sustained requests/s and burst headroom.
-    global_rate: float = 500.0
-    global_burst: float = 1000.0
+    global_rate: float = option(
+        500.0, "global sustained requests/s budget (default: %(default)s)"
+    )
+    global_burst: float = option(
+        1000.0, "global burst headroom in tokens (default: %(default)s)"
+    )
     #: Per-client bucket.
-    client_rate: float = 100.0
-    client_burst: float = 200.0
+    client_rate: float = option(
+        100.0, "per-client sustained requests/s budget (default: %(default)s)"
+    )
+    client_burst: float = option(
+        200.0, "per-client burst headroom in tokens (default: %(default)s)"
+    )
     #: In-flight overlay queries admitted before shedding.
-    max_concurrency: int = 64
+    max_concurrency: int = option(
+        64,
+        "in-flight overlay queries admitted before shedding with 429 "
+        "(default: %(default)s)",
+    )
     #: Default and maximum ``l`` (monitors per verified query).
     default_l: int = 1
     max_l: int = 64
     #: Per-query overlay deadline, seconds.
-    query_timeout: float = 2.0
+    query_timeout: float = option(
+        2.0, "per-query overlay deadline in seconds (default: %(default)s)"
+    )
 
 
 class AvailabilityService:
@@ -344,6 +364,8 @@ class AvailabilityService:
     # -- control-plane projection ------------------------------------------
 
     def serve_status_reply(self, probe: int = 0) -> ServeStatusReply:
+        from ..live.control import ServeStatusReply
+
         totals = self.metrics.totals()
         return ServeStatusReply(
             probe=probe,

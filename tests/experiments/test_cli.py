@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import argparse
+import dataclasses
 import io
 import json
 import socket
@@ -8,6 +9,8 @@ import socket
 import pytest
 
 from repro.cli import build_parser, main
+from repro.live.config import LiveConfig
+from repro.serve.service import ServeConfig
 
 
 class TestCli:
@@ -230,3 +233,113 @@ class TestCliRegistration:
         err = capsys.readouterr().err
         assert err.startswith(f"error: no store daemon at {url}: ")
         assert "unreachable" in err and err.count("\n") == 1
+
+
+def _flagged(cls):
+    """``(field, flag)`` for every field of *cls* that is a CLI flag."""
+    for spec in dataclasses.fields(cls):
+        if "help" in spec.metadata:
+            flag = "--" + spec.name.replace("_", "-")
+            yield spec, spec.metadata.get("flag", flag)
+
+
+#: Non-default values the registry accepts, for str fields that name a
+#: component; any other str field gets its own name.
+_COMPONENTS = {"churn": "SYNTH", "fault": "WAN"}
+
+
+def _non_default_argv(cls):
+    """``(argv, values)`` setting every flag of *cls* off its default at once
+    (some fields are only valid together: --kill-introducer-after needs
+    --introducers 2)."""
+    argv, values = [], {}
+    for spec, flag in _flagged(cls):
+        if isinstance(spec.default, str):
+            value = _COMPONENTS.get(spec.name, spec.name)
+        elif spec.default is None:
+            value = 3
+        else:
+            value = spec.default + 1
+        assert value != spec.default, spec.name
+        argv += [flag, str(value)]
+        values[spec.name] = value
+    return argv, values
+
+
+class TestConfigFlags:
+    """`live up` and `serve` take every flag from a config field, so the
+    CLI and the library share one default per setting."""
+
+    @staticmethod
+    def _live_up(monkeypatch, argv):
+        captured = []
+
+        def run_live(config, **_kwargs):
+            captured.append(config)
+            raise RuntimeError("captured")
+
+        monkeypatch.delenv("AVMON_CACHE_DIR", raising=False)
+        monkeypatch.setattr("repro.live.supervisor.run_live", run_live)
+        assert main(["live", "up", *argv], out=io.StringIO()) == 1
+        (config,) = captured
+        return config
+
+    @staticmethod
+    def _serve(monkeypatch, argv):
+        from repro.live.control import OverlayInfoReply
+
+        captured = []
+
+        class Backend:
+            def __init__(self, query_timeout):
+                self.query_timeout = query_timeout
+
+            async def start(self):
+                pass
+
+            async def close(self):
+                pass
+
+        def service(backend, config):
+            captured.append((backend, config))
+            raise RuntimeError("captured")
+
+        info = OverlayInfoReply(nodes=8, k=3, introducer_port=7000)
+        monkeypatch.setattr(
+            "repro.live.supervisor.control_call", lambda *_a, **_k: info
+        )
+        monkeypatch.setattr(
+            "repro.cli._observer_backend",
+            lambda _info, *, host, query_timeout: Backend(query_timeout),
+        )
+        monkeypatch.setattr("repro.serve.service.AvailabilityService", service)
+        with pytest.raises(RuntimeError, match="captured"):
+            main(["serve", *argv], out=io.StringIO())
+        ((backend, config),) = captured
+        assert backend.query_timeout == config.query_timeout
+        return config
+
+    def test_every_flag_is_a_config_field(self):
+        assert len(list(_flagged(LiveConfig))) == 18
+        assert len(list(_flagged(ServeConfig))) == 7
+        parsers = {path: p for path, p, _leaf in _parser_tree(build_parser())}
+        for path, cls in ((("live", "up"), LiveConfig), (("serve",), ServeConfig)):
+            actions = parsers[path]._actions
+            options = {o for action in actions for o in action.option_strings}
+            for _spec, flag in _flagged(cls):
+                assert flag in options, (path, flag)
+
+    def test_live_up_defaults_are_the_configs(self, monkeypatch):
+        # The one override: operator commands find the overlay on 7711.
+        assert self._live_up(monkeypatch, []) == LiveConfig(control_port=7711)
+
+    def test_serve_defaults_are_the_configs(self, monkeypatch):
+        assert self._serve(monkeypatch, []) == ServeConfig()
+
+    def test_every_live_up_flag_reaches_its_field(self, monkeypatch):
+        argv, values = _non_default_argv(LiveConfig)
+        assert self._live_up(monkeypatch, argv) == LiveConfig(**values)
+
+    def test_every_serve_flag_reaches_its_field(self, monkeypatch):
+        argv, values = _non_default_argv(ServeConfig)
+        assert self._serve(monkeypatch, argv) == ServeConfig(**values)

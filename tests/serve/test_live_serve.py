@@ -59,6 +59,11 @@ def test_supervisor_attached_serving_over_udp():
             else:
                 pytest.fail("serving front end never came up")
             port = supervisor._serve_server.sockets[0].getsockname()[1]
+            # One query deadline, max(2 s, 8 ping timeouts), read by the
+            # service (which passes it to every backend.query) and the
+            # backend alike.
+            assert supervisor._serve_service.config.query_timeout == 2.4
+            assert supervisor._serve_backend.query_timeout == 2.4
 
             status, health = await _http_get(port, "/healthz")
             assert status == 200
